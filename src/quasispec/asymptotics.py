@@ -61,10 +61,7 @@ class AsymptoticModel:
     chi: complex
     growth: float
     sign: int
-    omega_sum: complex
     e_exp: complex
-    R: float
-    h: float
 
     @property
     def p_r(self):
@@ -95,6 +92,7 @@ def asymptotic_model(n, r, p_list, kappa=None, strip_R=None):
     two-exponential model, so its value is branch-consistent with the
     predictions by construction. Re(chi) is reduced to [0, 1).
     """
+    # strip_R has no effect; bench/setup_probe.py still passes it
     p_list = tuple(int(p) for p in p_list)
     if not 1 <= r <= n - 1:
         raise ValidationError("boundary.r", f"need 1 <= r <= {n - 1}")
@@ -109,13 +107,11 @@ def asymptotic_model(n, r, p_list, kappa=None, strip_R=None):
     parity = (n - r) % 2
     e_dir = np.exp(1j * np.pi * parity / n)
     growth = np.pi / np.sin(np.pi * r / n)
-    if strip_R is None:
-        strip_R = 3.0 * growth
 
     candidates = [1, 2, 2 * n] if kappa is None else [kappa]
     frame = None
     for kap in candidates:
-        fr = sector_frame(n, kap, h=strip_R)
+        fr = sector_frame(n, kap)
         re_on_ray = np.real(e_dir * fr.omegas)
         order_ok = np.all(np.diff(re_on_ray) > -1e-12)
         tie = abs(re_on_ray[r] - re_on_ray[r - 1]) < 1e-12
@@ -151,8 +147,7 @@ def asymptotic_model(n, r, p_list, kappa=None, strip_R=None):
         n=n, r=r, p_list=p_list, kappa=kappa, frame=frame,
         e_dir=complex(e_dir), c1=c1, c2=c2, chi=complex(chi),
         growth=float(growth), sign=(-1) ** (n - r),
-        omega_sum=complex(np.sum(om[r:])), e_exp=complex(e_exp),
-        R=float(strip_R), h=float(strip_R))
+        e_exp=complex(e_exp))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ exponent stays small, which keeps the collocation spectrally accurate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonContractionError, ValidationError
+from .piecewise import _shift_coeffs
 from .regularization import ConjugatedSystem
 
 __all__ = [
@@ -45,7 +45,6 @@ class BirkhoffSettings:
     min_panels: int = 4
     tol: float = 1e-12
     max_iter: int = 60
-    damping: float = 1.0
     use_gmres_fallback: bool = True
 
 
@@ -220,10 +219,10 @@ class _KernelBank:
 def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSolution:
     """Solve the factored fundamental-system equations at one rho.
 
-    The fixed-point iteration z <- I + V z is damped by settings.damping
-    and stopped at relative change settings.tol; if the measured
-    contraction stalls, the discretized linear system is solved by GMRES
-    instead (or NonContractionError is raised when disabled).
+    The fixed-point iteration z <- I + V z is stopped at relative change
+    settings.tol; if the measured contraction stalls, the discretized
+    linear system is solved by GMRES instead (or NonContractionError is
+    raised when disabled).
     """
     settings = settings or BirkhoffSettings()
     rho = complex(rho)
@@ -251,11 +250,8 @@ def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSoluti
     z = ident.copy()
     prev = np.inf
     ratio = 0.0
-    used_gmres = False
     for it in range(1, settings.max_iter + 1):
         znew = ident + apply_V(z)
-        if settings.damping != 1.0:
-            znew = (1 - settings.damping) * z + settings.damping * znew
         delta = float(np.max(np.abs(znew - z)))
         z = znew
         scale = float(np.max(np.abs(z)))
@@ -286,11 +282,9 @@ def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSoluti
         raise NonContractionError(
             f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
             "increase |rho|")
-    z = sol.reshape(shape)
-    used_gmres = True
-    return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z,
+    return BirkhoffSolution(rho=rho, system=system, xs=xs, z=sol.reshape(shape),
                             iterations=settings.max_iter, contraction=ratio,
-                            settings=settings, used_gmres=used_gmres)
+                            settings=settings, used_gmres=True)
 
 
 def estimate_rho_star(system: ConjugatedSystem, direction, rho_init=4.0,
@@ -389,12 +383,7 @@ class _AnchoredCumulative:
     def _shifted(a_pw, c, d):
         """Local polynomial of a_pw on [c, d], re-expanded around t = c."""
         i = int(a_pw.piece_index(0.5 * (c + d)))
-        shift = c - a_pw.breakpoints[i]
-        loc = np.zeros(len(a_pw.coeffs[i]), dtype=complex)
-        for k, ck in enumerate(a_pw.coeffs[i]):
-            for jj in range(k + 1):
-                loc[jj] += ck * math.comb(k, jj) * shift ** (k - jj)
-        return loc
+        return _shift_coeffs(a_pw.coeffs[i], c - a_pw.breakpoints[i])
 
     @classmethod
     def _local(cls, a_pw, c, d, mu):
@@ -406,12 +395,8 @@ class _AnchoredCumulative:
         """integral_c^d a e^{mu (t - c)} dt, left-anchored (Re mu <= 0)."""
         # mirror t -> c + d - t reduces to the right-anchored form with -mu
         loc = cls._shifted(a_pw, c, d)
-        D = d - c
-        q = np.zeros_like(loc)
-        for k, ck in enumerate(loc):
-            for jj in range(k + 1):
-                q[jj] += ck * math.comb(k, jj) * D ** (k - jj) * (-1.0) ** jj
-        return _poly_exp_integral(q, D, -mu)
+        q = _shift_coeffs(loc, d - c) * (-1.0) ** np.arange(len(loc))
+        return _poly_exp_integral(q, d - c, -mu)
 
     def segment(self, c_idx, d_idx, exp_at_c, exp_at_d):
         """integral of a e^{g(t)} over [t[c_idx], t[d_idx]] given the true

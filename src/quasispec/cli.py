@@ -42,39 +42,53 @@ __all__ = ["main", "parse_config", "serialize_config", "problem_from_config"]
 # config document
 # ---------------------------------------------------------------------------
 
+_KINDS = {"object": (dict, "an object"), "list": (list, "a list"),
+          "integer": (int, "an integer"), "number": ((int, float), "a finite number")}
+
+
+def _check(value, field, kind):
+    """value, when it is a JSON value of the given kind."""
+    types, name = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (kind == "number" and not abs(value) <= sys.float_info.max)):
+        raise ValidationError(field, f"must be {name}")
+    return value
+
+
+def _get(doc, key, field, kind, required=True):
+    """doc[key] checked by _check; None when optional and absent."""
+    if key not in doc:
+        if required:
+            raise ValidationError(field, "missing")
+        return None
+    return _check(doc[key], field, kind)
+
+
 def _complex_from(pair, field):
     if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
         raise ValidationError(field, "complex values are [re, im] pairs")
-    try:
-        return complex(float(pair[0]), float(pair[1]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(field, f"bad complex pair: {exc}") from exc
+    return complex(*(float(_check(v, field, "number")) for v in pair))
 
 
 def _coefficient_from(doc, field):
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValidationError(field, "coefficient needs a 'type'")
     kind = doc["type"]
+    tag = doc.get("class", "L2")
     if kind == "zero":
         return PiecewisePoly.zero()
     if kind == "constant":
         c = _complex_from(doc.get("value", [0.0, 0.0]), field + ".value")
-        out = PiecewisePoly.constant(c)
-    elif kind == "piecewise_poly":
-        bps = doc.get("breakpoints")
-        coeffs = doc.get("coeffs")
-        if bps is None or coeffs is None:
-            raise ValidationError(field, "piecewise_poly needs breakpoints "
-                                  "and coeffs")
-        rows = []
-        for i, piece in enumerate(coeffs):
-            rows.append([_complex_from(c, f"{field}.coeffs[{i}]")
-                         for c in piece])
-        out = PiecewisePoly(bps, rows, field=field)
-    else:
-        raise ValidationError(field, f"unknown coefficient type {kind!r}")
-    tag = doc.get("class", "L2")
-    return out.with_tag(tag) if tag != out.class_tag else out
+        return PiecewisePoly([0.0, 1.0], [[c]], class_tag=tag, field=field)
+    if kind == "piecewise_poly":
+        bps = [_check(b, f"{field}.breakpoints[{j}]", "number") for j, b in
+               enumerate(_get(doc, "breakpoints", field + ".breakpoints", "list"))]
+        pieces = _get(doc, "coeffs", field + ".coeffs", "list")
+        rows = [[_complex_from(c, f"{field}.coeffs[{i}]")
+                 for c in _check(piece, f"{field}.coeffs[{i}]", "list")]
+                for i, piece in enumerate(pieces)]
+        return PiecewisePoly(bps, rows, class_tag=tag, field=field)
+    raise ValidationError(field, f"unknown coefficient type {kind!r}")
 
 
 def _coefficient_doc(pw: PiecewisePoly):
@@ -95,15 +109,13 @@ def _coefficient_doc(pw: PiecewisePoly):
 def parse_config(doc):
     """Validate a config document; returns the normalized document.
 
-    Raises ValidationError with a field path on any violation; building
-    the actual problem happens in problem_from_config.
+    Raises ValidationError with a field path on any violation of the
+    document's shape or types; building the actual problem (and the
+    checks on coefficient documents) happens in problem_from_config.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("config", "document must be an object")
-    if "order" not in doc or "n" not in doc["order"]:
-        raise ValidationError("order.n", "missing")
-    n = doc["order"]["n"]
-    if not isinstance(n, int) or n < 2:
+    _check(doc, "config", "object")
+    n = _get(_get(doc, "order", "order", "object"), "n", "order.n", "integer")
+    if n < 2:
         raise ValidationError("order.n", "order must be an integer >= 2")
     has_coeffs = "coefficients" in doc
     has_raw = "raw_matrix" in doc
@@ -111,22 +123,37 @@ def parse_config(doc):
         raise ValidationError(
             "coefficients", "exactly one of coefficients / raw_matrix required")
     if has_coeffs:
-        if "indices" not in doc or "i" not in doc["indices"]:
-            raise ValidationError("indices.i", "missing")
-        if len(doc["indices"]["i"]) != n - 1:
+        indices = _get(_get(doc, "indices", "indices", "object"), "i", "indices.i",
+                       "list")
+        if len(indices) != n - 1:
             raise ValidationError("indices.i", f"expected {n - 1} entries")
-        if len(doc["coefficients"]) != n - 1:
+        for nu, i in enumerate(indices):
+            _check(i, f"indices.i[{nu}]", "integer")
+        if len(_get(doc, "coefficients", "coefficients", "list")) != n - 1:
             raise ValidationError("coefficients", f"expected {n - 1} entries")
-    if "boundary" not in doc:
-        raise ValidationError("boundary", "missing")
-    b = doc["boundary"]
-    for key in ("r", "left", "right"):
-        if key not in b:
-            raise ValidationError(f"boundary.{key}", "missing")
-    if len(b["left"]) != b["r"]:
+    else:
+        _get(doc, "raw_matrix", "raw_matrix", "object")
+    b = _get(doc, "boundary", "boundary", "object")
+    r = _get(b, "r", "boundary.r", "integer")
+    for side in ("left", "right"):
+        for s, fd in enumerate(_get(b, side, f"boundary.{side}", "list")):
+            _check(fd, f"boundary.{side}[{s}]", "object")
+            _get(fd, "p", f"boundary.{side}[{s}].p", "integer")
+            _get(fd, "u", f"boundary.{side}[{s}].u", "list", required=False)
+    if len(b["left"]) != r:
         raise ValidationError("boundary.left", "left form count must equal r")
     if len(b["left"]) + len(b["right"]) != n:
         raise ValidationError("boundary", f"need {n} forms total")
+    if "weight_form" in doc:
+        wd = _get(doc, "weight_form", "weight_form", "object")
+        _get(wd, "p0", "weight_form.p0", "integer")
+        _get(wd, "u0", "weight_form.u0", "list", required=False)
+    settings = _get(doc, "settings", "settings", "object", required=False) or {}
+    for key, kind in (("l_min", "integer"), ("l_max", "integer"),
+                      ("tol", "number")):
+        _get(settings, key, f"settings.{key}", kind, required=False)
+    if settings.get("kappa") is not None:
+        _check(settings["kappa"], "settings.kappa", "integer")
     return doc
 
 
@@ -141,12 +168,12 @@ def problem_from_config(doc):
         expr = ExpressionSpec(n, tuple(doc["indices"]["i"]), coeffs)
         matrix = None
     else:
-        entries_doc = doc["raw_matrix"].get("entries")
-        if entries_doc is None or len(entries_doc) != n:
+        entries_doc = _get(doc["raw_matrix"], "entries", "raw_matrix.entries", "list")
+        if len(entries_doc) != n:
             raise ValidationError("raw_matrix.entries", f"need {n} rows")
         rows = []
         for a, row in enumerate(entries_doc):
-            if len(row) != n:
+            if len(_check(row, f"raw_matrix.entries[{a}]", "list")) != n:
                 raise ValidationError(f"raw_matrix.entries[{a}]",
                                       f"need {n} columns")
             rows.append(tuple(
@@ -156,21 +183,18 @@ def problem_from_config(doc):
         matrix = AssociatedMatrix(n, tuple(rows))
     b = doc["boundary"]
     forms = []
-    for s, fd in enumerate(b["left"]):
-        forms.append(BoundaryForm(0, fd["p"], tuple(
-            _complex_from(u, f"boundary.left[{s}].u[{j}]")
-            for j, u in enumerate(fd.get("u", ())))))
-    for s, fd in enumerate(b["right"]):
-        forms.append(BoundaryForm(1, fd["p"], tuple(
-            _complex_from(u, f"boundary.right[{s}].u[{j}]")
-            for j, u in enumerate(fd.get("u", ())))))
+    for side, key in enumerate(("left", "right")):
+        for s, fd in enumerate(b[key]):
+            forms.append(BoundaryForm(side, fd["p"], tuple(
+                _complex_from(u, f"boundary.{key}[{s}].u[{j}]")
+                for j, u in enumerate(fd.get("u", ())))))
     weight = None
     if "weight_form" in doc:
         wd = doc["weight_form"]
         weight = BoundaryForm(0, wd["p0"], tuple(
             _complex_from(u, f"weight_form.u0[{j}]")
             for j, u in enumerate(wd.get("u0", ()))))
-    boundary = BoundarySpec(int(b["r"]), tuple(forms), weight)
+    boundary = BoundarySpec(b["r"], tuple(forms), weight)
     return ProblemSpec(boundary=boundary, expression=expr, matrix=matrix)
 
 
@@ -181,26 +205,15 @@ def serialize_config(doc):
 
 
 def _settings_from(doc, args):
+    """(l_min, l_max, SpectrumSettings) from the config, flags overriding."""
     s = dict(doc.get("settings", {}))
-    if args.tol is not None:
-        s["tol"] = args.tol
-    if args.lmin is not None:
-        s["l_min"] = args.lmin
-    if args.lmax is not None:
-        s["l_max"] = args.lmax
-    if args.kappa is not None:
-        s["kappa"] = args.kappa
-    if args.seed_R is not None:
-        s["R"] = args.seed_R
-    if args.threads is not None:
-        s["threads"] = args.threads
-    spectrum_settings = SpectrumSettings(
-        kappa=s.get("kappa"),
-        newton_tol=float(s.get("tol", 1e-12)),
-        strip_R=s.get("R"),
-        threads=int(s.get("threads", 1)),
-    )
-    return s, spectrum_settings
+    for key, flag in (("tol", args.tol), ("l_min", args.lmin),
+                      ("l_max", args.lmax), ("kappa", args.kappa)):
+        if flag is not None:
+            s[key] = flag
+    settings = SpectrumSettings(kappa=s.get("kappa"),
+                                newton_tol=float(s.get("tol", 1e-12)))
+    return int(s.get("l_min", 1)), int(s.get("l_max", 10)), settings
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +253,14 @@ def cmd_matrix(doc, args, out, err):
 
 def _locate(doc, args):
     problem = problem_from_config(doc)
-    s, settings = _settings_from(doc, args)
-    l_min = int(s.get("l_min", 1))
-    l_max = int(s.get("l_max", 10))
+    l_min, l_max, settings = _settings_from(doc, args)
     res = locate_eigenvalues(problem, l_max=l_max, l_min=l_min,
                              settings=settings)
-    return problem, settings, res
+    return problem, res
 
 
 def cmd_spectrum(doc, args, out, err):
-    problem, settings, res = _locate(doc, args)
+    _, res = _locate(doc, args)
     lines = ["l,re_lambda,im_lambda,re_rho,im_rho,re_eps,im_eps,multiplicity"]
     for d in res.data:
         lines.append(",".join([
@@ -264,8 +275,8 @@ def cmd_spectrum(doc, args, out, err):
 
 
 def cmd_weights(doc, args, out, err):
-    problem, settings, res = _locate(doc, args)
-    res = weight_numbers(problem, res, settings)
+    problem, res = _locate(doc, args)
+    res = weight_numbers(problem, res)
     lines = ["l,re_beta,im_beta"]
     for d in res.data:
         if d.beta is None:
@@ -279,12 +290,9 @@ def cmd_weights(doc, args, out, err):
 
 def cmd_asymptotics(doc, args, out, err):
     problem = problem_from_config(doc)
-    s, settings = _settings_from(doc, args)
+    l_min, l_max, settings = _settings_from(doc, args)
     model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list, kappa=s.get("kappa"),
-                             strip_R=s.get("R"))
-    l_min = int(s.get("l_min", 1))
-    l_max = int(s.get("l_max", 10))
+                             problem.boundary.p_list, kappa=settings.kappa)
     lines = ["name,re,im"]
     for name, v in (("c1", model.c1), ("c2", model.c2), ("chi", model.chi),
                     ("growth", complex(model.growth)),
@@ -325,9 +333,7 @@ def cmd_compare(doc_a, doc_b, args, out, err):
                               f"pair differs at nu = {nu0 - 1} >= nu0 bound "
                               f"{pa.n - 2}; no valid decay order")
     d, N_d, N_d0 = compute_d(pa.expression, pb.expression, nu0)
-    s, settings = _settings_from(doc_a, args)
-    l_min = int(s.get("l_min", 1))
-    l_max = int(s.get("l_max", 10))
+    l_min, l_max, settings = _settings_from(doc_a, args)
     ra = locate_eigenvalues(pa, l_max=l_max, l_min=l_min, settings=settings)
     rb = locate_eigenvalues(pb, l_max=l_max, l_min=l_min, settings=settings)
     pc = pair_difference(ra.data, rb.data, d,
@@ -351,9 +357,9 @@ def cmd_compare(doc_a, doc_b, args, out, err):
 
 def cmd_birkhoff(doc, args, out, err):
     problem = problem_from_config(doc)
-    s, settings = _settings_from(doc, args)
+    _, _, settings = _settings_from(doc, args)
     model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list, kappa=s.get("kappa"))
+                             problem.boundary.p_list, kappa=settings.kappa)
     system = conjugate_system(problem.F, model.frame)
     rhos = []
     for tok in args.rho:
@@ -364,23 +370,15 @@ def cmd_birkhoff(doc, args, out, err):
     if not rhos:
         raise ValidationError("rho", "at least one rho value required")
     # reference decay order against the zero-coefficient system
-    levels = [nu + (problem.expression.indices[nu] if problem.expression
-                    else 0)
-              for nu in range(problem.n - 1)
-              ] if problem.expression is not None else []
-    nonzero = [nu for nu in range(problem.n - 1)
-               if problem.expression is not None and
-               not problem.expression.coefficients[nu].is_zero()]
-    if nonzero:
-        d_eff = problem.n - 1 - max(levels[nu] for nu in nonzero)
-    else:
-        d_eff = 1
-    d_eff = max(d_eff, 1)
-    Ad = [[system.A[d_eff][i][l] if d_eff < problem.n else PiecewisePoly.zero()
-           for l in range(problem.n)] for i in range(problem.n)]
+    expr = problem.expression
+    levels = [] if expr is None else [
+        nu + i for nu, (i, sig) in enumerate(zip(expr.indices, expr.coefficients))
+        if not sig.is_zero()]
+    d_eff = max(problem.n - 1 - max(levels), 1) if levels else 1
+    Ad = system.A[d_eff]
     lines = ["re_rho,im_rho,upsilon,upsilon_d,max_E,residual"]
     for rho in rhos:
-        sol = birkhoff_fss(system, rho, settings.birkhoff)
+        sol = birkhoff_fss(system, rho)
         ups = upsilon(system, rho)
         upsd = upsilon_d(Ad, rho, model.frame)
         lines.append(",".join([
@@ -405,8 +403,6 @@ def _build_parser():
     ap.add_argument("--lmin", type=int, default=None)
     ap.add_argument("--lmax", type=int, default=None)
     ap.add_argument("--kappa", type=int, default=None)
-    ap.add_argument("--seed-R", dest="seed_R", type=float, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--report", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["PiecewisePoly", "zero", "constant", "from_samples"]
+__all__ = ["PiecewisePoly", "merge_breakpoints", "from_samples"]
 
 _BREAK_TOL = 1e-13
 
@@ -36,6 +36,21 @@ def _shift_coeffs(coeffs, delta):
         for j in range(k + 1):
             out[j] += c * math.comb(k, j) * delta ** (k - j)
     return out
+
+
+def merge_breakpoints(*arrays):
+    """Sorted union of breakpoint arrays on [0, 1].
+
+    Float unions leave near-duplicates: a point within _BREAK_TOL of the
+    last one kept is dropped, and the ends are pinned to 0.0 and 1.0.
+    """
+    bp = np.union1d([0.0, 1.0], np.concatenate([np.ravel(a) for a in arrays]))
+    keep = [0.0]
+    for b in bp[1:]:
+        if b - keep[-1] > _BREAK_TOL:
+            keep.append(b)
+    keep[-1] = 1.0
+    return np.asarray(keep, dtype=float)
 
 
 def _trim(coeffs):
@@ -123,14 +138,7 @@ class PiecewisePoly:
 
     def refined(self, breakpoints):
         """Same function re-expressed on a superset of breakpoints."""
-        bp = np.union1d(self.breakpoints, np.asarray(breakpoints, dtype=float))
-        # collapse near-duplicates introduced by float unions
-        keep = [bp[0]]
-        for b in bp[1:]:
-            if b - keep[-1] > _BREAK_TOL:
-                keep.append(b)
-        keep[-1] = 1.0
-        bp = np.asarray(keep)
+        bp = merge_breakpoints(self.breakpoints, breakpoints)
         new_coeffs = []
         for a in bp[:-1]:
             i = int(self.piece_index(a + _BREAK_TOL))
@@ -249,14 +257,6 @@ class PiecewisePoly:
     def __repr__(self):
         return (f"PiecewisePoly(pieces={len(self.coeffs)}, degree={self.degree}, "
                 f"tag={self.class_tag})")
-
-
-def zero():
-    return PiecewisePoly.zero()
-
-
-def constant(value):
-    return PiecewisePoly.constant(value)
 
 
 def from_samples(breakpoints, values, class_tag="L2"):

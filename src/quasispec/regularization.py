@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, merge_breakpoints
 from .sectors import SectorFrame
 
 __all__ = [
@@ -187,16 +187,7 @@ class AssociatedMatrix:
         return out
 
     def breakpoints(self):
-        bp = np.asarray([0.0, 1.0])
-        for row in self.entries:
-            for e in row:
-                bp = np.union1d(bp, e.breakpoints)
-        keep = [bp[0]]
-        for b in bp[1:]:
-            if b - keep[-1] > 1e-13:
-                keep.append(b)
-        keep[-1] = 1.0
-        return np.asarray(keep)
+        return merge_breakpoints(*(e.breakpoints for row in self.entries for e in row))
 
     def trace(self):
         t = PiecewisePoly.zero()
@@ -348,17 +339,8 @@ class ConjugatedSystem:
         return out
 
     def breakpoints(self):
-        bp = np.asarray([0.0, 1.0])
-        for k in range(self.n):
-            for i in range(self.n):
-                for l in range(self.n):
-                    bp = np.union1d(bp, self.A[k][i][l].breakpoints)
-        keep = [bp[0]]
-        for b in bp[1:]:
-            if b - keep[-1] > 1e-13:
-                keep.append(b)
-        keep[-1] = 1.0
-        return np.asarray(keep)
+        return merge_breakpoints(*(e.breakpoints for Ak in self.A
+                                   for row in Ak for e in row))
 
     def a0_is_zero(self, tol=0.0):
         return all(self.A[0][i][l].is_zero(tol) for i in range(self.n)

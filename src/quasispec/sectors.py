@@ -26,13 +26,11 @@ class SectorFrame:
         kappa: sector index, 1..2n; sector is arg rho in (pi(kappa-1)/n, pi kappa/n).
         omegas: the n-th roots of unity, ordered so Re(rho omega) is strictly
             increasing along the sector midpoint ray.
-        h: extension margin of the sector (used by the solvers downstream).
     """
 
     n: int
     kappa: int
     omegas: np.ndarray
-    h: float = 1.0
     Omega: np.ndarray = field(init=False, repr=False)
     Omega_inv: np.ndarray = field(init=False, repr=False)
     B: np.ndarray = field(init=False, repr=False)
@@ -62,16 +60,8 @@ class SectorFrame:
         re = np.real(self.mid_ray * self.omegas)
         return re[:, None] > re[None, :] + 1e-12
 
-    def companion_shift(self):
-        """The constant matrix with ones on the superdiagonal and at (n, 1)."""
-        F = np.zeros((self.n, self.n), dtype=complex)
-        for j in range(self.n - 1):
-            F[j, j + 1] = 1.0
-        F[self.n - 1, 0] = 1.0
-        return F
 
-
-def sector_frame(n, kappa, h=None):
+def sector_frame(n, kappa):
     """Build the ordered frame for sector Gamma_kappa.
 
     Roots are sorted by Re(rho_mid * omega) at the midpoint ray
@@ -88,6 +78,4 @@ def sector_frame(n, kappa, h=None):
     sorted_keys = keys[order]
     if np.min(np.diff(sorted_keys)) < 1e-9:
         raise ValidationError("kappa", "ordering tie on the midpoint ray")
-    if h is None:
-        h = 1.0
-    return SectorFrame(n=n, kappa=kappa, omegas=roots[order], h=float(h))
+    return SectorFrame(n=n, kappa=kappa, omegas=roots[order])

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .asymptotics import AsymptoticModel, asymptotic_model
-from .birkhoff import BirkhoffSettings, birkhoff_fss
+from .birkhoff import birkhoff_fss
 from .errors import (
     ConfigurationError,
     ContourError,
@@ -39,7 +39,7 @@ from .regularization import (
     build_associated_matrix,
     conjugate_system,
 )
-from .solutions import IntegratorSettings, closed_form_zero_coeff, integrate_fundamental
+from .solutions import closed_form_zero_coeff, integrate_fundamental
 
 __all__ = [
     "BoundaryForm",
@@ -108,6 +108,8 @@ class BoundarySpec:
         if self.weight is not None:
             if self.weight.side != 0:
                 raise ValidationError("weight_form", "weight form lives at x = 0")
+            if not 0 <= self.weight.p <= n - 1:
+                raise ValidationError("weight_form.p0", "out of range")
             if self.weight.p in left:
                 raise ValidationError("weight_form.p0",
                                       "p0 must differ from the left-end orders")
@@ -183,20 +185,24 @@ class SpectralDatum:
     residual: float = 0.0
 
 
+# largest |rho| * spread the plain determinant's exponentials may reach
+EXPONENT_BUDGET = 18.0
+# most indices the low-disk sweep covers before strip boxes take over
+LOW_INDEX_COUNT = 4
+# strip box half-height, in units of the model spacing
+BOX_HALF_HEIGHT_FACTOR = 0.4
+# segments per side of a strip box contour
+CONTOUR_POINTS = 6
+# two located roots closer than this signal numbering drift
+DEDUPE_TOL = 1e-6
+# deepest rectangle quadrisection allowed in the low-disk sweep
+MAX_SUBDIVISION_DEPTH = 36
+
+
 @dataclass(frozen=True)
 class SpectrumSettings:
     kappa: int | None = None
-    exponent_budget: float = 18.0
-    low_index_count: int = 4
-    box_half_height_factor: float = 0.4
-    contour_points: int = 6
     newton_tol: float = 1e-12
-    dedupe_tol: float = 1e-6
-    max_subdivision_depth: int = 36
-    integrator: IntegratorSettings = IntegratorSettings()
-    birkhoff: BirkhoffSettings = BirkhoffSettings()
-    threads: int = 1
-    strip_R: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +222,9 @@ def boundary_form(form: BoundaryForm, column):
 class DeterminantEvaluator:
     """All determinant routes for one problem in one sector frame."""
 
-    def __init__(self, problem: ProblemSpec, model: AsymptoticModel,
-                 settings: SpectrumSettings = None):
+    def __init__(self, problem: ProblemSpec, model: AsymptoticModel):
         self.problem = problem
         self.model = model
-        self.settings = settings or SpectrumSettings()
         self.n = problem.n
         self.zero_coeff = problem.is_zero_coefficient()
         self._system = None
@@ -228,7 +232,7 @@ class DeterminantEvaluator:
         re_dir = np.real(model.e_dir * model.frame.omegas)
         self.eta = float(np.max(re_dir) - np.min(re_dir))
         self.direct_limit = (np.inf if self.eta < 1e-12
-                             else self.settings.exponent_budget / self.eta)
+                             else EXPONENT_BUDGET / self.eta)
 
     # -- rows -----------------------------------------------------------
 
@@ -242,24 +246,24 @@ class DeterminantEvaluator:
         rows = [b.weight] + [f for s, f in enumerate(b.forms) if s != b.r - 1]
         return rows
 
-    def row_powers_sum(self, bullet=False):
-        return sum(f.p for f in self._rows(bullet))
+    def _memo(self, key, compute):
+        """compute(), cached under key; the cache is wiped past 4,096 entries."""
+        if key not in self._cache:
+            value = compute()
+            if len(self._cache) > 4096:
+                self._cache.clear()
+            self._cache[key] = value
+        return self._cache[key]
 
     # -- direct route -----------------------------------------------------
 
     def _fundamental_at_one(self, lam):
-        key = ("C1", complex(lam))
-        if key not in self._cache:
+        def compute():
             if self.zero_coeff:
-                C1 = closed_form_zero_coeff(self.n, lam, np.array([1.0]))[0]
-            else:
-                C1 = integrate_fundamental(self.problem.F, lam,
-                                           self.settings.integrator,
-                                           grid=np.array([0.0, 1.0])).at_one
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = C1
-        return self._cache[key]
+                return closed_form_zero_coeff(self.n, lam, np.array([1.0]))[0]
+            return integrate_fundamental(self.problem.F, lam,
+                                         grid=np.array([0.0, 1.0])).at_one
+        return self._memo(("C1", complex(lam)), compute)
 
     def delta(self, lam, bullet=False):
         """det[U_s(C_k)]; rows at x = 0 come from C(0) = I exactly."""
@@ -291,13 +295,11 @@ class DeterminantEvaluator:
         if self.zero_coeff:
             eye = np.eye(self.n, dtype=complex)
             return eye, eye
-        key = ("z", complex(rho))
-        if key not in self._cache:
-            sol = birkhoff_fss(self.system, rho, self.settings.birkhoff)
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = (sol.z_at_zero, sol.z_at_one)
-        return self._cache[key]
+
+        def compute():
+            sol = birkhoff_fss(self.system, rho)
+            return sol.z_at_zero, sol.z_at_one
+        return self._memo(("z", complex(rho)), compute)
 
     def d_norm(self, rho_check, bullet=False):
         """Normalized determinant in the strip variable.
@@ -355,19 +357,19 @@ class DeterminantEvaluator:
                                      bullet=bullet)
 
 
-def char_delta(problem, lam, settings=None):
+def char_delta(problem, lam):
     """Delta(lambda) by direct integration (moderate |lambda|)."""
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list)
-    return DeterminantEvaluator(problem, model, settings).delta(lam)
+    return DeterminantEvaluator(problem, model).delta(lam)
 
 
-def char_delta_bullet(problem, lam, settings=None):
+def char_delta_bullet(problem, lam):
     """Delta_bullet(lambda): row r replaced by the weight form, rows in
     increasing s order (0, 1, ..., n without r)."""
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list)
-    return DeterminantEvaluator(problem, model, settings).delta(lam, bullet=True)
+    return DeterminantEvaluator(problem, model).delta(lam, bullet=True)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +397,8 @@ def _winding(f, pts, zero_rtol=5e-13, max_points=20000):
     """Winding number of f along the closed polyline pts.
 
     Segments with phase jumps above 1 radian are refined; a value tiny
-    against the contour median trips ContourError (zero too close).
+    against the contour median trips ContourError (zero too close), and
+    so does a value, or a ratio of neighbouring values, that is not finite.
     """
     pts = list(np.asarray(pts, dtype=complex))
     vals = [complex(f(z)) for z in pts]
@@ -403,9 +406,14 @@ def _winding(f, pts, zero_rtol=5e-13, max_points=20000):
     if scale == 0:
         raise ContourError("determinant vanishes on the contour")
     for _ in range(40):
-        if min(abs(v) for v in vals) < zero_rtol * scale:
+        mags = np.abs(vals)
+        if not np.all(np.isfinite(mags)):
+            raise ContourError("determinant is not finite on the contour")
+        if np.min(mags) < zero_rtol * scale:
             raise ContourError("zero too close to the contour")
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
+        if not np.all(np.isfinite(ratios)):
+            raise ContourError("determinant ratio is not finite on the contour")
         dphi = np.angle(ratios)
         bad = np.nonzero(np.abs(dphi) > 1.0)[0]
         if len(bad) == 0:
@@ -505,8 +513,7 @@ def _strip_box_root(ev, model, settings, l, chi_cal, hy):
     box = None
     for attempt in range(3):
         pts = rect_contour(cx - half, cx + half, cy - hy * (2 ** attempt),
-                           cy + hy * (2 ** attempt),
-                           m=settings.contour_points)
+                           cy + hy * (2 ** attempt), m=CONTOUR_POINTS)
         try:
             cnt, _ = count_zeros(fstrip, pts)
         except ContourError as exc:
@@ -521,27 +528,22 @@ def _strip_box_root(ev, model, settings, l, chi_cal, hy):
     cnt, used_hy = box
     if cnt == 1:
         root, _ = _newton(fstrip, pred, settings.newton_tol)
-        return l, root, 1
-    # cluster: split the box and refine each half separately
-    roots = []
+        return root, 1
+    # cluster: a root is returned only when one half-box holds all cnt zeros
     for sgn in (-1, 1):
         sub = rect_contour(cx + (sgn - 1) * 0.25 * growth,
                            cx + (sgn + 1) * 0.25 * growth,
-                           cy - used_hy, cy + used_hy,
-                           m=settings.contour_points)
+                           cy - used_hy, cy + used_hy, m=CONTOUR_POINTS)
         try:
             c2, _ = count_zeros(fstrip, sub)
         except ContourError:
-            c2 = 0
-        if c2:
-            r2, _ = _newton(fstrip, complex(cx + sgn * 0.25 * growth, cy),
-                            settings.newton_tol)
-            roots.append((r2, c2))
-    if not roots:
-        raise RootSearchError(f"index {l}: cluster refinement failed")
-    root, mult = min(roots, key=lambda t: abs(t[0] - pred))
-    mult = cnt if len(roots) == 1 else 1
-    return l, root, mult
+            continue
+        if c2 == cnt:
+            root, _ = _newton(fstrip, complex(cx + sgn * 0.25 * growth, cy),
+                              settings.newton_tol)
+            return root, c2
+    raise RootSearchError(
+        f"index {l}: strip box holds {cnt} zeros that no half-box isolates")
 
 
 def _find_disk_zeros(f, radius, expected, settings):
@@ -585,7 +587,7 @@ def _find_disk_zeros(f, radius, expected, settings):
             found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)),
                           cnt if cnt else 1))
             return
-        if depth > settings.max_subdivision_depth:
+        if depth > MAX_SUBDIVISION_DEPTH:
             raise RootSearchError("subdivision depth exhausted in the disk "
                                   "sweep")
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
@@ -629,19 +631,16 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     """
     settings = settings or SpectrumSettings()
     model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list, kappa=settings.kappa,
-                             strip_R=settings.strip_R)
-    ev = DeterminantEvaluator(problem, model, settings)
+                             problem.boundary.p_list, kappa=settings.kappa)
+    ev = DeterminantEvaluator(problem, model)
     n = problem.n
     growth = model.growth
     chi_re = model.chi.real
 
     # stage 1: low-disk sweep (the direct determinant must hold its budget
     # on the full lambda-circle, where the worst spread is 2|rho|)
-    L_A = max(1, min(settings.low_index_count, l_max,
-                     int(np.floor(settings.exponent_budget /
-                                  (2.0 * growth) - chi_re - 0.5))
-                     if True else l_max))
+    L_A = max(1, min(LOW_INDEX_COUNT, l_max,
+                     int(np.floor(EXPONENT_BUDGET / (2.0 * growth) - chi_re - 0.5))))
     T_A = growth * (L_A + chi_re + 0.5)
     lam_radius = T_A ** n
 
@@ -670,26 +669,10 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
         idx += mult
 
     # stage 2: per-index strip boxes on the calibrated predictions
-    hy = settings.box_half_height_factor * growth
-    pend = [l for l in range(idx, l_max + 1)]
-    if settings.threads > 1 and len(pend) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(l, _ev_cache={}):
-            import threading
-            key = threading.get_ident()
-            if key not in _ev_cache:
-                _ev_cache[key] = DeterminantEvaluator(problem, model, settings)
-            return _strip_box_root(_ev_cache[key], model, settings, l,
-                                   chi_cal, hy)
-
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            results = list(pool.map(work, pend))
-    else:
-        results = [_strip_box_root(ev, model, settings, l, chi_cal, hy)
-                   for l in pend]
-    for l, root, mult in results:
-        if data and abs(root - data[-1].rho) < settings.dedupe_tol:
+    hy = BOX_HALF_HEIGHT_FACTOR * growth
+    for l in range(idx, l_max + 1):
+        root, mult = _strip_box_root(ev, model, settings, l, chi_cal, hy)
+        if data and abs(root - data[-1].rho) < DEDUPE_TOL:
             raise RootSearchError(
                 f"index {l}: duplicated root {root:.9g}; numbering drift")
         eps = root / growth - l - chi_cal
@@ -715,7 +698,6 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
 # ---------------------------------------------------------------------------
 
 def weight_numbers(problem: ProblemSpec, result: SpectrumResult,
-                   settings: SpectrumSettings = None,
                    cross_check_rtol=1e-8) -> SpectrumResult:
     """Attach weight numbers beta_l to the located eigenvalues.
 
@@ -724,11 +706,10 @@ def weight_numbers(problem: ProblemSpec, result: SpectrumResult,
     residue must agree to cross_check_rtol (simple eigenvalues only;
     multiple ones are skipped with their multiplicity flag left set).
     """
-    settings = settings or SpectrumSettings()
     if problem.boundary.weight is None:
         raise ConfigurationError("weight numbers need a weight form")
     model = result.model
-    ev = DeterminantEvaluator(problem, model, settings)
+    ev = DeterminantEvaluator(problem, model)
     n = problem.n
     p0 = problem.boundary.weight.p
     p_r = model.p_r

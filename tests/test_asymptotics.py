@@ -40,12 +40,6 @@ class TestSectorFrame:
                     re = np.real(ray * fr.omegas)
                     assert np.all(np.diff(re) > 0), (n, kappa, t)
 
-    def test_conjugation_identity(self):
-        for n in (2, 4, 7):
-            fr = sector_frame(n, 2)
-            lhs = fr.Omega_inv @ fr.companion_shift() @ fr.Omega
-            np.testing.assert_allclose(lhs, fr.B, atol=1e-13)
-
     def test_kappa_range(self):
         with pytest.raises(ValidationError):
             sector_frame(3, 7)

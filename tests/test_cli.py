@@ -1,10 +1,12 @@
 """CLI: config validation, schemas, determinism, exit codes."""
 
+import copy
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasispec.cli import main, parse_config, problem_from_config, serialize_config
 
@@ -101,6 +103,27 @@ class TestConfig:
         code, out, err = run(["spectrum", "/nonexistent/conf.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["boundary"]["left"][0].pop("p"), "boundary.left[0].p"),
+        (lambda d: d["boundary"].update(left=5), "boundary.left"),
+        (lambda d: d["boundary"]["right"][0].update(p="0"), "boundary.right[0].p"),
+        (lambda d: d.update(order=3), "order"),
+        (lambda d: d.update(weight_form={"u0": []}), "weight_form.p0"),
+        (lambda d: d["settings"].update(l_max="x"), "settings.l_max"),
+        (lambda d: d["coefficients"][1].update(value=[float("nan"), 0.0]),
+         "coefficients[1].value"),
+        (lambda d: d["coefficients"][1].update(value=[0.0, float("inf")]),
+         "coefficients[1].value"),
+        (lambda d: d["coefficients"][1].update({"class": "L3"}), "coefficients[1]"),
+    ], ids=["no-p", "left-int", "p-str", "order-int", "no-p0", "l_max-str",
+            "nan-value", "inf-value", "bad-class"])
+    def test_malformed_config_is_config_error(self, tmp_path, mutate, field):
+        doc = third_order_doc(sigma1=1.0)
+        mutate(doc)
+        code, out, err = run(["asymptotics", write(tmp_path, doc)])
+        assert code == 2
+        assert f"config error: {field}: " in err
+
 
 class TestMatrixCommand:
     def test_third_order_entry(self, tmp_path):
@@ -134,6 +157,13 @@ class TestSpectrumCommand:
         _, out1, _ = run(["spectrum", path])
         _, out2, _ = run(["spectrum", path])
         assert out1 == out2
+
+    def test_overflowing_determinant_is_numerical_failure(self, tmp_path):
+        # a finite 1e308 coefficient drives the determinant past float range
+        doc = third_order_doc(sigma1=1e308)
+        code, out, err = run(["spectrum", write(tmp_path, doc)])
+        assert code == 3
+        assert "numerical failure: " in err
 
     def test_lf_endings_and_decimal_point(self, tmp_path):
         _, out, _ = run(["spectrum", write(tmp_path, dirichlet_doc())])
@@ -194,3 +224,50 @@ class TestBirkhoffCommand:
     def test_requires_rho(self, tmp_path):
         code, out, err = run(["birkhoff", write(tmp_path, third_order_doc())])
         assert code == 2
+
+
+def fuzz_base_doc():
+    doc = third_order_doc(sigma1=1.0)
+    doc["coefficients"][0] = {"type": "piecewise_poly", "breakpoints": [0.0, 0.4, 1.0],
+                              "coeffs": [[[1.0, 0.0], [0.5, 0.0]], [[0.2, 0.0]]],
+                              "class": "L2"}
+    doc["boundary"]["right"][1]["u"] = [[0.5, 0.0]]
+    doc["weight_form"] = {"p0": 2, "u0": [[0.0, 1.0]]}
+    doc["settings"].update(tol=1e-12, kappa=None)
+    return doc
+
+
+def json_paths(node, prefix=()):
+    """Every key/index path below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+# integers stay small: settings.l_max sets how many rows a command prints
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-100, 100),
+                         st.floats(), st.just(1e308), st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(json_paths(fuzz_base_doc()))),
+       drop=st.booleans(), value=JSON_VALUES)
+def test_config_fuzz_exits_typed(tmp_path_factory, path, drop, value):
+    doc = copy.deepcopy(fuzz_base_doc())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    conf = tmp_path_factory.getbasetemp() / "fuzz.json"
+    conf.write_text(json.dumps(doc))
+    for argv in (["asymptotics", str(conf)], ["matrix", str(conf), "--x", "0.5"]):
+        code, _, _ = run(argv)
+        assert code in (0, 2, 3)

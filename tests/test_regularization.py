@@ -205,11 +205,13 @@ class TestDiagonalSplit:
 
 class TestConjugation:
     def test_companion_identity(self):
+        # Omega^{-1} F_{-1} Omega = B with F_{-1} the split's constant shift
         for n in range(2, 9):
-            frame = sector_frame(n, 1)
-            F_m1 = frame.companion_shift()
-            lhs = frame.Omega_inv @ F_m1 @ frame.Omega
-            np.testing.assert_allclose(lhs, frame.B, atol=1e-14)
+            F_m1, _ = diagonal_split(build_associated_matrix(zero_expression(n)))
+            for kappa in (1, 2):
+                frame = sector_frame(n, kappa)
+                lhs = frame.Omega_inv @ F_m1 @ frame.Omega
+                np.testing.assert_allclose(lhs, frame.B, atol=1e-14)
 
     def test_zero_system(self):
         F = build_associated_matrix(zero_expression(4))

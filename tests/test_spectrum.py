@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from quasispec.errors import ConfigurationError, ContourError, ValidationError
+from quasispec.errors import (
+    ConfigurationError,
+    ContourError,
+    RootSearchError,
+    ValidationError,
+)
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import ExpressionSpec, zero_expression
 from quasispec.asymptotics import asymptotic_model
@@ -181,6 +186,13 @@ class TestContours:
         cnt, _ = count_zeros(f, disk_contour(0.0, 1.0))
         assert cnt in (0, 1)
 
+    @pytest.mark.parametrize("value", [complex(1e308, 1e308), complex(1e308, np.inf),
+                                       complex(np.nan, 0.0)])
+    def test_non_finite_values_are_contour_error(self, value):
+        # the ratio of two 1e308 + 1e308j values overflows: no NaN winding
+        with pytest.raises(ContourError, match="not finite"):
+            count_zeros(lambda z: value, disk_contour(0.0, 1.0))
+
 
 class TestDeltaDerivative:
     def test_linear(self):
@@ -317,3 +329,19 @@ class TestClusterHandling:
         for r, m in out:
             assert m == 1
             assert min(abs(r - rr) for rr in roots) < 1e-9
+
+    def test_two_zeros_split_across_strip_box_refused(self):
+        # one zero in each half of the box: no single root may stand in
+        # for both, so the index fails instead of dropping a zero
+        from quasispec.spectrum import _strip_box_root
+        model = asymptotic_model(2, 1, (0, 0))
+        pred = model.growth * (5 + model.chi)
+        zeros = (pred - 0.2 * model.growth, pred + 0.2 * model.growth)
+
+        class TwoZeros:
+            def box_function(self, outer_radius, bullet=False):
+                return lambda z: (z - zeros[0]) * (z - zeros[1])
+
+        with pytest.raises(RootSearchError, match="index 5: .* 2 zeros"):
+            _strip_box_root(TwoZeros(), model, SpectrumSettings(), 5,
+                            model.chi, 0.4 * model.growth)
