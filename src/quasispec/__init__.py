@@ -20,12 +20,11 @@ from .regularization import (  # noqa: F401
 )
 from .sectors import SectorFrame, sector_frame  # noqa: F401
 from .solutions import (  # noqa: F401
-    IntegratorSettings, FundamentalMatrix, closed_form_zero_coeff,
+    FundamentalMatrix, closed_form_zero_coeff,
     integrate_fundamental, residual_norm, condensation_index,
 )
 from .birkhoff import (  # noqa: F401
-    BirkhoffSettings, BirkhoffSolution, birkhoff_fss, estimate_rho_star,
-    upsilon, upsilon_d,
+    BirkhoffSolution, birkhoff_fss, upsilon, upsilon_d,
 )
 from .spectrum import (  # noqa: F401
     BoundaryForm, BoundarySpec, ProblemSpec, SpectralDatum, SpectrumSettings,

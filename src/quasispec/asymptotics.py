@@ -229,7 +229,7 @@ def compute_d(spec_a: ExpressionSpec, spec_b: ExpressionSpec, nu0):
     return d, N_d, N_d0
 
 
-def check_boundary_match(forms_a, forms_b, d, include_weight=False):
+def check_boundary_match(forms_a, forms_b, d):
     """Verify u_{s, p_s - j} agreement for j = 0..d-2 across a pair.
 
     forms_*: sequences of (p, u-tuple) pairs; indices beyond a form's

@@ -19,7 +19,7 @@ exponent stays small, which keeps the collocation spectrally accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -29,23 +29,24 @@ from .piecewise import _shift_coeffs
 from .regularization import ConjugatedSystem
 
 __all__ = [
-    "BirkhoffSettings",
     "BirkhoffSolution",
     "birkhoff_fss",
-    "estimate_rho_star",
     "upsilon",
     "upsilon_d",
 ]
 
-
-@dataclass(frozen=True)
-class BirkhoffSettings:
-    degree: int = 12            # Chebyshev degree per panel
-    target_exponent: float = 5.0  # cap on |mu| * panel width
-    min_panels: int = 4
-    tol: float = 1e-12
-    max_iter: int = 60
-    use_gmres_fallback: bool = True
+# Chebyshev degree per panel
+DEGREE = 12
+# cap on |mu| * panel width
+TARGET_EXPONENT = 5.0
+# fewest panels of a layout
+MIN_PANELS = 4
+# relative change that stops the fixed-point iteration; GMRES tolerance
+TOL = 1e-12
+# fixed-point iterations before the GMRES fallback
+MAX_ITER = 60
+# (s, x) grid points per axis of upsilon
+UPSILON_POINTS = 25
 
 
 def _cheb_nodes_and_diff(q):
@@ -62,10 +63,10 @@ def _cheb_nodes_and_diff(q):
     return x, D
 
 
-def _panel_layout(breakpoints, rho_abs, span, settings):
+def _panel_layout(breakpoints, rho_abs, span):
     """Panel edges: coefficient breakpoints refined so that the largest
     kernel exponent per panel stays below the target."""
-    width_cap = settings.target_exponent / max(rho_abs * span, 1e-9)
+    width_cap = TARGET_EXPONENT / max(rho_abs * span, 1e-9)
     edges = [0.0]
     bp = np.asarray(breakpoints, dtype=float)
     for a, b in zip(bp[:-1], bp[1:]):
@@ -73,9 +74,9 @@ def _panel_layout(breakpoints, rho_abs, span, settings):
         for i in range(1, nsub + 1):
             edges.append(a + (b - a) * i / nsub)
     edges = np.asarray(edges)
-    if len(edges) - 1 < settings.min_panels:
+    if len(edges) - 1 < MIN_PANELS:
         # refine uniformly to the minimum count
-        extra = np.linspace(0.0, 1.0, settings.min_panels + 1)
+        extra = np.linspace(0.0, 1.0, MIN_PANELS + 1)
         edges = np.union1d(edges, extra)
     return edges
 
@@ -93,10 +94,7 @@ class BirkhoffSolution:
     xs: np.ndarray
     z: np.ndarray
     iterations: int
-    contraction: float
-    settings: BirkhoffSettings
     used_gmres: bool = False
-    _ups: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self):
@@ -110,16 +108,12 @@ class BirkhoffSolution:
     def z_at_one(self):
         return self.z[:, :, -1, -1]
 
-    @property
-    def E(self):
-        """z - I at all nodes, shape (n, n, panels, nodes)."""
-        out = self.z.copy()
-        for j in range(self.n):
-            out[j, j] -= 1.0
-        return out
-
     def max_E(self):
-        return float(np.max(np.abs(self.E)))
+        """max over nodes of |z - I|."""
+        E = self.z.copy()
+        for j in range(self.n):
+            E[j, j] -= 1.0
+        return float(np.max(np.abs(E)))
 
     def w_at(self, panel, node):
         """w(x) = z(x) exp(rho B x) at one stored node."""
@@ -127,18 +121,10 @@ class BirkhoffSolution:
         col = np.exp(self.rho * self.system.frame.omegas * x)
         return self.z[:, :, panel, node] * col[None, :]
 
-    @property
-    def upsilon(self):
-        """Upsilon(rho) of the driving system (cached, coarse grid)."""
-        if "v" not in self._ups:
-            self._ups["v"] = upsilon(self.system, self.rho)
-        return self._ups["v"]
-
     def residual(self):
         """max over nodes of |z' - rho(Bz - zB) - A z| (bounded coords)."""
         n = self.n
-        q = self.settings.degree
-        _, D = _cheb_nodes_and_diff(q)
+        _, D = _cheb_nodes_and_diff(DEGREE)
         om = self.system.frame.omegas
         mus = self.rho * (om[:, None] - om[None, :])
         A = self.system.evaluate(self.xs.ravel(), self.rho).reshape(
@@ -216,15 +202,14 @@ class _KernelBank:
         return out
 
 
-def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSolution:
+def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
     """Solve the factored fundamental-system equations at one rho.
 
     The fixed-point iteration z <- I + V z is stopped at relative change
-    settings.tol; if the measured contraction stalls, the discretized
-    linear system is solved by GMRES instead (or NonContractionError is
-    raised when disabled).
+    TOL; if the measured contraction stalls or MAX_ITER runs out, the
+    discretized linear system is solved by GMRES instead
+    (NonContractionError when that fails too).
     """
-    settings = settings or BirkhoffSettings()
     rho = complex(rho)
     if rho == 0:
         raise ValidationError("rho", "rho must be nonzero")
@@ -232,8 +217,8 @@ def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSoluti
     frame = system.frame
     om = frame.omegas
     span = float(np.max(np.abs(om[:, None] - om[None, :])))
-    edges = _panel_layout(system.breakpoints(), abs(rho), span, settings)
-    q = settings.degree
+    edges = _panel_layout(system.breakpoints(), abs(rho), span)
+    q = DEGREE
     bank = _KernelBank(frame, rho, edges, q)
     xs = bank.xs
     V = np.transpose(system.evaluate(xs.reshape(-1), rho).reshape(
@@ -249,25 +234,19 @@ def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSoluti
 
     z = ident.copy()
     prev = np.inf
-    ratio = 0.0
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         znew = ident + apply_V(z)
         delta = float(np.max(np.abs(znew - z)))
         z = znew
         scale = float(np.max(np.abs(z)))
-        if delta < settings.tol * max(1.0, scale):
+        if delta < TOL * max(1.0, scale):
             return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z,
-                                    iterations=it, contraction=ratio,
-                                    settings=settings)
+                                    iterations=it)
         ratio = delta / prev if np.isfinite(prev) and prev > 0 else 0.0
         prev = delta
         if it >= 6 and ratio >= 0.97:
             break
     # stalled or out of iterations
-    if not settings.use_gmres_fallback:
-        raise NonContractionError(
-            f"fixed-point iteration not contracting at |rho|={abs(rho):.3g} "
-            f"(ratio ~ {ratio:.3f}); increase |rho| or enable the linear solve")
     shape = ident.shape
 
     def matvec(v):
@@ -276,43 +255,14 @@ def birkhoff_fss(system: ConjugatedSystem, rho, settings=None) -> BirkhoffSoluti
 
     op = LinearOperator((ident.size, ident.size), matvec=matvec,
                         dtype=complex)
-    sol, info = gmres(op, ident.ravel(), rtol=max(settings.tol, 1e-12),
+    sol, info = gmres(op, ident.ravel(), rtol=TOL,
                       atol=0.0, restart=60, maxiter=40)
     if info != 0:
         raise NonContractionError(
             f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
             "increase |rho|")
     return BirkhoffSolution(rho=rho, system=system, xs=xs, z=sol.reshape(shape),
-                            iterations=settings.max_iter, contraction=ratio,
-                            settings=settings, used_gmres=True)
-
-
-def estimate_rho_star(system: ConjugatedSystem, direction, rho_init=4.0,
-                      target_ratio=0.5, max_doublings=12, settings=None):
-    """Smallest |rho| (by doubling) at which the iteration contracts.
-
-    Mirrors the choice of the threshold where the squared iteration
-    norm drops below 1/2: the measured per-step contraction of the
-    fixed-point map stands in for the operator-norm estimate. Returns
-    (rho_star, measured_ratio).
-    """
-    settings = settings or BirkhoffSettings(use_gmres_fallback=False,
-                                            max_iter=14, tol=1e-13)
-    direction = complex(direction) / abs(complex(direction))
-    r = float(rho_init)
-    for _ in range(max_doublings):
-        try:
-            sol = birkhoff_fss(system, r * direction, settings)
-        except NonContractionError:
-            r *= 2.0
-            continue
-        ratio = sol.contraction if sol.contraction > 0 else 0.0
-        if ratio < target_ratio:
-            return r, ratio
-        r *= 2.0
-    raise NonContractionError(
-        f"no contraction below ratio {target_ratio} reached by "
-        f"|rho| = {r:.3g}")
+                            iterations=MAX_ITER, used_gmres=True)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +359,7 @@ class _AnchoredCumulative:
                 - np.exp(exp_at_d) * self.vals[d_idx])
 
 
-def upsilon(system: ConjugatedSystem, rho, grid=None):
+def upsilon(system: ConjugatedSystem, rho):
     """Maximal modulus of the oscillatory kernels v_{jkl}(s, x, rho).
 
     v_{jkl} integrates A_0[j,l] against the two-exponent kernel over the
@@ -421,12 +371,7 @@ def upsilon(system: ConjugatedSystem, rho, grid=None):
     frame = system.frame
     n = system.n
     om = frame.omegas
-    if grid is None:
-        grid = 25
-    if np.isscalar(grid):
-        tg = np.linspace(0.0, 1.0, int(grid))
-    else:
-        tg = np.asarray(grid, dtype=float)
+    tg = np.linspace(0.0, 1.0, UPSILON_POINTS)
     tg = np.union1d(np.union1d(tg, system.breakpoints()), [0.0, 1.0])
     grow = frame.grow_mask
     best = 0.0

@@ -35,7 +35,7 @@ from .spectrum import (
     weight_numbers,
 )
 
-__all__ = ["main", "parse_config", "serialize_config", "problem_from_config"]
+__all__ = ["main", "parse_config", "problem_from_config"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +89,6 @@ def _coefficient_from(doc, field):
                 for i, piece in enumerate(pieces)]
         return PiecewisePoly(bps, rows, class_tag=tag, field=field)
     raise ValidationError(field, f"unknown coefficient type {kind!r}")
-
-
-def _coefficient_doc(pw: PiecewisePoly):
-    if pw.is_zero():
-        return {"type": "zero"}
-    if len(pw.coeffs) == 1 and len(pw.coeffs[0]) == 1:
-        v = pw.coeffs[0][0]
-        return {"type": "constant", "value": [v.real, v.imag],
-                "class": pw.class_tag}
-    return {
-        "type": "piecewise_poly",
-        "breakpoints": [float(b) for b in pw.breakpoints],
-        "coeffs": [[[c.real, c.imag] for c in piece] for piece in pw.coeffs],
-        "class": pw.class_tag,
-    }
 
 
 def parse_config(doc):
@@ -196,12 +181,6 @@ def problem_from_config(doc):
             for j, u in enumerate(wd.get("u0", ()))))
     boundary = BoundarySpec(b["r"], tuple(forms), weight)
     return ProblemSpec(boundary=boundary, expression=expr, matrix=matrix)
-
-
-def serialize_config(doc):
-    """Canonical serialization; parse(serialize(parse(x))) == parse(x)."""
-    doc = parse_config(doc)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _settings_from(doc, args):

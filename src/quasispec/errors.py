@@ -42,10 +42,10 @@ class IntegrationError(QuasispecError):
 
 
 class NonContractionError(QuasispecError):
-    """Raised when the Birkhoff fixed-point iteration fails to contract.
+    """Raised when the Birkhoff solve fails: the fixed-point iteration
+    stalls and the GMRES fallback does not converge either.
 
-    The remedy is a larger |rho|; the message carries the estimated
-    contraction factor so callers can pick a new threshold.
+    The remedy is a larger |rho|.
     """
 
 

@@ -20,9 +20,13 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["PiecewisePoly", "merge_breakpoints", "from_samples"]
+__all__ = ["PiecewisePoly", "merge_breakpoints"]
 
 _BREAK_TOL = 1e-13
+# largest coefficient difference `equals` treats as equal
+_EQUALS_TOL = 1e-13
+# uniform grid points of `sup_on_grid`, before the breakpoints join
+_SUP_POINTS = 257
 
 
 def _shift_coeffs(coeffs, delta):
@@ -192,10 +196,6 @@ class PiecewisePoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def conj(self):
-        return PiecewisePoly(self.breakpoints, [np.conj(c) for c in self.coeffs],
-                             class_tag=self.class_tag)
-
     # -- calculus --------------------------------------------------------
 
     def antiderivative_values(self, x):
@@ -227,18 +227,14 @@ class PiecewisePoly:
         va, vb = self.antiderivative_values(np.asarray([a, b], dtype=float))
         return vb - va
 
-    def l2_norm_sq(self):
-        """Exact integral of |f|^2 over [0, 1]."""
-        return float((self * self.conj()).integral().real)
-
-    def sup_on_grid(self, npts=257):
-        x = np.linspace(0.0, 1.0, npts)
+    def sup_on_grid(self):
+        x = np.linspace(0.0, 1.0, _SUP_POINTS)
         x = np.union1d(x, self.breakpoints)
         return float(np.max(np.abs(self(x))))
 
     # -- comparison ------------------------------------------------------
 
-    def equals(self, other, tol=1e-13):
+    def equals(self, other):
         """Symbolic equality: identical polynomials on every merged piece."""
         a, b = self._align(other)
         for ca, cb in zip(a.coeffs, b.coeffs):
@@ -247,7 +243,7 @@ class PiecewisePoly:
             db = np.zeros(m, dtype=complex)
             da[: len(ca)] = ca
             db[: len(cb)] = cb
-            if np.max(np.abs(da - db)) > tol:
+            if np.max(np.abs(da - db)) > _EQUALS_TOL:
                 return False
         return True
 
@@ -257,9 +253,3 @@ class PiecewisePoly:
     def __repr__(self):
         return (f"PiecewisePoly(pieces={len(self.coeffs)}, degree={self.degree}, "
                 f"tag={self.class_tag})")
-
-
-def from_samples(breakpoints, values, class_tag="L2"):
-    """Piecewise-constant function taking values[i] on piece i."""
-    return PiecewisePoly(breakpoints, [[complex(v)] for v in values],
-                         class_tag=class_tag)

@@ -171,10 +171,6 @@ class AssociatedMatrix:
     n: int
     entries: tuple
 
-    def entry(self, k, j):
-        """1-based access, matching the row/column convention f_{k,j}."""
-        return self.entries[k - 1][j - 1]
-
     def evaluate(self, x):
         """F at points x; returns an array of shape x.shape + (n, n)."""
         x = np.asarray(x, dtype=float)
@@ -209,26 +205,26 @@ class AssociatedMatrix:
             rows[a][a - d] = self.entries[a][a - d]
         return tuple(tuple(r) for r in rows)
 
-    def validate(self, tol=1e-12, field="raw_matrix"):
-        """Check the structural contract of an associated matrix."""
+    def validate(self):
+        """Check the structural contract of a raw_matrix config entry."""
         n = self.n
         for a in range(n):
             for b in range(n):
                 e = self.entries[a][b]
                 if b == a + 1:
                     if not e.equals(PiecewisePoly.constant(1.0)):
-                        raise ValidationError(f"{field}.entries[{a}][{b}]",
+                        raise ValidationError(f"raw_matrix.entries[{a}][{b}]",
                                               "superdiagonal entries must equal 1")
                 elif b > a + 1:
                     if not e.is_zero(tol=0.0):
-                        raise ValidationError(f"{field}.entries[{a}][{b}]",
+                        raise ValidationError(f"raw_matrix.entries[{a}][{b}]",
                                               "entries above the superdiagonal must vanish")
         tr = self.trace()
-        if tr.sup_on_grid() > tol:
-            raise ValidationError(f"{field}.trace", "pointwise trace must vanish")
+        if tr.sup_on_grid() > 1e-12:
+            raise ValidationError("raw_matrix.trace", "pointwise trace must vanish")
         for a in range(n):
             if self.entries[a][a].class_tag != "L2":
-                raise ValidationError(f"{field}.entries[{a}][{a}]",
+                raise ValidationError(f"raw_matrix.entries[{a}][{a}]",
                                       "diagonal entries must be tagged L2")
         return self
 
@@ -342,13 +338,12 @@ class ConjugatedSystem:
         return merge_breakpoints(*(e.breakpoints for Ak in self.A
                                    for row in Ak for e in row))
 
-    def a0_is_zero(self, tol=0.0):
-        return all(self.A[0][i][l].is_zero(tol) for i in range(self.n)
+    def a0_is_zero(self):
+        return all(self.A[0][i][l].is_zero() for i in range(self.n)
                    for l in range(self.n))
 
 
-def conjugate_system(F: AssociatedMatrix, frame: SectorFrame,
-                     tol=1e-12) -> ConjugatedSystem:
+def conjugate_system(F: AssociatedMatrix, frame: SectorFrame) -> ConjugatedSystem:
     """A_k = Omega^{-1} F_k Omega for every lower diagonal F_k.
 
     An entry of A_k is the scalar combination
@@ -378,7 +373,7 @@ def conjugate_system(F: AssociatedMatrix, frame: SectorFrame,
     a0 = sys.evaluate_Ak(x)[0]
     dmax = float(np.max(np.abs(np.diagonal(a0, axis1=-2, axis2=-1))))
     scale = 1.0 + float(np.max(np.abs(a0)))
-    if dmax > tol * scale:
+    if dmax > 1e-12 * scale:
         raise ConsistencyError(
             f"diag(A_0) deviates from zero by {dmax:.3e}; builder bug upstream")
     return sys

@@ -21,7 +21,6 @@ from .errors import IntegrationError, ValidationError
 from .regularization import AssociatedMatrix
 
 __all__ = [
-    "IntegratorSettings",
     "FundamentalMatrix",
     "closed_form_zero_coeff",
     "integrate_fundamental",
@@ -32,15 +31,16 @@ __all__ = [
 # three-node Gauss-Legendre abscissae on [0, 1]
 _GL3 = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
 
-
-@dataclass(frozen=True)
-class IntegratorSettings:
-    """Accuracy knobs for the direct integrator."""
-
-    rtol: float = 1e-11
-    lambda_max: float = 1e12
-    max_steps: int = 500_000
-    safety: float = 2.0
+# relative accuracy the Magnus step count is chosen for
+MAGNUS_RTOL = 1e-11
+# largest |lambda| integrated directly; beyond it the large-rho solver owns
+LAMBDA_MAX = 1e12
+# most Magnus steps one integration may take
+MAX_STEPS = 500_000
+# factor on the step-count estimate
+STEP_SAFETY = 2.0
+# uniform grid points of the residual_norm check
+RESIDUAL_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -142,21 +142,20 @@ def _magnus6_step(Fmat, lam_mat, a, h):
     return expm(Om)
 
 
-def integrate_fundamental(F: AssociatedMatrix, lam, settings=None, grid=None):
+def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     """Fundamental matrix C(x, lambda) with C(0) = I on the requested grid.
 
     Step points always include every coefficient breakpoint. Constant
     pieces are advanced by exact matrix exponentials; polynomial pieces
     by sixth-order Magnus steps with the count chosen from the dynamics
-    scale max(|lambda|^(1/n), sup|F|) and settings.rtol.
+    scale max(|lambda|^(1/n), sup|F|) and MAGNUS_RTOL.
     """
-    settings = settings or IntegratorSettings()
     lam = complex(lam)
     n = F.n
-    if abs(lam) > settings.lambda_max:
+    if abs(lam) > LAMBDA_MAX:
         raise IntegrationError(
             f"|lambda|={abs(lam):.3g} beyond direct-integration cap "
-            f"{settings.lambda_max:.3g}; use the large-rho solver")
+            f"{LAMBDA_MAX:.3g}; use the large-rho solver")
     bp = F.breakpoints()
     if grid is None:
         grid = bp
@@ -191,9 +190,9 @@ def integrate_fundamental(F: AssociatedMatrix, lam, settings=None, grid=None):
             s = max(1.0, rho_scale, piece_scale[piece])
             L = b - a
             nsteps = max(1, int(np.ceil(
-                settings.safety * (s * L) * ((s * L) / settings.rtol) ** (1.0 / 6.0))))
+                STEP_SAFETY * (s * L) * ((s * L) / MAGNUS_RTOL) ** (1.0 / 6.0))))
             total_steps += nsteps
-            if total_steps > settings.max_steps:
+            if total_steps > MAX_STEPS:
                 raise IntegrationError("step budget exhausted", x=a)
             h = L / nsteps
             Feval = lambda ts: F.evaluate(ts)
@@ -203,7 +202,7 @@ def integrate_fundamental(F: AssociatedMatrix, lam, settings=None, grid=None):
     return FundamentalMatrix(lam=lam, grid=grid, values=values)
 
 
-def residual_norm(F: AssociatedMatrix, fm: FundamentalMatrix, npts=257):
+def residual_norm(F: AssociatedMatrix, fm: FundamentalMatrix):
     """Integral of ||C'(x) - (F(x)+Lambda) C(x)|| over [0, 1].
 
     The solution is re-sampled on a uniform grid by re-integrating from
@@ -214,11 +213,11 @@ def residual_norm(F: AssociatedMatrix, fm: FundamentalMatrix, npts=257):
     """
     n = F.n
     bp = F.breakpoints()
-    x = np.union1d(np.linspace(0.0, 1.0, npts), bp)
+    x = np.union1d(np.linspace(0.0, 1.0, RESIDUAL_POINTS), bp)
     fm2 = integrate_fundamental(F, fm.lam, grid=x)
     xs, vals = fm2.grid, fm2.values
     # uniform sub-grid for stencils
-    xu = np.linspace(0.0, 1.0, npts)
+    xu = np.linspace(0.0, 1.0, RESIDUAL_POINTS)
     Cu = np.array([vals[np.searchsorted(xs, t)] for t in xu])
     h = xu[1] - xu[0]
     w = np.array([-1, 9, -45, 0, 45, -9, 1]) / 60.0

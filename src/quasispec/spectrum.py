@@ -153,16 +153,6 @@ class ProblemSpec:
                                 else build_associated_matrix(self.expression))
         return self._built["F"]
 
-    def zero_problem(self):
-        """Same boundary orders, zero coefficients and zero u's."""
-        from .regularization import zero_expression
-        forms = tuple(BoundaryForm(side=f.side, p=f.p) for f in self.boundary.forms)
-        w = None
-        if self.boundary.weight is not None:
-            w = BoundaryForm(side=0, p=self.boundary.weight.p)
-        return ProblemSpec(boundary=BoundarySpec(self.boundary.r, forms, w),
-                           expression=zero_expression(self.n))
-
     def is_zero_coefficient(self):
         F = self.F
         for a in range(self.n):
@@ -197,6 +187,16 @@ CONTOUR_POINTS = 6
 DEDUPE_TOL = 1e-6
 # deepest rectangle quadrisection allowed in the low-disk sweep
 MAX_SUBDIVISION_DEPTH = 36
+# a contour value below this share of the contour median is a zero contact
+ZERO_CONTACT_RTOL = 5e-13
+# most points a winding contour may be refined to
+MAX_CONTOUR_POINTS = 20000
+# 3% dilations count_zeros tries after a zero contact
+CONTOUR_RETRIES = 3
+# agreement between successive Cauchy derivative estimates
+DERIVATIVE_RTOL = 1e-9
+# first node count of the Cauchy derivative circle (doubled up to 5 times)
+DERIVATIVE_START_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ def rect_contour(x0, x1, y0, y1, m=16):
     return pts
 
 
-def _winding(f, pts, zero_rtol=5e-13, max_points=20000):
+def _winding(f, pts):
     """Winding number of f along the closed polyline pts.
 
     Segments with phase jumps above 1 radian are refined; a value tiny
@@ -409,7 +409,7 @@ def _winding(f, pts, zero_rtol=5e-13, max_points=20000):
         mags = np.abs(vals)
         if not np.all(np.isfinite(mags)):
             raise ContourError("determinant is not finite on the contour")
-        if np.min(mags) < zero_rtol * scale:
+        if np.min(mags) < ZERO_CONTACT_RTOL * scale:
             raise ContourError("zero too close to the contour")
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
         if not np.all(np.isfinite(ratios)):
@@ -423,7 +423,7 @@ def _winding(f, pts, zero_rtol=5e-13, max_points=20000):
                 raise ContourError(
                     f"winding {w:.6f} not integer-consistent")
             return int(round(w))
-        if len(pts) + len(bad) > max_points:
+        if len(pts) + len(bad) > MAX_CONTOUR_POINTS:
             raise ContourError("contour refinement budget exhausted")
         for idx in bad[::-1]:
             mid = 0.5 * (pts[idx] + pts[idx + 1])
@@ -432,7 +432,7 @@ def _winding(f, pts, zero_rtol=5e-13, max_points=20000):
     raise ContourError("winding did not stabilize")
 
 
-def count_zeros(f, contour_pts, retries=3):
+def count_zeros(f, contour_pts):
     """Argument-principle zero count inside a closed contour.
 
     On contact with a zero the contour is dilated about its centroid by
@@ -440,29 +440,29 @@ def count_zeros(f, contour_pts, retries=3):
     """
     pts = np.asarray(contour_pts, dtype=complex)
     centroid = np.mean(pts[:-1])
-    for attempt in range(retries + 1):
+    for attempt in range(CONTOUR_RETRIES + 1):
         try:
             return _winding(f, pts), pts
         except ContourError:
-            if attempt == retries:
+            if attempt == CONTOUR_RETRIES:
                 raise
             pts = centroid + (pts - centroid) * 1.03
 
 
-def delta_derivative(f, lam0, radius, rtol=1e-9, start_nodes=16):
+def delta_derivative(f, lam0, radius):
     """d f / d lambda at lam0 via the Cauchy integral on a circle.
 
     Trapezoidal quadrature on the circle is spectrally accurate for the
     analytic integrand; node counts double until two answers agree.
     """
     prev = None
-    m = start_nodes
+    m = DERIVATIVE_START_NODES
     for _ in range(6):
         th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
         w = lam0 + radius * np.exp(1j * th)
         vals = np.array([f(z) for z in w])
         est = np.mean(vals * np.exp(-1j * th)) / radius
-        if prev is not None and abs(est - prev) <= rtol * max(1.0, abs(est)):
+        if prev is not None and abs(est - prev) <= DERIVATIVE_RTOL * max(1.0, abs(est)):
             return complex(est)
         prev = est
         m *= 2

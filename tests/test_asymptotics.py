@@ -14,7 +14,7 @@ from quasispec.asymptotics import (
     weight_pair_difference,
 )
 from quasispec.errors import ConfigurationError, ValidationError
-from quasispec.piecewise import PiecewisePoly as P, from_samples
+from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import ExpressionSpec
 from quasispec.sectors import sector_frame
 from quasispec.spectrum import SpectralDatum

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quasispec.birkhoff import (
-    BirkhoffSettings,
     birkhoff_fss,
     upsilon,
     upsilon_d,
@@ -184,12 +183,3 @@ class TestUpsilon:
         ref = np.max(np.abs((np.exp(mu * xg) - 1.0) / mu))
         got = upsilon_d(entries, rho, frame, grid=xg)
         assert got == pytest.approx(ref, rel=1e-8)
-
-
-def test_solution_upsilon_field_lazy():
-    s1 = P([0, 1], [[1.0, -2.0, 1.5]])
-    sys = conj(2, (1,), (s1,))
-    sol = birkhoff_fss(sys, 30.0 * np.exp(1j * np.pi / 4))
-    u = sol.upsilon
-    assert u > 0
-    assert sol.upsilon == u  # cached

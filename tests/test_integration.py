@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quasispec.asymptotics import compute_d, pair_difference
-from quasispec.birkhoff import birkhoff_fss, estimate_rho_star
+from quasispec.birkhoff import birkhoff_fss
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import (
     AssociatedMatrix,
@@ -71,15 +71,6 @@ class TestRemainderDecay:
         lo, hi = deviation(25.0), deviation(100.0)
         assert hi < lo
         assert hi < 0.01
-
-    def test_rho_star_reported(self):
-        spec = ExpressionSpec(2, (1,), (P([0, 1], [[1.0, -2.0, 1.5]]),))
-        system = conjugate_system(build_associated_matrix(spec),
-                                  sector_frame(2, 1))
-        rho_star, ratio = estimate_rho_star(system, np.exp(1j * np.pi / 4))
-        assert ratio < 0.5
-        sol = birkhoff_fss(system, rho_star * np.exp(1j * np.pi / 4))
-        assert sol.iterations < 40
 
 
 class TestDistributionOrderPair:

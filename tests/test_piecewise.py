@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasispec.errors import ValidationError
-from quasispec.piecewise import PiecewisePoly as P, from_samples
+from quasispec.piecewise import PiecewisePoly as P
 
 
 def random_pp(rng, max_pieces=3, max_deg=3):
@@ -42,15 +42,15 @@ class TestEvaluation:
         assert f(1.0) == pytest.approx(2.0)
 
     def test_vectorized(self):
-        f = from_samples([0, 0.3, 1], [2.0, -1.0])
+        f = P([0, 0.3, 1], [[2.0], [-1.0]])
         x = np.array([0.0, 0.29, 0.31, 1.0])
         np.testing.assert_allclose(f(x), [2, 2, -1, -1])
 
 
 class TestAlgebra:
     def test_add_refines(self):
-        f = from_samples([0, 0.5, 1], [1.0, 2.0])
-        g = from_samples([0, 0.25, 1], [10.0, 20.0])
+        f = P([0, 0.5, 1], [[1.0], [2.0]])
+        g = P([0, 0.25, 1], [[10.0], [20.0]])
         h = f + g
         x = np.array([0.1, 0.3, 0.7])
         np.testing.assert_allclose(h(x), [11, 21, 22])
@@ -80,7 +80,7 @@ class TestCalculus:
         assert f.integral() == pytest.approx(1 / 3)
 
     def test_integral_piecewise(self):
-        f = from_samples([0, 0.5, 1], [1.0, -1.0])
+        f = P([0, 0.5, 1], [[1.0], [-1.0]])
         assert f.integral() == pytest.approx(0.0, abs=1e-15)
         assert f.integral(0.25, 0.75) == pytest.approx(0.0, abs=1e-15)
         assert f.integral(0.0, 0.5) == pytest.approx(0.5)
@@ -98,11 +98,6 @@ class TestCalculus:
             keep &= np.abs(mid - b) > 2e-3
         np.testing.assert_allclose(d[keep], f(mid)[keep], atol=5e-3,
                                    rtol=1e-3)
-
-    def test_l2_norm(self):
-        f = P([0, 1], [[0.0, 1.0]])  # x
-        assert f.l2_norm_sq() == pytest.approx(1 / 3)
-
 
 @settings(max_examples=60, deadline=None)
 @given(

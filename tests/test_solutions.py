@@ -6,11 +6,12 @@ import pytest
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import ExpressionSpec, build_associated_matrix, zero_expression
 from quasispec.solutions import (
+    _lambda_matrix,
+    _magnus6_step,
     closed_form_zero_coeff,
     condensation_index,
     integrate_fundamental,
     residual_norm,
-    IntegratorSettings,
 )
 
 
@@ -87,21 +88,24 @@ class TestIntegrateFundamental:
         assert fm.det_deviation() < 1e-8
 
     def test_magnus_order(self):
-        # halving rtol by 1e3 must improve accuracy markedly on a
-        # polynomial piece (order-6 convergence)
+        # sixth-order step: on a polynomial piece, halving the step cuts
+        # the error against a fine reference by about 2^6 (4th order: 2^4)
         s0 = P([0, 1], [[1.0, 2.0, -3.0]])
         F = build(2, (0,), (s0,))
-        lam = -180.0
-        ref = integrate_fundamental(F, lam, IntegratorSettings(rtol=1e-13),
-                                    grid=np.array([0.0, 1.0])).at_one
-        lo = integrate_fundamental(F, lam, IntegratorSettings(rtol=1e-6),
-                                   grid=np.array([0.0, 1.0])).at_one
-        hi = integrate_fundamental(F, lam, IntegratorSettings(rtol=1e-9),
-                                   grid=np.array([0.0, 1.0])).at_one
-        err_lo = np.max(np.abs(lo - ref))
-        err_hi = np.max(np.abs(hi - ref))
-        assert err_hi < err_lo
-        assert err_hi < 1e-7
+        lam_mat = _lambda_matrix(2, -180.0)
+
+        def propagate(nsteps):
+            h = 1.0 / nsteps
+            C = np.eye(2, dtype=complex)
+            for q in range(nsteps):
+                C = _magnus6_step(F.evaluate, lam_mat, q * h, h) @ C
+            return C
+
+        ref = propagate(512)
+        err_n = np.max(np.abs(propagate(16) - ref))
+        err_2n = np.max(np.abs(propagate(32) - ref))
+        assert err_n / err_2n >= 2 ** 5
+        assert err_2n < 1e-7
 
     def test_breakpoints_in_grid(self):
         s0 = P([0, 0.37, 1], [[1.0], [2.0]])
