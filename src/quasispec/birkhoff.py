@@ -123,12 +123,10 @@ class BirkhoffSolution:
 
     def residual(self):
         """max over nodes of |z' - rho(Bz - zB) - A z| (bounded coords)."""
-        n = self.n
         _, D = _cheb_nodes_and_diff(DEGREE)
         om = self.system.frame.omegas
         mus = self.rho * (om[:, None] - om[None, :])
-        A = self.system.evaluate(self.xs.ravel(), self.rho).reshape(
-            self.xs.shape + (n, n))
+        A = _node_A(self.system, self.xs, self.rho)
         worst = 0.0
         for p in range(self.xs.shape[0]):
             h = self.xs[p, -1] - self.xs[p, 0]
@@ -137,6 +135,17 @@ class BirkhoffSolution:
             res = dz - mus[:, :, None] * self.z[:, :, p, :] - Az
             worst = max(worst, float(np.max(np.abs(res))))
         return worst
+
+
+def _node_A(system, xs, rho):
+    """A(x, rho) at the panel nodes xs, shape xs.shape + (n, n).
+
+    Every node of a panel is read from the coefficient piece holding the
+    panel midpoint, so a panel that ends on a jump takes the left limit
+    at its last node, not the next piece's value.
+    """
+    mids = 0.5 * (xs[:, :1] + xs[:, -1:])
+    return system.evaluate(xs, rho, at=np.repeat(mids, xs.shape[1], axis=1))
 
 
 class _KernelBank:
@@ -221,8 +230,7 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
     q = DEGREE
     bank = _KernelBank(frame, rho, edges, q)
     xs = bank.xs
-    V = np.transpose(system.evaluate(xs.reshape(-1), rho).reshape(
-        xs.shape + (n, n)), (2, 3, 0, 1))  # (j, l, P, q+1)
+    V = np.transpose(_node_A(system, xs, rho), (2, 3, 0, 1))  # (j, l, P, q+1)
 
     ident = np.zeros((n, n, bank.P, q + 1), dtype=complex)
     for j in range(n):

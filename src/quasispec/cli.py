@@ -16,7 +16,12 @@ import sys
 
 import numpy as np
 
-from .asymptotics import asymptotic_model, chi1_fit, compute_d, extract_remainders, pair_difference
+from .asymptotics import (
+    asymptotic_model,
+    check_boundary_match,
+    compute_d,
+    pair_difference,
+)
 from .birkhoff import birkhoff_fss, upsilon, upsilon_d
 from .errors import ConfigurationError, QuasispecError, ValidationError
 from .piecewise import PiecewisePoly
@@ -312,6 +317,8 @@ def cmd_compare(doc_a, doc_b, args, out, err):
                               f"pair differs at nu = {nu0 - 1} >= nu0 bound "
                               f"{pa.n - 2}; no valid decay order")
     d, N_d, N_d0 = compute_d(pa.expression, pb.expression, nu0)
+    check_boundary_match([(f.p, f.u) for f in pa.boundary.forms],
+                         [(f.p, f.u) for f in pb.boundary.forms], d)
     l_min, l_max, settings = _settings_from(doc_a, args)
     ra = locate_eigenvalues(pa, l_max=l_max, l_min=l_min, settings=settings)
     rb = locate_eigenvalues(pb, l_max=l_max, l_min=l_min, settings=settings)
@@ -342,10 +349,13 @@ def cmd_birkhoff(doc, args, out, err):
     system = conjugate_system(problem.F, model.frame)
     rhos = []
     for tok in args.rho:
-        parts = tok.split(",")
-        if len(parts) != 2:
-            raise ValidationError("rho", "expected re,im tokens")
-        rhos.append(complex(float(parts[0]), float(parts[1])))
+        try:
+            real, imag = (float(part) for part in tok.split(","))
+        except ValueError:
+            raise ValidationError("rho", f"expected re,im numbers, got {tok!r}") from None
+        if not (np.isfinite(real) and np.isfinite(imag)):
+            raise ValidationError("rho", f"must be finite, got {tok!r}")
+        rhos.append(complex(real, imag))
     if not rhos:
         raise ValidationError("rho", "at least one rho value required")
     # reference decay order against the zero-coefficient system

@@ -51,7 +51,17 @@ class NonContractionError(QuasispecError):
 
 class ContourError(QuasispecError):
     """Raised when an argument-principle contour cannot be trusted
-    (zero too close to the contour, or winding not integer-consistent)."""
+    (zero too close to the contour, winding not integer-consistent, or
+    values that vanish or are not finite along it).
+
+    Attributes:
+        contact: True when a zero near the contour may be the cause, so
+            that a slightly moved contour can succeed.
+    """
+
+    def __init__(self, message, contact=False):
+        self.contact = contact
+        super().__init__(message)
 
 
 class RootSearchError(QuasispecError):

@@ -121,11 +121,15 @@ class PiecewisePoly:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, len(self.coeffs) - 1)
 
-    def __call__(self, x):
+    def __call__(self, x, at=None):
+        """Values at x, each from the polynomial of the piece holding the
+        matching point of `at` (an array of x's shape; default x itself).
+        A point of `at` inside the piece left of a breakpoint reads the
+        left limit there."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xv = np.atleast_1d(x)
-        idx = self.piece_index(xv)
+        idx = self.piece_index(xv if at is None else at)
         out = np.zeros(xv.shape, dtype=complex)
         for i, c in enumerate(self.coeffs):
             mask = idx == i

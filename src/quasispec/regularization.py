@@ -314,8 +314,10 @@ class ConjugatedSystem:
     frame: SectorFrame
     A: tuple  # A[k][i][l] PiecewisePoly, k = 0..n-1
 
-    def evaluate_Ak(self, x):
-        """All A_k at points x: array of shape (n, len(x), n, n)."""
+    def evaluate_Ak(self, x, at=None):
+        """All A_k at points x: array of shape (n,) + x.shape + (n, n);
+        `at` (x's shape) picks the coefficient pieces as in
+        PiecewisePoly.__call__."""
         x = np.asarray(x, dtype=float)
         out = np.zeros((self.n,) + x.shape + (self.n, self.n), dtype=complex)
         for k in range(self.n):
@@ -323,12 +325,12 @@ class ConjugatedSystem:
                 for l in range(self.n):
                     e = self.A[k][i][l]
                     if not e.is_zero():
-                        out[k, ..., i, l] = e(x)
+                        out[k, ..., i, l] = e(x, at)
         return out
 
-    def evaluate(self, x, rho):
+    def evaluate(self, x, rho, at=None):
         """A(x, rho) at points x: array of shape x.shape + (n, n)."""
-        ak = self.evaluate_Ak(x)
+        ak = self.evaluate_Ak(x, at)
         out = ak[0].astype(complex)
         for k in range(1, self.n):
             out += ak[k] * rho ** (-k)

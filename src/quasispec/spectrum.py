@@ -280,7 +280,10 @@ class DeterminantEvaluator:
                 M[i] = C1[f.p]
                 for j, uj in enumerate(f.u, start=1):
                     M[i] += uj * C1[j - 1]
-        return complex(np.linalg.det(M))
+        # overflow to inf or nan is reported by _winding's finiteness
+        # checks as a typed failure, not as a numpy warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            return complex(np.linalg.det(M))
 
     # -- factored route ----------------------------------------------------
 
@@ -410,8 +413,9 @@ def _winding(f, pts):
         if not np.all(np.isfinite(mags)):
             raise ContourError("determinant is not finite on the contour")
         if np.min(mags) < ZERO_CONTACT_RTOL * scale:
-            raise ContourError("zero too close to the contour")
-        ratios = np.array(vals[1:]) / np.array(vals[:-1])
+            raise ContourError("zero too close to the contour", contact=True)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratios = np.array(vals[1:]) / np.array(vals[:-1])
         if not np.all(np.isfinite(ratios)):
             raise ContourError("determinant ratio is not finite on the contour")
         dphi = np.angle(ratios)
@@ -421,30 +425,31 @@ def _winding(f, pts):
             w = total / (2 * np.pi)
             if abs(w - round(w)) > 1e-3:
                 raise ContourError(
-                    f"winding {w:.6f} not integer-consistent")
+                    f"winding {w:.6f} not integer-consistent", contact=True)
             return int(round(w))
         if len(pts) + len(bad) > MAX_CONTOUR_POINTS:
-            raise ContourError("contour refinement budget exhausted")
+            raise ContourError("contour refinement budget exhausted",
+                               contact=True)
         for idx in bad[::-1]:
             mid = 0.5 * (pts[idx] + pts[idx + 1])
             pts.insert(idx + 1, mid)
             vals.insert(idx + 1, complex(f(mid)))
-    raise ContourError("winding did not stabilize")
+    raise ContourError("winding did not stabilize", contact=True)
 
 
 def count_zeros(f, contour_pts):
     """Argument-principle zero count inside a closed contour.
 
     On contact with a zero the contour is dilated about its centroid by
-    3 percent and retried.
+    3 percent and retried; other contour failures are raised at once.
     """
     pts = np.asarray(contour_pts, dtype=complex)
     centroid = np.mean(pts[:-1])
     for attempt in range(CONTOUR_RETRIES + 1):
         try:
             return _winding(f, pts), pts
-        except ContourError:
-            if attempt == CONTOUR_RETRIES:
+        except ContourError as exc:
+            if not exc.contact or attempt == CONTOUR_RETRIES:
                 raise
             pts = centroid + (pts - centroid) * 1.03
 

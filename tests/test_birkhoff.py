@@ -24,6 +24,18 @@ def conj(n, indices, coeffs, kappa=1):
     return conjugate_system(F, sector_frame(n, kappa))
 
 
+def direct_mismatch(F, sol):
+    """Relative gap between the FSS fundamental system y_k =
+    diag(rho^j) Omega w_k at x = 1 and the direct integration of its
+    x = 0 values."""
+    n, rho = sol.n, sol.rho
+    scal = (rho ** np.arange(n))[:, None]
+    Y0 = scal * (sol.system.frame.Omega @ sol.w_at(0, 0))
+    Y1 = scal * (sol.system.frame.Omega @ sol.w_at(-1, -1))
+    C1 = integrate_fundamental(F, rho ** n, grid=np.array([0.0, 1.0])).at_one
+    return np.max(np.abs(C1 @ Y0 - Y1)) / np.max(np.abs(Y1))
+
+
 class TestTrivialSystem:
     def test_zero_A_gives_identity(self):
         sys = conjugate_system(build_associated_matrix(zero_expression(3)),
@@ -47,6 +59,30 @@ class TestTrivialSystem:
         sys = conj(3, (1, 0), (P.zero(), s1))
         sol = birkhoff_fss(sys, 45.0 * np.exp(1j * np.pi / 7))
         assert sol.residual() < 1e-8
+
+
+class TestSolverPaths:
+    @pytest.mark.parametrize("rabs", [4.0, 15.0])
+    def test_jump_coefficient_matches_direct(self, rabs):
+        # panels ending on the jump at 0.4 must read sigma_1 from their
+        # own piece there; the next piece's value cost ~1e-5 at |rho| = 4
+        F = build_associated_matrix(ExpressionSpec(
+            3, (1, 0), (P.zero(), P([0, 0.4, 1], [[1.0], [-0.5]]))))
+        sys = conjugate_system(F, sector_frame(3, 1))
+        sol = birkhoff_fss(sys, rabs * np.exp(1j * np.pi / 6))
+        assert direct_mismatch(F, sol) < 1e-11
+        assert sol.residual() < 1e-8
+
+    def test_gmres_fallback(self):
+        # |rho| = 1 with large constant coefficients: the fixed-point
+        # iteration does not contract and GMRES solves the system
+        F = build_associated_matrix(ExpressionSpec(
+            3, (1, 0), (P.constant(4.0), P.constant(6.0))))
+        sys = conjugate_system(F, sector_frame(3, 1))
+        sol = birkhoff_fss(sys, np.exp(1j * np.pi / 6))
+        assert sol.used_gmres
+        assert sol.residual() < 1e-9
+        assert direct_mismatch(F, sol) < 1e-11
 
 
 class TestThirdOrderExpansion:

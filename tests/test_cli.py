@@ -3,11 +3,16 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quasispec
 from quasispec.cli import main, parse_config, problem_from_config
 
 
@@ -153,11 +158,16 @@ class TestSpectrumCommand:
         assert out1 == out2
 
     def test_overflowing_determinant_is_numerical_failure(self, tmp_path):
-        # a finite 1e308 coefficient drives the determinant past float range
+        # a finite 1e308 coefficient drives the determinant past float
+        # range; a fresh process shows any numpy warning on stderr too
         doc = third_order_doc(sigma1=1e308)
-        code, out, err = run(["spectrum", write(tmp_path, doc)])
-        assert code == 3
-        assert "numerical failure: " in err
+        env = dict(os.environ, PYTHONPATH=str(Path(quasispec.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasispec.cli", "spectrum", write(tmp_path, doc)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ("numerical failure: determinant is not finite "
+                               "on the contour\n")
 
     def test_lf_endings_and_decimal_point(self, tmp_path):
         _, out, _ = run(["spectrum", write(tmp_path, dirichlet_doc())])
@@ -205,6 +215,26 @@ class TestCompareCommand:
         chat = [line for line in out.split("\n") if line.startswith("re_c_hat")][0]
         assert float(chat.split(",")[1]) == 0.0
 
+    def test_boundary_mismatch_in_window_refused(self, tmp_path):
+        # n = 4, sigma_1 differs: d = 2 pins u_{s, p_s} of every form;
+        # u_2 of the p = 2 form differs, so the pair is refused
+        def pair_doc(u):
+            return {"order": {"n": 4}, "indices": {"i": [0, 0, 0]},
+                    "coefficients": [{"type": "zero"},
+                                     {"type": "constant", "value": [u[0], 0.0]},
+                                     {"type": "zero"}],
+                    "boundary": {"r": 1, "left": [{"p": 1}],
+                                 "right": [{"p": 0},
+                                           {"p": 2, "u": [[0.0, 0.0], [u[1], 0.0]]},
+                                           {"p": 3}]},
+                    "settings": {"l_min": 1, "l_max": 4}}
+        a = write(tmp_path, pair_doc((1.0, 0.5)), "a.json")
+        b = write(tmp_path, pair_doc((0.4, 0.0)), "b.json")
+        code, out, err = run(["compare", a, b])
+        assert code == 2
+        assert err.startswith("config error: pair.boundary[2].u[2]: ")
+        assert out == ""
+
 
 class TestBirkhoffCommand:
     def test_zero_coefficients(self, tmp_path):
@@ -218,6 +248,14 @@ class TestBirkhoffCommand:
     def test_requires_rho(self, tmp_path):
         code, out, err = run(["birkhoff", write(tmp_path, third_order_doc())])
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["a,b", "nan,0", "1,inf", "1e400,0", "30",
+                                       "1,2,3"])
+    def test_bad_rho_is_config_error(self, tmp_path, token):
+        code, out, err = run(["birkhoff", write(tmp_path, third_order_doc()),
+                              "--rho", token])
+        assert code == 2
+        assert err.startswith("config error: rho: ")
 
 
 def fuzz_base_doc():

@@ -186,12 +186,33 @@ class TestContours:
         cnt, _ = count_zeros(f, disk_contour(0.0, 1.0))
         assert cnt in (0, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [complex(1e308, 1e308), complex(1e308, np.inf),
                                        complex(np.nan, 0.0)])
     def test_non_finite_values_are_contour_error(self, value):
         # the ratio of two 1e308 + 1e308j values overflows: no NaN winding
+        # and no numpy warning; dilation cannot help, so the 65-point
+        # contour is evaluated once
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return value
+
         with pytest.raises(ContourError, match="not finite"):
-            count_zeros(lambda z: value, disk_contour(0.0, 1.0))
+            count_zeros(f, disk_contour(0.0, 1.0))
+        assert len(calls) == 65
+
+    def test_vanishing_values_fail_on_first_pass(self):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return 0.0
+
+        with pytest.raises(ContourError, match="vanishes"):
+            count_zeros(f, disk_contour(0.0, 1.0))
+        assert len(calls) == 65
 
 
 class TestDeltaDerivative:
