@@ -15,6 +15,21 @@ Each kernel application is realized as a panel-wise Chebyshev
 collocation solve of the equivalent scalar ODE I' = mu I + f with I
 pinned at the integration origin; panels are sized so the local
 exponent stays small, which keeps the collocation spectrally accurate.
+
+Panels are uniform inside each coefficient piece, so a layout is a panel
+count per piece, and one solve costs:
+
+- one collocation solve per pair (j, k) and distinct panel width;
+- A = A_0 + sum_k rho^-k A_k at the nodes from node values of the A_k,
+  which depend on the layout alone and which the system keeps for its
+  last few layouts (`ConjugatedSystem.cached`);
+- per kernel application, the panels' local integrals I_p plus carries.
+  For a pair integrated from x = 0 the carry at panel start e_p is
+      C_p = sum_{q < p} exp(mu (e_p - e_{q+1})) I_q(e_{q+1}),
+  the linear recurrence C_{p+1} = exp(mu h_p) C_p + I_p(e_{p+1}); a
+  pair integrated from x = 1 runs the mirrored recurrence. Every factor
+  exp(mu h_p) is an in-sector non-positive exponent, and the recurrence
+  is evaluated as a log-depth scan over the panels.
 """
 
 from __future__ import annotations
@@ -63,22 +78,30 @@ def _cheb_nodes_and_diff(q):
     return x, D
 
 
+_XHAT, _DIFF = _cheb_nodes_and_diff(DEGREE)
+
+
 def _panel_layout(breakpoints, rho_abs, span):
-    """Panel edges: coefficient breakpoints refined so that the largest
-    kernel exponent per panel stays below the target."""
+    """Panels per coefficient piece, so that the largest kernel exponent
+    per panel stays below the target; the tuple names the layout."""
     width_cap = TARGET_EXPONENT / max(rho_abs * span, 1e-9)
-    edges = [0.0]
+    widths = np.diff(np.asarray(breakpoints, dtype=float))
+    return tuple(np.maximum(1, np.ceil(widths / width_cap)).astype(int).tolist())
+
+
+def _segments(breakpoints, counts):
+    """The layout as (bounds, counts): counts[i] equal panels on
+    [bounds[i], bounds[i + 1]]. A layout of fewer than MIN_PANELS panels
+    is refined to the union of its edges with the uniform MIN_PANELS
+    grid, one panel per interval."""
     bp = np.asarray(breakpoints, dtype=float)
-    for a, b in zip(bp[:-1], bp[1:]):
-        nsub = max(1, int(np.ceil((b - a) / width_cap)))
-        for i in range(1, nsub + 1):
-            edges.append(a + (b - a) * i / nsub)
-    edges = np.asarray(edges)
-    if len(edges) - 1 < MIN_PANELS:
-        # refine uniformly to the minimum count
-        extra = np.linspace(0.0, 1.0, MIN_PANELS + 1)
-        edges = np.union1d(edges, extra)
-    return edges
+    if sum(counts) >= MIN_PANELS:
+        return bp, np.asarray(counts)
+    edges = np.concatenate([bp[:1]] + [
+        a + (b - a) * np.arange(1, m + 1) / m
+        for a, b, m in zip(bp[:-1], bp[1:], counts)])
+    bounds = np.union1d(edges, np.linspace(0.0, 1.0, MIN_PANELS + 1))
+    return bounds, np.ones(len(bounds) - 1, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -86,13 +109,15 @@ class BirkhoffSolution:
     """Solution z of the factored system; w = z exp(rho B x).
 
     z is stored per panel at Chebyshev-Lobatto nodes; `xs` has shape
-    (panels, degree + 1) and `z` has shape (n, n, panels, degree + 1).
+    (panels, degree + 1), `z` has shape (n, n, panels, degree + 1) and
+    `A`, the A(x, rho) the solve used, has the same shape as `z`.
     """
 
     rho: complex
     system: ConjugatedSystem
     xs: np.ndarray
     z: np.ndarray
+    A: np.ndarray
     iterations: int
     used_gmres: bool = False
 
@@ -102,11 +127,14 @@ class BirkhoffSolution:
 
     @property
     def z_at_zero(self):
-        return self.z[:, :, 0, 0]
+        """z(0), a copy: a view would keep all of z alive in callers'
+        caches."""
+        return self.z[:, :, 0, 0].copy()
 
     @property
     def z_at_one(self):
-        return self.z[:, :, -1, -1]
+        """z(1), a copy (see z_at_zero)."""
+        return self.z[:, :, -1, -1].copy()
 
     def max_E(self):
         """max over nodes of |z - I|."""
@@ -123,92 +151,89 @@ class BirkhoffSolution:
 
     def residual(self):
         """max over nodes of |z' - rho(Bz - zB) - A z| (bounded coords)."""
-        _, D = _cheb_nodes_and_diff(DEGREE)
         om = self.system.frame.omegas
         mus = self.rho * (om[:, None] - om[None, :])
-        A = _node_A(self.system, self.xs, self.rho)
-        worst = 0.0
-        for p in range(self.xs.shape[0]):
-            h = self.xs[p, -1] - self.xs[p, 0]
-            dz = np.einsum("ab,jkb->jka", D, self.z[:, :, p, :]) * (2.0 / h)
-            Az = np.einsum("xjl,lkx->jkx", A[p], self.z[:, :, p, :])
-            res = dz - mus[:, :, None] * self.z[:, :, p, :] - Az
-            worst = max(worst, float(np.max(np.abs(res))))
-        return worst
+        h = self.xs[:, -1] - self.xs[:, 0]
+        dz = (self.z @ _DIFF.T) * (2.0 / h)[:, None]
+        Az = np.einsum("jlpx,lkpx->jkpx", self.A, self.z)
+        return float(np.max(np.abs(dz - mus[:, :, None, None] * self.z - Az)))
 
 
-def _node_A(system, xs, rho):
-    """A(x, rho) at the panel nodes xs, shape xs.shape + (n, n).
+def _node_Ak(system, xs):
+    """A_k at the panel nodes xs, as an array of shape (k, j, l) + xs.shape.
 
     Every node of a panel is read from the coefficient piece holding the
     panel midpoint, so a panel that ends on a jump takes the left limit
     at its last node, not the next piece's value.
     """
     mids = 0.5 * (xs[:, :1] + xs[:, -1:])
-    return system.evaluate(xs, rho, at=np.repeat(mids, xs.shape[1], axis=1))
+    ak = system.evaluate_Ak(xs, at=np.repeat(mids, xs.shape[1], axis=1))
+    return np.ascontiguousarray(np.moveaxis(ak, (-2, -1), (1, 2)))
 
 
 class _KernelBank:
-    """Per-(j,k) panelized kernel solvers for integral from b_jk to x."""
+    """Per-(j,k) panelized kernel solvers for integral from b_jk to x.
 
-    def __init__(self, frame, rho, edges, q):
-        n = frame.n
+    Panel axes run in x for the local work; the carries run in scan
+    order, which is reversed for the pairs integrated from x = 1.
+    """
+
+    def __init__(self, frame, rho, bounds, counts):
         om = frame.omegas
-        self.n, self.q = n, q
-        self.edges = edges
-        P = len(edges) - 1
-        self.P = P
-        xhat, D = _cheb_nodes_and_diff(q)
-        self.xs = edges[:-1, None] + (xhat[None, :] + 1.0) * 0.5 * np.diff(edges)[:, None]
-        hs = np.diff(edges)
+        q = DEGREE
         grow = frame.grow_mask
         mus = rho * (om[:, None] - om[None, :])
-        self.backward = grow
-        # batched collocation solves over all (j, k, panel) triples
-        nus = mus[:, :, None] * hs[None, None, :] / 2.0        # (n, n, P)
+        ends = np.cumsum(counts)
+        seg = np.repeat(np.arange(len(counts)), counts)    # segment per panel
+        lengths = np.diff(bounds)
+        local = np.arange(ends[-1]) - (ends - counts)[seg]
+        starts = bounds[:-1][seg] + lengths[seg] * local / counts[seg]
+        hs = lengths / counts
+        self.xs = starts[:, None] + (_XHAT[None, :] + 1.0) * 0.5 * hs[seg][:, None]
+        widths, wid = np.unique(hs, return_inverse=True)
+        self.segments = [(slice(e - m, e), w) for e, m, w in zip(ends, counts, wid)]
+        # collocation solves over the (j, k, distinct width) triples only
+        nus = mus[:, :, None] * widths[None, None, :] / 2.0    # (n, n, W)
         eye = np.eye(q + 1)
-        Amat = D[None, None, None] - nus[..., None, None] * eye
-        Proj = np.broadcast_to(eye, (n, n, P, q + 1, q + 1)).copy()
-        pin_back, pin_fwd = q, 0
-        back3 = np.broadcast_to(grow[:, :, None], (n, n, P))
-        Amat[back3, pin_back, :] = 0.0
-        Amat[back3, pin_back, pin_back] = 1.0
-        Proj[back3, pin_back, pin_back] = 0.0
-        fwd3 = ~back3
-        Amat[fwd3, pin_fwd, :] = 0.0
-        Amat[fwd3, pin_fwd, pin_fwd] = 1.0
-        Proj[fwd3, pin_fwd, pin_fwd] = 0.0
-        self.psi = np.linalg.solve(Amat, Proj) * (hs[None, None, :, None, None] / 2.0)
-        self.prop = np.where(
-            grow[:, :, None, None],
-            np.exp(nus[..., None] * (xhat - 1.0)),
-            np.exp(nus[..., None] * (xhat + 1.0)))
-        self.step = np.where(grow[:, :, None],
-                             np.exp(-mus[:, :, None] * hs[None, None, :]),
-                             np.exp(mus[:, :, None] * hs[None, None, :]))
+        Amat = _DIFF - nus[..., None, None] * eye
+        Proj = np.broadcast_to(eye, Amat.shape).copy()
+        pin = np.where(grow, q, 0)[:, :, None]
+        jj, kk, ww = np.indices(nus.shape)
+        Amat[jj, kk, ww, pin, :] = 0.0
+        Amat[jj, kk, ww, pin, pin] = 1.0
+        Proj[jj, kk, ww, pin, pin] = 0.0
+        psi = np.linalg.solve(Amat, Proj) * (widths[:, None, None] / 2.0)
+        self.psiT = np.swapaxes(psi, -1, -2)
+        # each node's kernel factor from its panel's integration origin
+        origin = np.where(grow[:, :, None, None], _XHAT - 1.0, _XHAT + 1.0)
+        self.prop = np.exp(nus[..., None] * origin)[:, :, wid[seg]]
+        # scan factors exp(mu h) forward, exp(-mu h) backward: both decay
+        self.back = grow[:, :, None]
+        step = np.exp(np.where(grow, -mus, mus)[:, :, None] * widths)[:, :, wid[seg]]
+        step = np.where(self.back, step[:, :, ::-1], step)   # scan order
+        # Hillis-Steele levels: products of step over windows of length d
+        self.levels = []
+        d = 1
+        while d < len(seg):
+            self.levels.append((d, step[:, :, d:]))
+            step = np.concatenate([step[:, :, :d], step[:, :, d:] * step[:, :, :-d]],
+                                  axis=-1)
+            d *= 2
 
     def apply(self, G):
         """out[j,k,p,:] = integral_{b_jk}^{x} G_jk(t) exp(mu_jk (x-t)) dt."""
-        partial = np.einsum("jkpab,jkpb->jkpa", self.psi, G)
-        out = np.empty_like(partial)
-        n, P = self.n, self.P
-        back = self.backward
-        fwd = ~back
-        # forward sweep: carry_p = integral over [0, a_p], propagated
-        carry = np.zeros((n, n), dtype=complex)
-        for p in range(P):
-            out[:, :, p, :] = np.where(
-                fwd[:, :, None],
-                partial[:, :, p, :] + carry[:, :, None] * self.prop[:, :, p, :],
-                0.0)
-            carry = carry * self.step[:, :, p] + partial[:, :, p, -1]
-        # backward sweep: carry_p = integral from 1 down to b_p
-        carry = np.zeros((n, n), dtype=complex)
-        for p in range(P - 1, -1, -1):
-            vals = partial[:, :, p, :] + carry[:, :, None] * self.prop[:, :, p, :]
-            out[:, :, p, :] = np.where(back[:, :, None], vals, out[:, :, p, :])
-            carry = vals[:, :, 0]
-        return out
+        partial = np.empty_like(G)
+        for sl, w in self.segments:
+            partial[:, :, sl] = G[:, :, sl] @ self.psiT[:, :, w]
+        # carry recurrence inputs in scan order: each panel's local integral
+        # at the panel end that faces away from the integration origin
+        y = np.where(self.back, partial[:, :, ::-1, 0], partial[:, :, :, -1])
+        for d, a in self.levels:
+            y[:, :, d:] = y[:, :, d:] + a * y[:, :, :-d]
+        carry = np.zeros_like(y)
+        carry[:, :, 1:] = y[:, :, :-1]
+        carry = np.where(self.back, carry[:, :, ::-1], carry)
+        return partial + carry[..., None] * self.prop
 
 
 def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
@@ -226,13 +251,14 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
     frame = system.frame
     om = frame.omegas
     span = float(np.max(np.abs(om[:, None] - om[None, :])))
-    edges = _panel_layout(system.breakpoints(), abs(rho), span)
-    q = DEGREE
-    bank = _KernelBank(frame, rho, edges, q)
+    breakpoints = system.breakpoints()
+    counts = _panel_layout(breakpoints, abs(rho), span)
+    bank = _KernelBank(frame, rho, *_segments(breakpoints, counts))
     xs = bank.xs
-    V = np.transpose(_node_A(system, xs, rho), (2, 3, 0, 1))  # (j, l, P, q+1)
+    Ak = system.cached(counts, lambda: _node_Ak(system, xs))
+    V = np.tensordot(rho ** -np.arange(n), Ak, axes=1)     # (j, l, P, q+1)
 
-    ident = np.zeros((n, n, bank.P, q + 1), dtype=complex)
+    ident = np.zeros((n, n) + xs.shape, dtype=complex)
     for j in range(n):
         ident[j, j] = 1.0
 
@@ -248,7 +274,7 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
         z = znew
         scale = float(np.max(np.abs(z)))
         if delta < TOL * max(1.0, scale):
-            return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z,
+            return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z, A=V,
                                     iterations=it)
         ratio = delta / prev if np.isfinite(prev) and prev > 0 else 0.0
         prev = delta
@@ -270,7 +296,7 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
             f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
             "increase |rho|")
     return BirkhoffSolution(rho=rho, system=system, xs=xs, z=sol.reshape(shape),
-                            iterations=MAX_ITER, used_gmres=True)
+                            A=V, iterations=MAX_ITER, used_gmres=True)
 
 
 # ---------------------------------------------------------------------------

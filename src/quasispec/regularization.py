@@ -16,7 +16,7 @@ diagonal of a pair of expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -302,6 +302,11 @@ def diagonal_split(F: AssociatedMatrix):
 # conjugation into a sector frame
 # ---------------------------------------------------------------------------
 
+# entries ConjugatedSystem.cached keeps; the solves of one strip box or
+# residue circle touch a few panel layouts
+CACHE_SIZE = 4
+
+
 @dataclass(frozen=True)
 class ConjugatedSystem:
     """The split system rotated into the root-of-unity frame of a sector.
@@ -313,6 +318,8 @@ class ConjugatedSystem:
     n: int
     frame: SectorFrame
     A: tuple  # A[k][i][l] PiecewisePoly, k = 0..n-1
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def evaluate_Ak(self, x, at=None):
         """All A_k at points x: array of shape (n,) + x.shape + (n, n);
@@ -328,13 +335,19 @@ class ConjugatedSystem:
                         out[k, ..., i, l] = e(x, at)
         return out
 
-    def evaluate(self, x, rho, at=None):
-        """A(x, rho) at points x: array of shape x.shape + (n, n)."""
-        ak = self.evaluate_Ak(x, at)
-        out = ak[0].astype(complex)
-        for k in range(1, self.n):
-            out += ak[k] * rho ** (-k)
-        return out
+    def cached(self, key, compute):
+        """compute(), kept under key for the CACHE_SIZE most recently used
+        keys. The factored solve keeps its A_k node values here, one key
+        per panel layout."""
+        cache = self._cache
+        if key in cache:
+            value = cache.pop(key)
+        else:
+            value = compute()
+            if len(cache) >= CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = value
+        return value
 
     def breakpoints(self):
         return merge_breakpoints(*(e.breakpoints for Ak in self.A

@@ -172,7 +172,6 @@ class SpectralDatum:
     eps: complex
     multiplicity: int = 1
     beta: complex | None = None
-    residual: float = 0.0
 
 
 # largest |rho| * spread the plain determinant's exponentials may reach

@@ -1,15 +1,19 @@
 """Integral-equation fundamental systems and oscillatory functionals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from quasispec.birkhoff import (
+    DEGREE,
     birkhoff_fss,
     upsilon,
     upsilon_d,
 )
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import (
+    ConjugatedSystem,
     ExpressionSpec,
     build_associated_matrix,
     conjugate_system,
@@ -36,6 +40,20 @@ def direct_mismatch(F, sol):
     return np.max(np.abs(C1 @ Y0 - Y1)) / np.max(np.abs(Y1))
 
 
+def assert_interfaces_continuous(sol):
+    """The duplicated interface nodes of neighbouring panels agree."""
+    np.testing.assert_allclose(sol.z[:, :, :-1, -1], sol.z[:, :, 1:, 0],
+                               atol=1e-9)
+
+
+def three_piece_matrix():
+    """n = 3 with both coefficients jumping at 0.23 and 0.61: three
+    pieces of unequal width."""
+    bp = [0.0, 0.23, 0.61, 1.0]
+    return build_associated_matrix(ExpressionSpec(3, (1, 0), (
+        P(bp, [[0.3], [-0.6], [0.1]]), P(bp, [[1.0], [-0.5], [2.0]]))))
+
+
 class TestTrivialSystem:
     def test_zero_A_gives_identity(self):
         sys = conjugate_system(build_associated_matrix(zero_expression(3)),
@@ -48,11 +66,7 @@ class TestTrivialSystem:
         s1 = P([0, 0.5, 1], [[1.0], [-1.0]])
         sys = conj(3, (1, 0), (P.zero(), s1))
         sol = birkhoff_fss(sys, 60.0 * np.exp(1j * np.pi / 6))
-        # duplicated interface nodes agree
-        for p in range(sol.xs.shape[0] - 1):
-            left = sol.z[:, :, p, -1]
-            right = sol.z[:, :, p + 1, 0]
-            np.testing.assert_allclose(left, right, atol=1e-9)
+        assert_interfaces_continuous(sol)
 
     def test_residual_small(self):
         s1 = P([0, 1], [[1.0, -0.5]])
@@ -73,6 +87,31 @@ class TestSolverPaths:
         assert direct_mismatch(F, sol) < 1e-11
         assert sol.residual() < 1e-8
 
+    @pytest.mark.parametrize("rabs", [15.0, 90.0, 400.0])
+    def test_three_unequal_pieces(self, rabs):
+        # every piece has its own panel width, collocation solve and run
+        # of carries
+        F = three_piece_matrix()
+        sys = conjugate_system(F, sector_frame(3, 1))
+        sol = birkhoff_fss(sys, rabs * np.exp(1j * np.pi / 6))
+        assert sol.residual() < 1e-8
+        assert_interfaces_continuous(sol)
+        if rabs == 15.0:
+            # beyond small |rho| the direct integration from x = 0 loses
+            # exp(spread |rho|) of its accuracy
+            assert direct_mismatch(F, sol) < 1e-11
+
+    def test_no_runtime_warning_at_large_rho(self):
+        # n = 4 mid-sector at |rho| = 400: the steepest kernel has
+        # |Re mu| ~ 740, so an exponential evaluated on the growing side
+        # of any pair overflows
+        jump = P([0.0, 0.45, 1.0], [[0.7], [-0.4]])
+        sys = conj(4, (0, 0, 0), (jump, jump * 0.5, jump * -1.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = birkhoff_fss(sys, 400.0 * np.exp(1j * np.pi / 8))
+        assert sol.residual() < 1e-8
+
     def test_gmres_fallback(self):
         # |rho| = 1 with large constant coefficients: the fixed-point
         # iteration does not contract and GMRES solves the system
@@ -83,6 +122,40 @@ class TestSolverPaths:
         assert sol.used_gmres
         assert sol.residual() < 1e-9
         assert direct_mismatch(F, sol) < 1e-11
+
+
+class TestWorkCounts:
+    def test_one_layout_evaluates_A_once(self, monkeypatch):
+        # five points of one |rho| circle share the panel layout
+        sys = conjugate_system(three_piece_matrix(), sector_frame(3, 1))
+        calls = []
+        evaluate = ConjugatedSystem.evaluate_Ak
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", counted)
+        for theta in np.linspace(0.1, 0.9, 5) * np.pi / 3:
+            birkhoff_fss(sys, 90.0 * np.exp(1j * theta))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bp, widths", [([0.0, 0.23, 0.61, 1.0], 3),
+                                            ([0.0, 0.5, 1.0], 1)])
+    def test_one_collocation_solve_per_width(self, monkeypatch, bp, widths):
+        s1 = P(bp, [[float(i % 2) - 0.5] for i in range(len(bp) - 1)])
+        sys = conj(3, (1, 0), (P.zero(), s1))
+        shapes = []
+        solve = np.linalg.solve
+
+        def recorded(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        sol = birkhoff_fss(sys, 90.0 * np.exp(1j * np.pi / 6))
+        assert sol.xs.shape[0] > 20
+        assert shapes == [(3, 3, widths, DEGREE + 1, DEGREE + 1)]
 
 
 class TestThirdOrderExpansion:
@@ -167,7 +240,6 @@ class TestUpsilon:
     def test_constant_entry_linear_growth(self):
         # A_0 with one entry c at (j, l) = (k, k): the zero-exponent case
         # integrates |c| (x - s); the maximum over the grid is |c|.
-        from quasispec.regularization import ConjugatedSystem
         n = 2
         frame = sector_frame(2, 1)
         c = 0.7
