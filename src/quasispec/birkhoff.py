@@ -40,7 +40,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import NonContractionError, ValidationError
-from .piecewise import _shift_coeffs
+from .piecewise import _shift_coeffs, merge_breakpoints
 from .regularization import ConjugatedSystem
 
 __all__ = [
@@ -167,8 +167,8 @@ def _node_Ak(system, xs):
     at its last node, not the next piece's value.
     """
     mids = 0.5 * (xs[:, :1] + xs[:, -1:])
-    ak = system.evaluate_Ak(xs, at=np.repeat(mids, xs.shape[1], axis=1))
-    return np.ascontiguousarray(np.moveaxis(ak, (-2, -1), (1, 2)))
+    # a view of the piece table's contiguous (k, j, l) + xs.shape output
+    return np.moveaxis(system.evaluate_Ak(xs, at=mids), (-2, -1), (1, 2))
 
 
 class _KernelBank:
@@ -405,42 +405,38 @@ def upsilon(system: ConjugatedSystem, rho):
     frame = system.frame
     n = system.n
     om = frame.omegas
-    tg = np.linspace(0.0, 1.0, UPSILON_POINTS)
-    tg = np.union1d(np.union1d(tg, system.breakpoints()), [0.0, 1.0])
+    tg = np.union1d(np.linspace(0.0, 1.0, UPSILON_POINTS), system.breakpoints())
     grow = frame.grow_mask
     best = 0.0
     S, X = np.meshgrid(tg, tg, indexing="ij")  # S[s_i, x_j]
     iS, iX = np.meshgrid(np.arange(len(tg)), np.arange(len(tg)), indexing="ij")
-    for j in range(n):
-        for l in range(n):
-            a_pw = system.A[0][j][l]
-            if a_pw.is_zero():
-                continue
-            mu = rho * (om[l] - om[j])
-            cum = _AnchoredCumulative(a_pw, mu, tg)
-            for k in range(n):
-                gj, gl = grow[j, k], grow[l, k]
-                sgn = (-1.0 if gj else 1.0) * (-1.0 if gl else 1.0)
-                # interval ends as index grids
-                if gj and gl:
-                    ci, di = iX, iS          # (x, s), zero when s < x
-                    valid = S >= X
-                elif gj and not gl:
-                    ci, di = np.maximum(iX, iS), np.full_like(iX, len(tg) - 1)
-                    valid = np.ones_like(S, dtype=bool)
-                elif (not gj) and gl:
-                    ci, di = np.zeros_like(iX), np.minimum(iX, iS)
-                    valid = np.ones_like(S, dtype=bool)
-                else:
-                    ci, di = iS, iX          # (s, x), zero when x < s
-                    valid = X >= S
-                tc, td = tg[ci], tg[di]
-                gc = rho * ((om[l] - om[k]) * (tc - S) + (om[j] - om[k]) * (X - tc))
-                gd = rho * ((om[l] - om[k]) * (td - S) + (om[j] - om[k]) * (X - td))
-                v = sgn * cum.segment(ci, di, gc, gd)
-                v = np.where(valid, v, 0.0)
-                m = float(np.max(np.abs(v)))
-                best = max(best, m)
+    for j, l in zip(*np.nonzero(system.table.nonzero[0])):
+        a_pw = system.A[0][j][l]
+        mu = rho * (om[l] - om[j])
+        cum = _AnchoredCumulative(a_pw, mu, tg)
+        for k in range(n):
+            gj, gl = grow[j, k], grow[l, k]
+            sgn = (-1.0 if gj else 1.0) * (-1.0 if gl else 1.0)
+            # interval ends as index grids
+            if gj and gl:
+                ci, di = iX, iS          # (x, s), zero when s < x
+                valid = S >= X
+            elif gj and not gl:
+                ci, di = np.maximum(iX, iS), np.full_like(iX, len(tg) - 1)
+                valid = np.ones_like(S, dtype=bool)
+            elif (not gj) and gl:
+                ci, di = np.zeros_like(iX), np.minimum(iX, iS)
+                valid = np.ones_like(S, dtype=bool)
+            else:
+                ci, di = iS, iX          # (s, x), zero when x < s
+                valid = X >= S
+            tc, td = tg[ci], tg[di]
+            gc = rho * ((om[l] - om[k]) * (tc - S) + (om[j] - om[k]) * (X - tc))
+            gd = rho * ((om[l] - om[k]) * (td - S) + (om[j] - om[k]) * (X - td))
+            v = sgn * cum.segment(ci, di, gc, gd)
+            v = np.where(valid, v, 0.0)
+            m = float(np.max(np.abs(v)))
+            best = max(best, m)
     return best
 
 
@@ -456,11 +452,8 @@ def upsilon_d(entries, rho, frame, grid=None):
         tg = np.linspace(0.0, 1.0, int(grid))
     else:
         tg = np.asarray(grid, dtype=float)
-    bps = [0.0, 1.0]
-    for j in range(n):
-        for k in range(n):
-            bps = np.union1d(bps, entries[j][k].breakpoints)
-    tg = np.union1d(tg, bps)
+    tg = np.union1d(tg, merge_breakpoints(*(e.breakpoints for row in entries
+                                            for e in row)))
     grow = frame.grow_mask
     best = 0.0
     idx = np.arange(len(tg))

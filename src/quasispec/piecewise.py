@@ -10,6 +10,9 @@ any sampling.
 Polynomials are stored per piece in the local variable ``t = x - a``
 where ``a`` is the left breakpoint of the piece; this keeps high-degree
 pieces well conditioned on short intervals.
+
+`PieceTable` compiles a fixed set of them once for evaluation; it is the
+one evaluator of the package.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["PiecewisePoly", "merge_breakpoints"]
+__all__ = ["PiecewisePoly", "PieceTable", "merge_breakpoints"]
 
 _BREAK_TOL = 1e-13
 # largest coefficient difference `equals` treats as equal
@@ -121,26 +124,9 @@ class PiecewisePoly:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, len(self.coeffs) - 1)
 
-    def __call__(self, x, at=None):
-        """Values at x, each from the polynomial of the piece holding the
-        matching point of `at` (an array of x's shape; default x itself).
-        A point of `at` inside the piece left of a breakpoint reads the
-        left limit there."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        idx = self.piece_index(xv if at is None else at)
-        out = np.zeros(xv.shape, dtype=complex)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if not np.any(mask):
-                continue
-            t = xv[mask] - self.breakpoints[i]
-            acc = np.zeros(t.shape, dtype=complex)
-            for ck in c[::-1]:
-                acc = acc * t + ck
-            out[mask] = acc
-        return out[0] if scalar else out
+    def __call__(self, x):
+        """Values at x (a scalar for scalar x)."""
+        return PieceTable([self], ())(x)[()]
 
     # -- refinement and arithmetic --------------------------------------
 
@@ -204,27 +190,15 @@ class PiecewisePoly:
 
     def antiderivative_values(self, x):
         """Values of t -> integral_0^t of self, exactly, at points x."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
         # cumulative integrals at piece starts
         piece_int = []
         for i, c in enumerate(self.coeffs):
             h = self.breakpoints[i + 1] - self.breakpoints[i]
             piece_int.append(sum(ck * h ** (k + 1) / (k + 1) for k, ck in enumerate(c)))
         cum = np.concatenate([[0.0], np.cumsum(piece_int)])
-        idx = self.piece_index(xv)
-        out = np.zeros(xv.shape, dtype=complex)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if not np.any(mask):
-                continue
-            t = xv[mask] - self.breakpoints[i]
-            acc = np.zeros(t.shape, dtype=complex)
-            for k in range(len(c) - 1, -1, -1):
-                acc = acc * t + c[k] / (k + 1)
-            out[mask] = cum[i] + acc * t
-        return out[0] if scalar else out
+        return PiecewisePoly(self.breakpoints, [
+            np.concatenate([[s], c / np.arange(1, len(c) + 1)])
+            for s, c in zip(cum, self.coeffs)])(x)
 
     def integral(self, a=0.0, b=1.0):
         """Exact definite integral over [a, b]."""
@@ -240,16 +214,7 @@ class PiecewisePoly:
 
     def equals(self, other):
         """Symbolic equality: identical polynomials on every merged piece."""
-        a, b = self._align(other)
-        for ca, cb in zip(a.coeffs, b.coeffs):
-            m = max(len(ca), len(cb))
-            da = np.zeros(m, dtype=complex)
-            db = np.zeros(m, dtype=complex)
-            da[: len(ca)] = ca
-            db[: len(cb)] = cb
-            if np.max(np.abs(da - db)) > _EQUALS_TOL:
-                return False
-        return True
+        return not any(np.max(np.abs(c)) > _EQUALS_TOL for c in (self - other).coeffs)
 
     def with_tag(self, class_tag):
         return PiecewisePoly(self.breakpoints, self.coeffs, class_tag=class_tag)
@@ -257,3 +222,59 @@ class PiecewisePoly:
     def __repr__(self):
         return (f"PiecewisePoly(pieces={len(self.coeffs)}, degree={self.degree}, "
                 f"tag={self.class_tag})")
+
+
+class PieceTable:
+    """A fixed array of piecewise polynomials compiled for evaluation.
+
+    Built once from a flat sequence of PiecewisePoly and the shape they
+    fill. On each merged piece every non-zero entry keeps its own local
+    coefficients, zero-padded to the largest degree, and its own piece
+    origin: a value is Horner's rule in the entry's own local variable,
+    bit for bit the entry evaluated alone.
+
+    Attributes:
+        breakpoints: the merged breakpoints of all entries.
+        nonzero: boolean array of the table's shape, False where an entry
+            vanishes identically.
+        constant: per merged piece, whether every entry is constant there.
+        scale: per merged piece, the largest |coefficient| of any entry.
+    """
+
+    def __init__(self, polys, shape):
+        polys = list(polys)
+        self.breakpoints = merge_breakpoints(*(p.breakpoints for p in polys))
+        self.nonzero = np.array([not p.is_zero() for p in polys]).reshape(shape)
+        self._rows = np.flatnonzero(self.nonzero)
+        live = [polys[r] for r in self._rows]
+        mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
+        deg = max((p.degree for p in live), default=0)
+        # coefficient k of entry e on merged piece j, and that piece's origin
+        self._coef = np.zeros((deg + 1, len(live), len(mids)), dtype=complex)
+        self._origin = np.zeros((len(live), len(mids)))
+        for e, p in enumerate(live):
+            idx = p.piece_index(mids)
+            self._origin[e] = p.breakpoints[idx]
+            for j, i in enumerate(idx):
+                self._coef[: len(p.coeffs[i]), e, j] = p.coeffs[i]
+        self.constant = ~np.any(self._coef[1:], axis=(0, 1))
+        self.scale = np.max(np.abs(self._coef), axis=(0, 1), initial=0.0)
+
+    def __call__(self, x, at=None):
+        """Values at x, an array of shape `shape + x.shape`.
+
+        Each value comes from the piece holding the matching point of `at`
+        (broadcastable against x; default x itself), so a point of `at`
+        inside the piece left of a breakpoint reads the left limit there.
+        """
+        x = np.asarray(x, dtype=float)
+        j = np.searchsorted(self.breakpoints, x if at is None else at,
+                            side="right") - 1
+        j = np.clip(j, 0, len(self.breakpoints) - 2)
+        t = x - self._origin[:, j]
+        acc = np.zeros(t.shape, dtype=complex)
+        for c in self._coef[::-1, :, j]:
+            acc = acc * t + c
+        out = np.zeros((self.nonzero.size,) + t.shape[1:], dtype=complex)
+        out[self._rows] = acc
+        return out.reshape(self.nonzero.shape + t.shape[1:])

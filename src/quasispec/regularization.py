@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .piecewise import PiecewisePoly, merge_breakpoints
+from .piecewise import PieceTable, PiecewisePoly
 from .sectors import SectorFrame
 
 __all__ = [
@@ -171,19 +171,18 @@ class AssociatedMatrix:
     n: int
     entries: tuple
 
+    @cached_property
+    def table(self):
+        """The entries compiled once for evaluation (shape (n, n))."""
+        return PieceTable((e for row in self.entries for e in row),
+                          (self.n, self.n))
+
     def evaluate(self, x):
         """F at points x; returns an array of shape x.shape + (n, n)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (self.n, self.n), dtype=complex)
-        for a in range(self.n):
-            for b in range(self.n):
-                e = self.entries[a][b]
-                if not e.is_zero():
-                    out[..., a, b] = e(x)
-        return out
+        return np.moveaxis(self.table(x), (0, 1), (-2, -1))
 
     def breakpoints(self):
-        return merge_breakpoints(*(e.breakpoints for row in self.entries for e in row))
+        return self.table.breakpoints
 
     def trace(self):
         t = PiecewisePoly.zero()
@@ -321,19 +320,16 @@ class ConjugatedSystem:
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
+    @cached_property
+    def table(self):
+        """A compiled once for evaluation (shape (n, n, n), [k][i][l])."""
+        return PieceTable((e for Ak in self.A for row in Ak for e in row),
+                          (self.n, self.n, self.n))
+
     def evaluate_Ak(self, x, at=None):
         """All A_k at points x: array of shape (n,) + x.shape + (n, n);
-        `at` (x's shape) picks the coefficient pieces as in
-        PiecewisePoly.__call__."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.n,) + x.shape + (self.n, self.n), dtype=complex)
-        for k in range(self.n):
-            for i in range(self.n):
-                for l in range(self.n):
-                    e = self.A[k][i][l]
-                    if not e.is_zero():
-                        out[k, ..., i, l] = e(x, at)
-        return out
+        `at` picks the coefficient pieces as in PieceTable.__call__."""
+        return np.moveaxis(self.table(x, at), (1, 2), (-2, -1))
 
     def cached(self, key, compute):
         """compute(), kept under key for the CACHE_SIZE most recently used
@@ -350,12 +346,10 @@ class ConjugatedSystem:
         return value
 
     def breakpoints(self):
-        return merge_breakpoints(*(e.breakpoints for Ak in self.A
-                                   for row in Ak for e in row))
+        return self.table.breakpoints
 
     def a0_is_zero(self):
-        return all(self.A[0][i][l].is_zero() for i in range(self.n)
-                   for l in range(self.n))
+        return not self.table.nonzero[0].any()
 
 
 def conjugate_system(F: AssociatedMatrix, frame: SectorFrame) -> ConjugatedSystem:
@@ -375,11 +369,9 @@ def conjugate_system(F: AssociatedMatrix, frame: SectorFrame) -> ConjugatedSyste
                 acc = PiecewisePoly.zero()
                 for a in range(k, n):
                     b = a - k
-                    e = F.entries[a][b]
-                    if e.is_zero():
-                        continue
-                    scale = (om[i] ** (-a)) * (om[l] ** b) / n
-                    acc = acc + e * scale
+                    if F.table.nonzero[a, b]:
+                        scale = (om[i] ** (-a)) * (om[l] ** b) / n
+                        acc = acc + F.entries[a][b] * scale
                 Ak[i][l] = acc
         A.append(tuple(tuple(r) for r in Ak))
     sys = ConjugatedSystem(n=n, frame=frame, A=tuple(A))

@@ -2,9 +2,10 @@
 
 Two routes live here: a closed-form oracle for zero coefficients (pure
 exponential or power-series basis for y^(n) = lambda y) and a Magnus
-stepper for the general piecewise-polynomial F. Constant pieces are
-integrated exactly by a single matrix exponential; polynomial pieces use
-the sixth-order three-node Magnus scheme.
+stepper for the general piecewise-polynomial F, which reads F through
+its compiled piece table. Every piece uses the sixth-order three-node
+Magnus scheme; on a constant piece the three nodes agree, the scheme
+reduces to exp(h M) exactly, and one step spans the piece.
 
 Large |rho| work is *not* done here; the exponentially factored
 integral-equation solver in `birkhoff` owns that regime.
@@ -128,10 +129,11 @@ def closed_form_zero_coeff(n, lam, x, switch=1.0):
 def _comm(a, b):
     return a @ b - b @ a
 
-def _magnus6_step(Fmat, lam_mat, a, h):
-    """One sixth-order Magnus step over [a, a+h] for M(x) = F(x) + Lambda."""
+def _magnus6_step(table, lam_mat, a, h):
+    """One sixth-order Magnus step over [a, a+h] for M(x) = F(x) + Lambda,
+    F read from its piece table."""
     ts = a + h * _GL3
-    A1, A2, A3 = (m + lam_mat for m in Fmat(ts))
+    A1, A2, A3 = np.moveaxis(table(ts), -1, 0) + lam_mat
     al1 = h * A2
     al2 = (np.sqrt(15) / 3.0) * h * (A3 - A1)
     al3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
@@ -145,10 +147,10 @@ def _magnus6_step(Fmat, lam_mat, a, h):
 def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     """Fundamental matrix C(x, lambda) with C(0) = I on the requested grid.
 
-    Step points always include every coefficient breakpoint. Constant
-    pieces are advanced by exact matrix exponentials; polynomial pieces
-    by sixth-order Magnus steps with the count chosen from the dynamics
-    scale max(|lambda|^(1/n), sup|F|) and MAGNUS_RTOL.
+    Step points always include every coefficient breakpoint. Each piece
+    takes sixth-order Magnus steps, their count chosen from the dynamics
+    scale max(|lambda|^(1/n), sup|F|) and MAGNUS_RTOL; a piece on which F
+    is constant takes one step, which is the exact exp(M (b - a)).
     """
     lam = complex(lam)
     n = F.n
@@ -156,22 +158,14 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
         raise IntegrationError(
             f"|lambda|={abs(lam):.3g} beyond direct-integration cap "
             f"{LAMBDA_MAX:.3g}; use the large-rho solver")
-    bp = F.breakpoints()
+    table = F.table
+    bp = table.breakpoints
     if grid is None:
         grid = bp
     grid = np.union1d(np.asarray(grid, dtype=float), bp)
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValidationError("grid", "grid must span [0, 1]")
     lam_mat = _lambda_matrix(n, lam)
-
-    # per-piece constancy and scale
-    piece_const = []
-    piece_scale = []
-    for i in range(len(bp) - 1):
-        degs = [F.entries[a][b].coeffs[F.entries[a][b].piece_index(
-            0.5 * (bp[i] + bp[i + 1]))] for a in range(n) for b in range(n)]
-        piece_const.append(all(len(c) <= 1 for c in degs))
-        piece_scale.append(max(abs(v) for c in degs for v in c) if degs else 0.0)
     rho_scale = abs(lam) ** (1.0 / n)
 
     values = np.zeros((len(grid), n, n), dtype=complex)
@@ -180,24 +174,24 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     total_steps = 0
     for gi in range(len(grid) - 1):
         a, b = grid[gi], grid[gi + 1]
+        # the grid holds every breakpoint, so the midpoint is inside a piece
         piece = int(np.searchsorted(bp, 0.5 * (a + b), side="right") - 1)
-        piece = min(max(piece, 0), len(piece_const) - 1)
-        if piece_const[piece]:
-            M = F.evaluate(np.array([0.5 * (a + b)]))[0] + lam_mat
-            C = expm(M * (b - a)) @ C
-            total_steps += 1
+        L = b - a
+        if table.constant[piece]:
+            nsteps = 1
         else:
-            s = max(1.0, rho_scale, piece_scale[piece])
-            L = b - a
+            s = max(1.0, rho_scale, table.scale[piece])
             nsteps = max(1, int(np.ceil(
                 STEP_SAFETY * (s * L) * ((s * L) / MAGNUS_RTOL) ** (1.0 / 6.0))))
-            total_steps += nsteps
-            if total_steps > MAX_STEPS:
-                raise IntegrationError("step budget exhausted", x=a)
-            h = L / nsteps
-            Feval = lambda ts: F.evaluate(ts)
+        total_steps += nsteps
+        if total_steps > MAX_STEPS:
+            raise IntegrationError("step budget exhausted", x=a)
+        h = L / nsteps
+        # coefficients near the float limit overflow to inf or nan, which
+        # the determinant's finiteness checks report as a typed failure
+        with np.errstate(over="ignore", invalid="ignore"):
             for q in range(nsteps):
-                C = _magnus6_step(Feval, lam_mat, a + q * h, h) @ C
+                C = _magnus6_step(table, lam_mat, a + q * h, h) @ C
         values[gi + 1] = C
     return FundamentalMatrix(lam=lam, grid=grid, values=values)
 
@@ -205,11 +199,10 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
 def residual_norm(F: AssociatedMatrix, fm: FundamentalMatrix):
     """Integral of ||C'(x) - (F(x)+Lambda) C(x)|| over [0, 1].
 
-    The solution is re-sampled on a uniform grid by re-integrating from
-    the recorded values piece by piece would be circular; instead the
-    derivative is estimated with a seventh-point sixth-order stencil on
-    a dedicated fine grid, skipping a neighborhood of every coefficient
-    breakpoint where C' genuinely jumps.
+    C is re-integrated on a fine grid (a uniform grid joined with the
+    coefficient breakpoints), and C' is estimated on the uniform points
+    with a seven-point sixth-order central difference, skipping a
+    neighborhood of every breakpoint, where C' genuinely jumps.
     """
     n = F.n
     bp = F.breakpoints()

@@ -154,12 +154,7 @@ class ProblemSpec:
         return self._built["F"]
 
     def is_zero_coefficient(self):
-        F = self.F
-        for a in range(self.n):
-            for b in range(min(a + 1, self.n)):
-                if not F.entries[a][b].is_zero():
-                    return False
-        return True
+        return not np.tril(self.F.table.nonzero).any()
 
 
 @dataclass(frozen=True)
@@ -196,6 +191,8 @@ CONTOUR_RETRIES = 3
 DERIVATIVE_RTOL = 1e-9
 # first node count of the Cauchy derivative circle (doubled up to 5 times)
 DERIVATIVE_START_NODES = 16
+# most Newton steps of one root refinement
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -475,10 +472,10 @@ def delta_derivative(f, lam0, radius):
         "non-analytic point or another zero")
 
 
-def _newton(f, z0, tol, fval_scale=1.0, max_iter=50):
+def _newton(f, z0, tol):
     z = complex(z0)
     fz = complex(f(z))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         h = 1e-7 * max(1.0, abs(z))
         der = (f(z + h) - f(z - h)) / (2 * h)
         if der == 0:

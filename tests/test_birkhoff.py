@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from quasispec import birkhoff, piecewise, regularization, solutions
 from quasispec.birkhoff import (
     DEGREE,
     birkhoff_fss,
@@ -139,6 +140,26 @@ class TestWorkCounts:
         for theta in np.linspace(0.1, 0.9, 5) * np.pi / 3:
             birkhoff_fss(sys, 90.0 * np.exp(1j * theta))
         assert len(calls) == 1
+
+    def test_no_breakpoint_merge_per_solve(self, monkeypatch):
+        # the coefficients are compiled once; solves and integrations
+        # read the stored breakpoints
+        F = three_piece_matrix()
+        sys = conjugate_system(F, sector_frame(3, 1))
+        F.breakpoints(), sys.breakpoints()
+        calls = []
+        for mod in (piecewise, regularization, birkhoff, solutions):
+            merge = getattr(mod, "merge_breakpoints", None)
+            if merge is not None:
+                def counted(*args, _merge=merge):
+                    calls.append(args)
+                    return _merge(*args)
+
+                monkeypatch.setattr(mod, "merge_breakpoints", counted)
+        for theta in np.linspace(0.1, 0.9, 5) * np.pi / 3:
+            birkhoff_fss(sys, 90.0 * np.exp(1j * theta))
+        integrate_fundamental(F, 11.0, grid=np.linspace(0.0, 1.0, 5))
+        assert calls == []
 
     @pytest.mark.parametrize("bp, widths", [([0.0, 0.23, 0.61, 1.0], 3),
                                             ([0.0, 0.5, 1.0], 1)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasispec.errors import ValidationError
-from quasispec.piecewise import PiecewisePoly as P
+from quasispec.piecewise import PiecewisePoly as P, PieceTable
 
 
 def random_pp(rng, max_pieces=3, max_deg=3):
@@ -45,6 +45,63 @@ class TestEvaluation:
         f = P([0, 0.3, 1], [[2.0], [-1.0]])
         x = np.array([0.0, 0.29, 0.31, 1.0])
         np.testing.assert_allclose(f(x), [2, 2, -1, -1])
+
+
+def _local_reference(p, x, at):
+    """p at x from np.polyval of the piece holding `at`, in that piece's
+    local variable."""
+    i = np.clip(np.searchsorted(p.breakpoints, at, side="right") - 1,
+                0, len(p.coeffs) - 1)
+    return np.array([np.polyval(p.coeffs[k][::-1], xv - p.breakpoints[k])
+                     for xv, k in zip(x, i)])
+
+
+_entries = st.lists(
+    st.tuples(st.lists(st.integers(1, 999), max_size=3, unique=True),
+              st.lists(st.lists(st.complex_numbers(max_magnitude=10),
+                                min_size=1, max_size=5),
+                       min_size=4, max_size=4)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=_entries, extra=st.lists(st.floats(0, 1), max_size=8))
+def test_table_matches_each_entry(entries, extra):
+    """Different breakpoints and degrees per entry, plus a zero entry: the
+    table equals every entry's own local polynomial at the breakpoints,
+    at x = 1 and in between, and at a jump `at` left of it reads the
+    left limit."""
+    polys = [P(np.concatenate([[0.0], np.sort(cuts) / 1000.0, [1.0]]),
+               pieces[: len(cuts) + 1]) for cuts, pieces in entries]
+    polys.append(P.zero())
+    table = PieceTable(polys, (len(polys),))
+    bp = table.breakpoints
+    x = np.concatenate([bp, np.asarray(extra), [1.0]])
+    got = table(x)
+    assert got.shape == (len(polys), len(x))
+    for p, row in zip(polys, got):
+        np.testing.assert_allclose(row, _local_reference(p, x, x), rtol=1e-14)
+    # each interior breakpoint read from the merged piece on its left
+    left = 0.5 * (bp[:-2] + bp[1:-1])
+    got = table(bp[1:-1], at=left)
+    for p, row in zip(polys, got):
+        np.testing.assert_allclose(row, _local_reference(p, bp[1:-1], left),
+                                   rtol=1e-14)
+    assert list(table.nonzero) == [not p.is_zero() for p in polys]
+    for j, mid in enumerate(0.5 * (bp[:-1] + bp[1:])):
+        local = [p.coeffs[p.piece_index(mid)] for p in polys]
+        assert table.constant[j] == all(len(c) == 1 for c in local)
+        assert table.scale[j] == max(np.max(np.abs(c)) for c in local)
+
+
+def test_table_left_limit():
+    # 1 + 2t on [0, 0.5), 5 on [0.5, 1]; the zero entry stays zero
+    table = PieceTable([P([0, 0.5, 1], [[1.0, 2.0], [5.0]]), P.zero()], (2,))
+    np.testing.assert_array_equal(table(np.array([0.5])), [[5.0], [0.0]])
+    np.testing.assert_array_equal(table(np.array([0.5]), at=np.array([0.25])),
+                                  [[2.0], [0.0]])
+    assert table.constant.tolist() == [False, True]
+    assert table.nonzero.tolist() == [True, False]
 
 
 class TestAlgebra:

@@ -98,7 +98,7 @@ class TestIntegrateFundamental:
             h = 1.0 / nsteps
             C = np.eye(2, dtype=complex)
             for q in range(nsteps):
-                C = _magnus6_step(F.evaluate, lam_mat, q * h, h) @ C
+                C = _magnus6_step(F.table, lam_mat, q * h, h) @ C
             return C
 
         ref = propagate(512)
