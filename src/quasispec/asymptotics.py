@@ -35,6 +35,10 @@ __all__ = [
     "weight_pair_difference",
 ]
 
+# a pair difference at or below this share of |rho_l| is round-off (the
+# accuracy newton_tol gives a located root) and counts as zero
+ROUNDOFF_RTOL = 1e-12
+
 
 def _submatrix_det(omegas, ps, cols):
     """det [omega_k^{p_s}] over the given (ordered) column index list."""
@@ -270,9 +274,11 @@ class PairComparison:
 def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
     """rho_hat_l = rho_l - rho_tilde_l plus the decay fits.
 
-    c_hat is the mean of l^d rho_hat_l over the top half of the window
-    (consistent since delta_l -> 0); slope_fit is the least-squares
-    slope of log|rho_hat_l| against log l.
+    A difference at round-off level (ROUNDOFF_RTOL |rho_l|) is taken as
+    zero. c_hat is the mean of l^d rho_hat_l over the top half of the
+    window (consistent since delta_l -> 0); slope_fit is the
+    least-squares slope of log|rho_hat_l| against log l over the
+    non-zero differences.
     """
     by_l_b = {d_.l: d_ for d_ in data_b}
     ls, rh = [], []
@@ -280,8 +286,9 @@ def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
         db = by_l_b.get(da.l)
         if db is None:
             continue
+        diff = da.rho - db.rho
         ls.append(da.l)
-        rh.append(da.rho - db.rho)
+        rh.append(diff if abs(diff) > ROUNDOFF_RTOL * abs(da.rho) else 0.0)
     ls = np.asarray(ls, dtype=float)
     rh = np.asarray(rh, dtype=complex)
     if l_range is not None:

@@ -11,11 +11,12 @@ subsets so all remaining exponentials have non-positive real part. Both
 routes share the same zeros; weight numbers use ratios in which all
 normalization factors cancel exactly.
 
-Eigenvalue numbering follows the zero-count anchoring: low-lying zeros
-are enumerated by argument-principle subdivision of a disk whose radius
-sits midway between model rings, the model offset chi is shifted by an
-integer so the counts line up, and every further index gets its own
-strip box centered on the calibrated prediction.
+Eigenvalue numbering follows the zero-count anchoring: the low-lying
+zeros are counted by the argument principle on a circle whose radius
+sits midway between model rings and located from the contour moments of
+the same circle values, the model offset chi is shifted by an integer
+so the counts line up, and every further index gets its own strip box
+centered on the calibrated prediction.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ BOX_HALF_HEIGHT_FACTOR = 0.4
 CONTOUR_POINTS = 6
 # two located roots closer than this signal numbering drift
 DEDUPE_TOL = 1e-6
-# deepest rectangle quadrisection allowed in the low-disk sweep
-MAX_SUBDIVISION_DEPTH = 36
+# singular values of the disk moments' Hankel matrix below this share of
+# the largest are noise; the others count the distinct zeros
+PENCIL_RANK_RTOL = 1e-8
+# largest distance of a winding number or a multiplicity from an integer
+INTEGER_ATOL = 1e-3
 # a contour value below this share of the contour median is a zero contact
 ZERO_CONTACT_RTOL = 5e-13
 # most points a winding contour may be refined to
@@ -205,14 +209,15 @@ class SpectrumSettings:
 # boundary forms and direct determinants
 # ---------------------------------------------------------------------------
 
-def boundary_form(form: BoundaryForm, column):
-    """Apply one form to a quasi-derivative column at its endpoint."""
-    column = np.asarray(column)
-    val = column[form.p]
+def boundary_form(form: BoundaryForm, values):
+    """Apply one form to quasi-derivatives at its endpoint: a column
+    gives a number, a matrix (one column per solution) a row."""
+    values = np.asarray(values)
+    val = values[form.p]
     for j, uj in enumerate(form.u, start=1):
         if uj != 0:
-            val = val + uj * column[j - 1]
-    return complex(val)
+            val = val + uj * values[j - 1]
+    return complex(val) if val.ndim == 0 else val
 
 
 class DeterminantEvaluator:
@@ -264,18 +269,9 @@ class DeterminantEvaluator:
     def delta(self, lam, bullet=False):
         """det[U_s(C_k)]; rows at x = 0 come from C(0) = I exactly."""
         lam = complex(lam)
-        C1 = self._fundamental_at_one(lam)
-        rows = self._rows(bullet)
-        M = np.zeros((self.n, self.n), dtype=complex)
-        for i, f in enumerate(rows):
-            if f.side == 0:
-                M[i, f.p] = 1.0
-                for j, uj in enumerate(f.u, start=1):
-                    M[i, j - 1] += uj
-            else:
-                M[i] = C1[f.p]
-                for j, uj in enumerate(f.u, start=1):
-                    M[i] += uj * C1[j - 1]
+        ends = (np.eye(self.n), self._fundamental_at_one(lam))
+        M = np.array([boundary_form(f, ends[f.side])
+                      for f in self._rows(bullet)], dtype=complex)
         # overflow to inf or nan is reported by _winding's finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
@@ -376,8 +372,10 @@ def char_delta_bullet(problem, lam):
 # ---------------------------------------------------------------------------
 
 def disk_contour(center, radius, m=64):
-    th = np.linspace(0.0, 2 * np.pi, m + 1)
-    return center + radius * np.exp(1j * th)
+    """m points on a circle, closed by its first point exactly."""
+    pts = center + radius * np.exp(1j * np.linspace(0.0, 2 * np.pi, m + 1))
+    pts[-1] = pts[0]
+    return pts
 
 
 def rect_contour(x0, x1, y0, y1, m=16):
@@ -419,7 +417,7 @@ def _winding(f, pts):
         if len(bad) == 0:
             total = float(np.sum(dphi))
             w = total / (2 * np.pi)
-            if abs(w - round(w)) > 1e-3:
+            if abs(w - round(w)) > INTEGER_ATOL:
                 raise ContourError(
                     f"winding {w:.6f} not integer-consistent", contact=True)
             return int(round(w))
@@ -547,88 +545,75 @@ def _strip_box_root(ev, model, settings, l, chi_cal, hy):
         f"index {l}: strip box holds {cnt} zeros that no half-box isolates")
 
 
-def _find_disk_zeros(f, radius, expected, settings):
-    """All zeros of f in |z| <= radius by rectangle subdivision.
+def _find_disk_zeros(f, pts, expected, settings):
+    """All zeros of f inside the circle pts from f's values on it.
 
-    f is analytic; `expected` is the verified circle count. Returns a
-    list of (root, multiplicity).
+    pts is the closed circle count_zeros verified (m equispaced points
+    and the first one again, centre c, radius R) and `expected` its
+    count N. In the scaled variable w = (z - c) / R the Delves-Lyness
+    moments s_k = sum_i w_i^k come from g = log f - N log w by the
+    trapezoid rule: s_k = -(k / 2 pi i) oint w^(k-1) g dw
+    = -k mean(w^k g). The rank of the Hankel matrix H_0 = [s_(i+j)] is
+    the number of distinct zeros, the pencil (H_1, H_0) gives them, and
+    a Vandermonde fit to s_0..s_(N-1) their multiplicities. Simple zeros
+    are polished by Newton; a multiple one keeps its pencil value.
+    Returns a list of (root, multiplicity).
     """
-    found = []
-    min_size = max(radius * 1e-6, 1e-9)
-
-    def rect_count(x0, x1, y0, y1):
-        pts = rect_contour(x0, x1, y0, y1, m=8)
-        cnt, _ = count_zeros(f, pts)
-        return cnt
-
-    def recurse(x0, x1, y0, y1, depth):
-        # ignore rectangles fully outside the disk
-        nearest_x = min(abs(x0), abs(x1)) if x0 * x1 > 0 else 0.0
-        nearest_y = min(abs(y0), abs(y1)) if y0 * y1 > 0 else 0.0
-        if np.hypot(nearest_x, nearest_y) > radius:
-            return
-        try:
-            cnt = rect_count(x0, x1, y0, y1)
-        except ContourError:
-            cnt = None
-        if cnt == 0:
-            return
-        size = max(x1 - x0, y1 - y0)
-        if cnt == 1:
-            try:
-                root, fr = _newton(f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)),
-                                   settings.newton_tol)
-                if x0 - 1e-9 <= root.real <= x1 + 1e-9 and \
-                   y0 - 1e-9 <= root.imag <= y1 + 1e-9:
-                    found.append((root, 1))
-                    return
-            except RootSearchError:
-                pass
-        if size < min_size:
-            found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)),
-                          cnt if cnt else 1))
-            return
-        if depth > MAX_SUBDIVISION_DEPTH:
-            raise RootSearchError("subdivision depth exhausted in the disk "
-                                  "sweep")
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        # quadrisection with slight jitter to dodge on-edge zeros
-        j = 1e-3 * size
-        recurse(x0, xm + j, y0, ym + j, depth + 1)
-        recurse(xm + j, x1, y0, ym + j, depth + 1)
-        recurse(x0, xm + j, ym + j, y1, depth + 1)
-        recurse(xm + j, x1, ym + j, y1, depth + 1)
-
     if expected == 0:
         return []
-    R = radius * 1.0001
-    recurse(-R, R, -R, R, 0)
-    # dedupe
-    uniq = []
-    for root, mult in found:
-        if abs(root) > radius:
-            continue
-        for i, (r0, m0) in enumerate(uniq):
-            if abs(root - r0) < 1e-7 * max(1.0, abs(r0)):
-                break
-        else:
-            uniq.append((root, mult))
-    if sum(m for _, m in uniq) != expected:
+    pts = np.asarray(pts, dtype=complex)[:-1]
+    c = np.mean(pts)
+    R = abs(pts[0] - c)
+    w = (pts - c) / R
+    vals = np.array([complex(f(z)) for z in pts])
+    phase = np.unwrap(np.angle(np.append(vals, vals[0])))
+    turns = (phase[-1] - phase[0]) / (2 * np.pi)
+    if round(turns) != expected:
+        raise RootSearchError(f"phase of f closes at {turns:.6f} turns on "
+                              f"the disk circle, count says {expected}")
+    g = np.log(np.abs(vals)) + 1j * (phase[:-1]
+                                     - expected * np.unwrap(np.angle(w)))
+    k = np.arange(1, 2 * expected)
+    s = np.concatenate([[expected], -k * np.mean(w ** k[:, None] * g, axis=1)])
+    idx = np.add.outer(np.arange(expected), np.arange(expected))
+    U, sig, Vh = np.linalg.svd(s[idx])
+    rank = int(np.count_nonzero(sig > PENCIL_RANK_RTOL * sig[0]))
+    U, Vh = U[:, :rank], Vh[:rank]
+    pencil = (U.conj().T @ s[idx + 1] @ Vh.conj().T) / sig[:rank, None]
+    roots = np.linalg.eigvals(pencil)
+    vander = roots[None, :] ** np.arange(expected)[:, None]
+    mult = np.linalg.lstsq(vander, s[:expected], rcond=None)[0]
+    mult_int = np.rint(mult.real).astype(int)
+    if (np.max(np.abs(mult - mult_int)) > INTEGER_ATOL
+            or np.any(mult_int < 1) or mult_int.sum() != expected):
         raise RootSearchError(
-            f"disk sweep found {sum(m for _, m in uniq)} zeros, circle count "
-            f"says {expected}")
-    return uniq
+            f"disk moments give multiplicities {np.round(mult, 6)}, circle "
+            f"count says {expected}")
+    found = []
+    for wr, mu in zip(roots, mult_int):
+        root = c + R * complex(wr)
+        if mu == 1:
+            root, _ = _newton(f, root, settings.newton_tol)
+        if abs(root - c) >= R:
+            raise RootSearchError(f"disk root {root:.9g} lies outside the "
+                                  f"counting circle")
+        if any(abs(root - r0) <= DEDUPE_TOL * max(1.0, abs(r0))
+               for r0, _ in found):
+            raise RootSearchError(f"disk roots coincide at {root:.9g}")
+        found.append((root, int(mu)))
+    return found
 
 
 def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
                        settings: SpectrumSettings = None) -> SpectrumResult:
     """Eigenvalues with global numbering, indices l_min..l_max.
 
-    Stage 1 counts and locates every zero inside a disk whose radius
-    sits midway between model rings (plain determinant, rectangle
-    subdivision); the count pins the integer part of chi. Stage 2 walks
-    one strip box per remaining index, counts by winding, refines by
-    Newton, and records the remainder against the calibrated model.
+    Stage 1 counts every zero inside a circle whose radius sits midway
+    between model rings (plain determinant) and locates them from the
+    contour moments of the circle values the count made; the count pins
+    the integer part of chi. Stage 2 walks one strip box per remaining
+    index, counts by winding, refines by Newton, and records the
+    remainder against the calibrated model.
     """
     settings = settings or SpectrumSettings()
     model = asymptotic_model(problem.n, problem.boundary.r,
@@ -648,9 +633,9 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     def f_lam(lam):
         return ev.delta(lam)
 
-    n_low, _ = count_zeros(f_lam, disk_contour(0.0, lam_radius,
-                                                m=max(64, 16 * L_A)))
-    low = _find_disk_zeros(f_lam, lam_radius, n_low, settings)
+    n_low, circle = count_zeros(f_lam, disk_contour(0.0, lam_radius,
+                                                     m=max(64, 16 * L_A)))
+    low = _find_disk_zeros(f_lam, circle, n_low, settings)
     # canonical normalized roots, sorted by |lambda| then arg
     low_data = []
     for root, mult in low:

@@ -215,6 +215,24 @@ class TestCompareCommand:
         chat = [line for line in out.split("\n") if line.startswith("re_c_hat")][0]
         assert float(chat.split(",")[1]) == 0.0
 
+    def test_roundoff_difference_prints_as_identical(self, tmp_path):
+        # i_0 = 1: a constant sigma_0 enters only through its zero
+        # derivative, so the two spectra agree to round-off and the pair
+        # prints what identical configs print, not a decay fitted to noise
+        def doc(sigma0):
+            return {"order": {"n": 3}, "indices": {"i": [1, 0]},
+                    "coefficients": [
+                        {"type": "constant", "value": [sigma0, 0.0]},
+                        {"type": "constant", "value": [1.162460835876506, 0.0]}],
+                    "boundary": {"r": 1, "left": [{"p": 0}],
+                                 "right": [{"p": 0}, {"p": 1}]},
+                    "settings": {"l_min": 1, "l_max": 6}}
+        a = write(tmp_path, doc(0.7286771607850271), "a.json")
+        b = write(tmp_path, doc(0.37), "b.json")
+        code, out, err = run(["compare", a, b])
+        assert code == 0
+        assert (code, out, err) == run(["compare", a, a])
+
     def test_boundary_mismatch_in_window_refused(self, tmp_path):
         # n = 4, sigma_1 differs: d = 2 pins u_{s, p_s} of every form;
         # u_2 of the p = 2 form differs, so the pair is refused

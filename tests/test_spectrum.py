@@ -90,6 +90,11 @@ class TestBoundaryData:
         assert boundary_form(BoundaryForm(0, 2), col) == 5.0
         assert boundary_form(BoundaryForm(0, 2, u=(10.0, 100.0)), col) == \
             pytest.approx(5.0 + 20.0 + 300.0)
+        # a matrix (one column per solution) gives one row
+        mat = np.outer(col, [1.0, -1.0j])
+        np.testing.assert_array_equal(
+            boundary_form(BoundaryForm(0, 2, u=(10.0, 100.0)), mat),
+            np.array([325.0, -325.0j]))
 
     def test_problem_requires_one_operator(self):
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0))
@@ -334,7 +339,7 @@ class TestClusterHandling:
     def test_double_zero_reported_with_multiplicity(self):
         from quasispec.spectrum import _find_disk_zeros
         f = lambda z: (z - 0.4 - 0.1j) ** 2 * (z + 1.2)
-        out = _find_disk_zeros(f, 2.0, expected=3,
+        out = _find_disk_zeros(f, disk_contour(0.0, 2.0), expected=3,
                                settings=SpectrumSettings())
         out.sort(key=lambda t: t[0].real)
         assert out[0][1] == 1 and abs(out[0][0] + 1.2) < 1e-8
@@ -344,12 +349,62 @@ class TestClusterHandling:
         from quasispec.spectrum import _find_disk_zeros
         roots = [0.3, -0.5 + 0.4j, 0.9j]
         f = lambda z: np.prod([z - r for r in roots])
-        out = _find_disk_zeros(f, 1.5, expected=3,
+        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3,
                                settings=SpectrumSettings())
         assert len(out) == 3
         for r, m in out:
             assert m == 1
             assert min(abs(r - rr) for rr in roots) < 1e-9
+
+    def test_near_coalescing_pair_stays_two_simple_zeros(self):
+        # a pair 1e-2 apart: two simple zeros, not one double one
+        from quasispec.spectrum import _find_disk_zeros
+        roots = [0.3, 0.31, -0.5j]
+        f = lambda z: np.prod([z - r for r in roots])
+        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3,
+                               settings=SpectrumSettings())
+        assert sorted(m for _, m in out) == [1, 1, 1]
+        for rr in roots:
+            assert min(abs(r - rr) for r, _ in out) < 1e-9
+
+    def test_zero_on_the_counting_circle(self):
+        # the count dilates its circle off the zero at z = 1; the dilated
+        # circle it returns yields both zeros
+        from quasispec.spectrum import _find_disk_zeros
+        roots = [1.0, -0.3 + 0.2j]
+        f = lambda z: (z - roots[0]) * (z - roots[1])
+        given = disk_contour(0.0, 1.0)
+        cnt, pts = count_zeros(f, given)
+        assert cnt == 2 and not np.array_equal(pts, given)
+        out = _find_disk_zeros(f, pts, cnt, settings=SpectrumSettings())
+        assert sorted(m for _, m in out) == [1, 1]
+        for rr in roots:
+            assert min(abs(r - rr) for r, _ in out) < 1e-9
+
+    def test_disk_sweep_reuses_the_circle(self, monkeypatch):
+        # n = 3 with a quadratic sigma_1: every low-disk zero costs the
+        # circle's integrations plus a few Newton evaluations
+        from quasispec import spectrum
+        s1 = P([0.0, 1.0], [[0.48, 0.33, -0.054]])
+        forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
+        prob = ProblemSpec(boundary=BoundarySpec(1, forms),
+                           expression=ExpressionSpec(3, (1, 0), (P.zero(), s1)))
+        calls, circle = [], []
+        integrate, count = spectrum.integrate_fundamental, spectrum.count_zeros
+
+        def counted_integrate(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        def counted_count(f, pts):
+            circle.append(len(pts) - 1)
+            return count(f, pts)
+
+        monkeypatch.setattr(spectrum, "integrate_fundamental", counted_integrate)
+        monkeypatch.setattr(spectrum, "count_zeros", counted_count)
+        res = locate_eigenvalues(prob, l_max=1)
+        assert res.n_low >= 1 and len(circle) == 1
+        assert len(calls) <= circle[0] + 4 * res.n_low
 
     def test_two_zeros_split_across_strip_box_refused(self):
         # one zero in each half of the box: no single root may stand in
