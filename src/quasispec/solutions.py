@@ -7,6 +7,13 @@ its compiled piece table. Every piece uses the sixth-order three-node
 Magnus scheme; on a constant piece the three nodes agree, the scheme
 reduces to exp(h M) exactly, and one step spans the piece.
 
+The stepper works in batches. Every interval's step count is checked
+against the budget before any step is taken. An interval's steps then
+run in chunks of at most CHUNK_STEPS: the piece table is read once at
+all Gauss nodes of the chunk, the Omegas are formed as stacked arrays,
+one stacked `expm` exponentiates them, and a pairwise product tree
+joins the exponentials, later step on the left, into one factor.
+
 Large |rho| work is *not* done here; the exponentially factored
 integral-equation solver in `birkhoff` owns that regime.
 """
@@ -38,6 +45,8 @@ MAGNUS_RTOL = 1e-11
 LAMBDA_MAX = 1e12
 # most Magnus steps one integration may take
 MAX_STEPS = 500_000
+# most Magnus steps one stacked expm takes; bounds the batch's memory
+CHUNK_STEPS = 4096
 # factor on the step-count estimate
 STEP_SAFETY = 2.0
 # uniform grid points of the residual_norm check
@@ -129,19 +138,46 @@ def closed_form_zero_coeff(n, lam, x, switch=1.0):
 def _comm(a, b):
     return a @ b - b @ a
 
-def _magnus6_step(table, lam_mat, a, h):
-    """One sixth-order Magnus step over [a, a+h] for M(x) = F(x) + Lambda,
-    F read from its piece table."""
-    ts = a + h * _GL3
-    A1, A2, A3 = np.moveaxis(table(ts), -1, 0) + lam_mat
+
+def _magnus6_omegas(table, lam_mat, ts, h):
+    """Sixth-order Magnus exponents Omega of a batch of steps of length h
+    for M(x) = F(x) + Lambda, F read from its piece table.
+
+    ts holds each step's three Gauss nodes, shape (k, 3); the result is
+    the stack of k exponents, shape (k, n, n).
+    """
+    A1, A2, A3 = np.moveaxis(table(ts), (3, 2), (0, 1)) + lam_mat
     al1 = h * A2
     al2 = (np.sqrt(15) / 3.0) * h * (A3 - A1)
     al3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
     C1 = _comm(al1, al2)
     C2 = (-1.0 / 60.0) * _comm(al1, 2.0 * al3 + C1)
-    Om = (al1 + al3 / 12.0
-          + _comm(-20.0 * al1 - al3 + C1, al2 + C2) / 240.0)
-    return expm(Om)
+    return (al1 + al3 / 12.0
+            + _comm(-20.0 * al1 - al3 + C1, al2 + C2) / 240.0)
+
+
+def _ordered_product(E):
+    """E[k-1] @ ... @ E[0] of a (k, n, n) stack by a pairwise product
+    tree: log2 k batched matmuls, the later factor on the left."""
+    while len(E) > 1:
+        pairs = E[1::2] @ E[:-1:2]
+        E = np.concatenate((pairs, E[-1:])) if len(E) % 2 else pairs
+    return E[0]
+
+
+def _step_counts(table, grid, rho_scale):
+    """Magnus steps of each grid interval, as floats: one on a constant
+    piece, else STEP_SAFETY * sL * (sL / MAGNUS_RTOL)^(1/6) for the
+    interval length L and the dynamics scale s = max(1, |lambda|^(1/n),
+    sup|F| on the piece)."""
+    # the grid holds every breakpoint, so each midpoint is inside a piece
+    piece = np.searchsorted(table.breakpoints, 0.5 * (grid[:-1] + grid[1:]),
+                            side="right") - 1
+    sL = np.fmax(np.fmax(1.0, rho_scale), table.scale[piece]) * np.diff(grid)
+    # a scale near the float limit gives inf steps, which exhaust the budget
+    with np.errstate(over="ignore"):
+        steps = np.ceil(STEP_SAFETY * sL * (sL / MAGNUS_RTOL) ** (1.0 / 6.0))
+    return np.where(table.constant[piece], 1.0, np.fmax(1.0, steps))
 
 
 def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
@@ -150,7 +186,14 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     Step points always include every coefficient breakpoint. Each piece
     takes sixth-order Magnus steps, their count chosen from the dynamics
     scale max(|lambda|^(1/n), sup|F|) and MAGNUS_RTOL; a piece on which F
-    is constant takes one step, which is the exact exp(M (b - a)).
+    is constant takes one step, which is the exact exp(M (b - a)). The
+    step counts of all intervals are checked against MAX_STEPS before any
+    step is taken.
+
+    An interval's steps run in chunks of at most CHUNK_STEPS: one read of
+    the piece table at every Gauss node of the chunk, the chunk's Omegas
+    as stacked arrays, one stacked `expm`, and a pairwise product tree
+    that joins the exponentials into one factor applied to C.
     """
     lam = complex(lam)
     n = F.n
@@ -166,32 +209,26 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValidationError("grid", "grid must span [0, 1]")
     lam_mat = _lambda_matrix(n, lam)
-    rho_scale = abs(lam) ** (1.0 / n)
+    counts = _step_counts(table, grid, abs(lam) ** (1.0 / n))
+    over = np.flatnonzero(np.cumsum(counts) > MAX_STEPS)
+    if over.size:
+        raise IntegrationError("step budget exhausted", x=grid[over[0]])
+    counts = counts.astype(int)
 
     values = np.zeros((len(grid), n, n), dtype=complex)
     C = np.eye(n, dtype=complex)
     values[0] = C
-    total_steps = 0
-    for gi in range(len(grid) - 1):
-        a, b = grid[gi], grid[gi + 1]
-        # the grid holds every breakpoint, so the midpoint is inside a piece
-        piece = int(np.searchsorted(bp, 0.5 * (a + b), side="right") - 1)
-        L = b - a
-        if table.constant[piece]:
-            nsteps = 1
-        else:
-            s = max(1.0, rho_scale, table.scale[piece])
-            nsteps = max(1, int(np.ceil(
-                STEP_SAFETY * (s * L) * ((s * L) / MAGNUS_RTOL) ** (1.0 / 6.0))))
-        total_steps += nsteps
-        if total_steps > MAX_STEPS:
-            raise IntegrationError("step budget exhausted", x=a)
-        h = L / nsteps
+    for gi, nsteps in enumerate(counts):
+        a = grid[gi]
+        h = (grid[gi + 1] - a) / nsteps
         # coefficients near the float limit overflow to inf or nan, which
         # the determinant's finiteness checks report as a typed failure
         with np.errstate(over="ignore", invalid="ignore"):
-            for q in range(nsteps):
-                C = _magnus6_step(table, lam_mat, a + q * h, h) @ C
+            for q0 in range(0, nsteps, CHUNK_STEPS):
+                q = np.arange(q0, min(q0 + CHUNK_STEPS, nsteps))
+                ts = (a + q * h)[:, None] + h * _GL3
+                E = expm(_magnus6_omegas(table, lam_mat, ts, h))
+                C = _ordered_product(E) @ C
         values[gi + 1] = C
     return FundamentalMatrix(lam=lam, grid=grid, values=values)
 
@@ -211,21 +248,15 @@ def residual_norm(F: AssociatedMatrix, fm: FundamentalMatrix):
     xs, vals = fm2.grid, fm2.values
     # uniform sub-grid for stencils
     xu = np.linspace(0.0, 1.0, RESIDUAL_POINTS)
-    Cu = np.array([vals[np.searchsorted(xs, t)] for t in xu])
+    Cu = vals[np.searchsorted(xs, xu)]
     h = xu[1] - xu[0]
     w = np.array([-1, 9, -45, 0, 45, -9, 1]) / 60.0
-    lam_mat = _lambda_matrix(n, fm.lam)
-    Ms = F.evaluate(xu) + lam_mat
-    total = 0.0
-    count = 0
-    for i in range(3, len(xu) - 3):
-        if np.min(np.abs(bp - xu[i])) < 3.5 * h:
-            continue
-        dC = sum(w[j] * Cu[i - 3 + j] for j in range(7)) / h
-        R = dC - Ms[i] @ Cu[i]
-        total += float(np.max(np.abs(R)))
-        count += 1
-    return total / max(count, 1)
+    m = len(xu) - 6
+    dC = sum(w[j] * Cu[j:j + m] for j in range(7)) / h
+    Ms = F.evaluate(xu[3:-3]) + _lambda_matrix(n, fm.lam)
+    R = np.max(np.abs(dC - Ms @ Cu[3:-3]), axis=(1, 2))
+    keep = np.min(np.abs(bp[:, None] - xu[3:-3]), axis=0) >= 3.5 * h
+    return float(np.sum(R[keep])) / max(int(np.sum(keep)), 1)
 
 
 def condensation_index(rhos):

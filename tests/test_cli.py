@@ -169,6 +169,18 @@ class TestSpectrumCommand:
         assert proc.stderr == ("numerical failure: determinant is not finite "
                                "on the contour\n")
 
+    @pytest.mark.parametrize("slope", [3e6, 1e300])
+    def test_step_budget_is_numerical_failure(self, tmp_path, slope):
+        # sigma_1 = 0.5 + slope x asks the low-disk circle for more Magnus
+        # steps than MAX_STEPS (at 1e300, an infinite count); the budget
+        # is refused before any step
+        doc = third_order_doc()
+        doc["coefficients"][1] = {"type": "piecewise_poly", "breakpoints": [0.0, 1.0],
+                                  "coeffs": [[[0.5, 0.0], [slope, 0.0]]], "class": "L2"}
+        code, _, err = run(["spectrum", write(tmp_path, doc)])
+        assert code == 3
+        assert err == "numerical failure: step budget exhausted (at x=0)\n"
+
     def test_lf_endings_and_decimal_point(self, tmp_path):
         _, out, _ = run(["spectrum", write(tmp_path, dirichlet_doc())])
         assert "\r" not in out

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from quasispec import solutions
+from quasispec.errors import IntegrationError
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import ExpressionSpec, build_associated_matrix, zero_expression
 from quasispec.solutions import (
+    _GL3,
     _lambda_matrix,
-    _magnus6_step,
+    _magnus6_omegas,
+    _step_counts,
     closed_form_zero_coeff,
     condensation_index,
     integrate_fundamental,
@@ -95,17 +100,70 @@ class TestIntegrateFundamental:
         lam_mat = _lambda_matrix(2, -180.0)
 
         def propagate(nsteps):
-            h = 1.0 / nsteps
-            C = np.eye(2, dtype=complex)
-            for q in range(nsteps):
-                C = _magnus6_step(F.table, lam_mat, q * h, h) @ C
-            return C
+            return magnus_steps(F, lam_mat, 0.0, 1.0 / nsteps, nsteps,
+                                np.eye(2, dtype=complex))
 
         ref = propagate(512)
         err_n = np.max(np.abs(propagate(16) - ref))
         err_2n = np.max(np.abs(propagate(32) - ref))
         assert err_n / err_2n >= 2 ** 5
         assert err_2n < 1e-7
+
+    @pytest.mark.parametrize("chunk", [solutions.CHUNK_STEPS, 7])
+    @pytest.mark.parametrize("lam_abs", [11.0, 221.0, 3e4])
+    def test_batched_matches_sequential(self, monkeypatch, chunk, lam_abs):
+        # chunked stacked expm and product tree against one expm per
+        # step, applied in order; chunk 7 crosses chunk boundaries and
+        # leaves odd stacks in the product tree
+        monkeypatch.setattr(solutions, "CHUNK_STEPS", chunk)
+        F = build(3, (1, 0), two_piece_quadratic())
+        lam = lam_abs * np.exp(0.7j)
+        fm = integrate_fundamental(F, lam, grid=np.linspace(0, 1, 9))
+        np.testing.assert_allclose(
+            fm.values, sequential_reference(F, lam, fm.grid),
+            rtol=0, atol=1e-12 * np.max(np.abs(fm.values)))
+
+    def test_stacked_expm_calls(self, monkeypatch):
+        # at |lambda| = 3e4 the quadratic piece takes ~5,800 steps: two
+        # stacked calls on it, then one for the constant piece
+        s1 = P([0, 0.8, 1], [[0.5, 1.0, -2.0], [1.0]])
+        F = build(3, (1, 0), (P.zero(), s1))
+        lam = 3e4
+        sizes = []
+
+        def counted(A):
+            sizes.append(len(A))
+            return expm(A)
+
+        monkeypatch.setattr(solutions, "expm", counted)
+        fm = integrate_fundamental(F, lam)
+        counts = _step_counts(F.table, fm.grid, lam ** (1 / 3)).astype(int)
+        chunk = solutions.CHUNK_STEPS
+        expected = []
+        for nsteps in counts:
+            full, rest = divmod(int(nsteps), chunk)
+            expected += [chunk] * full + [rest] * (rest > 0)
+        assert counts[0] > chunk and counts[1] == 1
+        assert sizes == expected
+
+    def test_step_budget_checked_before_integrating(self, monkeypatch):
+        # each piece fits MAX_STEPS alone, the two together do not
+        s1 = P([0, 0.5, 1], [[0.0, 1400.0], [700.0, 1400.0]])
+        F = build(3, (1, 0), (P.zero(), s1))
+
+        def no_expm(A):
+            raise AssertionError("expm called before the budget check")
+
+        monkeypatch.setattr(solutions, "expm", no_expm)
+        with pytest.raises(IntegrationError) as info:
+            integrate_fundamental(F, 10.0)
+        assert str(info.value) == "step budget exhausted (at x=0.5)"
+        assert info.value.x == 0.5
+
+    def test_lambda_cap(self):
+        F = build_associated_matrix(zero_expression(3))
+        with pytest.raises(IntegrationError, match="direct-integration cap"):
+            integrate_fundamental(F, 1.0001 * solutions.LAMBDA_MAX * 1j)
 
     def test_breakpoints_in_grid(self):
         s0 = P([0, 0.37, 1], [[1.0], [2.0]])
@@ -119,7 +177,52 @@ class TestIntegrateFundamental:
         F = build(3, (1, 0), (s0, s1))
         lam = -25.0 + 4j
         fm = integrate_fundamental(F, lam)
-        assert residual_norm(F, fm) < 1e-6 * (1 + abs(lam))
+        value = residual_norm(F, fm)
+        assert value < 1e-6 * (1 + abs(lam))
+        assert value == pytest.approx(residual_loop(F, lam), rel=1e-14)
+
+
+def two_piece_quadratic():
+    """sigma_0 = 0, sigma_1 a quadratic on each of [0, 0.4] and [0.4, 1]."""
+    return (P.zero(), P([0, 0.4, 1], [[0.5, -1.0, 2.0], [1.5, 0.3, -0.8]]))
+
+
+def magnus_steps(F, lam_mat, a, h, nsteps, C):
+    """C after nsteps Magnus steps of length h from a: one expm per
+    step, applied in order."""
+    ts = (a + np.arange(nsteps) * h)[:, None] + h * _GL3
+    for om in _magnus6_omegas(F.table, lam_mat, ts, h):
+        C = expm(om) @ C
+    return C
+
+
+def sequential_reference(F, lam, grid):
+    """C on the grid, one Magnus step at a time."""
+    lam_mat = _lambda_matrix(F.n, lam)
+    counts = _step_counts(F.table, grid, abs(lam) ** (1 / F.n)).astype(int)
+    out = [np.eye(F.n, dtype=complex)]
+    for a, b, nsteps in zip(grid[:-1], grid[1:], counts):
+        out.append(magnus_steps(F, lam_mat, a, (b - a) / nsteps, nsteps, out[-1]))
+    return np.array(out)
+
+
+def residual_loop(F, lam):
+    """residual_norm as a loop over the uniform points."""
+    bp = F.breakpoints()
+    x = np.linspace(0.0, 1.0, solutions.RESIDUAL_POINTS)
+    fm = integrate_fundamental(F, lam, grid=np.union1d(x, bp))
+    Cu = np.array([fm.values[np.searchsorted(fm.grid, t)] for t in x])
+    h = x[1] - x[0]
+    w = np.array([-1, 9, -45, 0, 45, -9, 1]) / 60.0
+    Ms = F.evaluate(x) + _lambda_matrix(F.n, lam)
+    total, count = 0.0, 0
+    for i in range(3, len(x) - 3):
+        if np.min(np.abs(bp - x[i])) < 3.5 * h:
+            continue
+        dC = sum(w[j] * Cu[i - 3 + j] for j in range(7)) / h
+        total += float(np.max(np.abs(dC - Ms[i] @ Cu[i])))
+        count += 1
+    return total / max(count, 1)
 
 
 def test_condensation_index():
