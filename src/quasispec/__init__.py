@@ -27,10 +27,10 @@ from .birkhoff import (  # noqa: F401
     BirkhoffSolution, birkhoff_fss, upsilon, upsilon_d,
 )
 from .spectrum import (  # noqa: F401
-    BoundaryForm, BoundarySpec, ProblemSpec, SpectralDatum, SpectrumSettings,
-    SpectrumResult, boundary_form, char_delta, char_delta_bullet,
-    delta_derivative, count_zeros, disk_contour, rect_contour,
-    locate_eigenvalues, weight_numbers,
+    BoundaryForm, BoundarySpec, ProblemSpec, SpectralDatum, SpectrumResult,
+    boundary_form, char_delta, char_delta_bullet, delta_derivative,
+    count_zeros, disk_contour, rect_contour, locate_eigenvalues,
+    weight_numbers,
 )
 from .asymptotics import (  # noqa: F401
     AsymptoticModel, asymptotic_model, extract_remainders, chi1_fit,

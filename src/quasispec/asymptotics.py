@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # a pair difference at or below this share of |rho_l| is round-off (the
-# accuracy newton_tol gives a located root) and counts as zero
+# accuracy spectrum.NEWTON_RTOL gives a located root) and counts as zero
 ROUNDOFF_RTOL = 1e-12
 
 

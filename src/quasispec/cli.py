@@ -35,12 +35,11 @@ from .spectrum import (
     BoundaryForm,
     BoundarySpec,
     ProblemSpec,
-    SpectrumSettings,
     locate_eigenvalues,
     weight_numbers,
 )
 
-__all__ = ["main", "parse_config", "problem_from_config"]
+__all__ = ["main", "problem_from_config"]
 
 
 # ---------------------------------------------------------------------------
@@ -96,108 +95,97 @@ def _coefficient_from(doc, field):
     raise ValidationError(field, f"unknown coefficient type {kind!r}")
 
 
-def parse_config(doc):
-    """Validate a config document; returns the normalized document.
+def _expression_from(doc, n):
+    indices = _get(_get(doc, "indices", "indices", "object"), "i", "indices.i",
+                   "list")
+    if len(indices) != n - 1:
+        raise ValidationError("indices.i", f"expected {n - 1} entries")
+    indices = tuple(_check(i, f"indices.i[{nu}]", "integer")
+                    for nu, i in enumerate(indices))
+    coeffs = _get(doc, "coefficients", "coefficients", "list")
+    if len(coeffs) != n - 1:
+        raise ValidationError("coefficients", f"expected {n - 1} entries")
+    return ExpressionSpec(n, indices, tuple(
+        _coefficient_from(c, f"coefficients[{i}]") for i, c in enumerate(coeffs)))
 
-    Raises ValidationError with a field path on any violation of the
-    document's shape or types; building the actual problem (and the
-    checks on coefficient documents) happens in problem_from_config.
+
+def _matrix_from(doc, n):
+    raw = _get(doc, "raw_matrix", "raw_matrix", "object")
+    entries = _get(raw, "entries", "raw_matrix.entries", "list")
+    if len(entries) != n:
+        raise ValidationError("raw_matrix.entries", f"need {n} rows")
+    rows = []
+    for a, row in enumerate(entries):
+        if len(_check(row, f"raw_matrix.entries[{a}]", "list")) != n:
+            raise ValidationError(f"raw_matrix.entries[{a}]", f"need {n} columns")
+        rows.append(tuple(_coefficient_from(e, f"raw_matrix.entries[{a}][{b}]")
+                          for b, e in enumerate(row)))
+    return AssociatedMatrix(n, tuple(rows))
+
+
+def _form_from(fd, side, field, p_key, u_key):
+    """The BoundaryForm of one form document {p_key: order, u_key: [u_j]}."""
+    _check(fd, field, "object")
+    p = _get(fd, p_key, f"{field}.{p_key}", "integer")
+    us = _get(fd, u_key, f"{field}.{u_key}", "list", required=False) or ()
+    return BoundaryForm(side, p, tuple(
+        _complex_from(u, f"{field}.{u_key}[{j}]") for j, u in enumerate(us)),
+        field=f"{field}.{u_key}")
+
+
+def _boundary_from(doc, n):
+    b = _get(doc, "boundary", "boundary", "object")
+    r = _get(b, "r", "boundary.r", "integer")
+    forms = []
+    for side, key in enumerate(("left", "right")):
+        for s, fd in enumerate(_get(b, key, f"boundary.{key}", "list")):
+            forms.append(_form_from(fd, side, f"boundary.{key}[{s}]", "p", "u"))
+    if len(b["left"]) != r:
+        raise ValidationError("boundary.left", "left form count must equal r")
+    if len(forms) != n:
+        raise ValidationError("boundary", f"need {n} forms total")
+    weight = None
+    if "weight_form" in doc:
+        weight = _form_from(doc["weight_form"], 0, "weight_form", "p0", "u0")
+    return BoundarySpec(r, tuple(forms), weight)
+
+
+def problem_from_config(doc):
+    """The ProblemSpec of a config document.
+
+    Sections are read in the order order, operator (coefficients or
+    raw_matrix), boundary, weight_form, and each field is type-checked
+    once, where it is read; a violation raises ValidationError naming the
+    field's path in the document. settings are read by _settings_from.
     """
     _check(doc, "config", "object")
     n = _get(_get(doc, "order", "order", "object"), "n", "order.n", "integer")
     if n < 2:
         raise ValidationError("order.n", "order must be an integer >= 2")
-    has_coeffs = "coefficients" in doc
-    has_raw = "raw_matrix" in doc
-    if has_coeffs == has_raw:
+    if ("coefficients" in doc) == ("raw_matrix" in doc):
         raise ValidationError(
             "coefficients", "exactly one of coefficients / raw_matrix required")
-    if has_coeffs:
-        indices = _get(_get(doc, "indices", "indices", "object"), "i", "indices.i",
-                       "list")
-        if len(indices) != n - 1:
-            raise ValidationError("indices.i", f"expected {n - 1} entries")
-        for nu, i in enumerate(indices):
-            _check(i, f"indices.i[{nu}]", "integer")
-        if len(_get(doc, "coefficients", "coefficients", "list")) != n - 1:
-            raise ValidationError("coefficients", f"expected {n - 1} entries")
-    else:
-        _get(doc, "raw_matrix", "raw_matrix", "object")
-    b = _get(doc, "boundary", "boundary", "object")
-    r = _get(b, "r", "boundary.r", "integer")
-    for side in ("left", "right"):
-        for s, fd in enumerate(_get(b, side, f"boundary.{side}", "list")):
-            _check(fd, f"boundary.{side}[{s}]", "object")
-            _get(fd, "p", f"boundary.{side}[{s}].p", "integer")
-            _get(fd, "u", f"boundary.{side}[{s}].u", "list", required=False)
-    if len(b["left"]) != r:
-        raise ValidationError("boundary.left", "left form count must equal r")
-    if len(b["left"]) + len(b["right"]) != n:
-        raise ValidationError("boundary", f"need {n} forms total")
-    if "weight_form" in doc:
-        wd = _get(doc, "weight_form", "weight_form", "object")
-        _get(wd, "p0", "weight_form.p0", "integer")
-        _get(wd, "u0", "weight_form.u0", "list", required=False)
-    settings = _get(doc, "settings", "settings", "object", required=False) or {}
-    for key, kind in (("l_min", "integer"), ("l_max", "integer"),
-                      ("tol", "number")):
-        _get(settings, key, f"settings.{key}", kind, required=False)
-    if settings.get("kappa") is not None:
-        _check(settings["kappa"], "settings.kappa", "integer")
-    return doc
-
-
-def problem_from_config(doc):
-    """Build the ProblemSpec (validating everything on the way)."""
-    doc = parse_config(doc)
-    n = doc["order"]["n"]
     if "coefficients" in doc:
-        coeffs = tuple(
-            _coefficient_from(c, f"coefficients[{i}]")
-            for i, c in enumerate(doc["coefficients"]))
-        expr = ExpressionSpec(n, tuple(doc["indices"]["i"]), coeffs)
-        matrix = None
+        expr, matrix = _expression_from(doc, n), None
     else:
-        entries_doc = _get(doc["raw_matrix"], "entries", "raw_matrix.entries", "list")
-        if len(entries_doc) != n:
-            raise ValidationError("raw_matrix.entries", f"need {n} rows")
-        rows = []
-        for a, row in enumerate(entries_doc):
-            if len(_check(row, f"raw_matrix.entries[{a}]", "list")) != n:
-                raise ValidationError(f"raw_matrix.entries[{a}]",
-                                      f"need {n} columns")
-            rows.append(tuple(
-                _coefficient_from(e, f"raw_matrix.entries[{a}][{bb}]")
-                for bb, e in enumerate(row)))
-        expr = None
-        matrix = AssociatedMatrix(n, tuple(rows))
-    b = doc["boundary"]
-    forms = []
-    for side, key in enumerate(("left", "right")):
-        for s, fd in enumerate(b[key]):
-            forms.append(BoundaryForm(side, fd["p"], tuple(
-                _complex_from(u, f"boundary.{key}[{s}].u[{j}]")
-                for j, u in enumerate(fd.get("u", ())))))
-    weight = None
-    if "weight_form" in doc:
-        wd = doc["weight_form"]
-        weight = BoundaryForm(0, wd["p0"], tuple(
-            _complex_from(u, f"weight_form.u0[{j}]")
-            for j, u in enumerate(wd.get("u0", ()))))
-    boundary = BoundarySpec(b["r"], tuple(forms), weight)
-    return ProblemSpec(boundary=boundary, expression=expr, matrix=matrix)
+        expr, matrix = None, _matrix_from(doc, n)
+    return ProblemSpec(boundary=_boundary_from(doc, n), expression=expr,
+                       matrix=matrix)
 
 
 def _settings_from(doc, args):
-    """(l_min, l_max, SpectrumSettings) from the config, flags overriding."""
-    s = dict(doc.get("settings", {}))
-    for key, flag in (("tol", args.tol), ("l_min", args.lmin),
-                      ("l_max", args.lmax), ("kappa", args.kappa)):
-        if flag is not None:
-            s[key] = flag
-    settings = SpectrumSettings(kappa=s.get("kappa"),
-                                newton_tol=float(s.get("tol", 1e-12)))
-    return int(s.get("l_min", 1)), int(s.get("l_max", 10)), settings
+    """(l_min, l_max, kappa) from the config's settings, flags overriding.
+
+    kappa may be null (the model picks its sector); other keys are ignored.
+    """
+    s = _get(doc, "settings", "settings", "object", required=False) or {}
+    for key in ("l_min", "l_max"):
+        _get(s, key, f"settings.{key}", "integer", required=False)
+    if s.get("kappa") is not None:
+        _check(s["kappa"], "settings.kappa", "integer")
+    return (s.get("l_min", 1) if args.lmin is None else args.lmin,
+            s.get("l_max", 10) if args.lmax is None else args.lmax,
+            s.get("kappa") if args.kappa is None else args.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +206,7 @@ def _emit(lines, out):
 
 def cmd_matrix(doc, args, out, err):
     problem = problem_from_config(doc)
+    _settings_from(doc, args)  # a malformed setting is refused here too
     x = args.x
     if not 0.0 <= x <= 1.0:
         raise ValidationError("x", "evaluation point must lie in [0, 1]")
@@ -237,9 +226,8 @@ def cmd_matrix(doc, args, out, err):
 
 def _locate(doc, args):
     problem = problem_from_config(doc)
-    l_min, l_max, settings = _settings_from(doc, args)
-    res = locate_eigenvalues(problem, l_max=l_max, l_min=l_min,
-                             settings=settings)
+    l_min, l_max, kappa = _settings_from(doc, args)
+    res = locate_eigenvalues(problem, l_max=l_max, l_min=l_min, kappa=kappa)
     return problem, res
 
 
@@ -274,9 +262,9 @@ def cmd_weights(doc, args, out, err):
 
 def cmd_asymptotics(doc, args, out, err):
     problem = problem_from_config(doc)
-    l_min, l_max, settings = _settings_from(doc, args)
+    l_min, l_max, kappa = _settings_from(doc, args)
     model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list, kappa=settings.kappa)
+                             problem.boundary.p_list, kappa=kappa)
     lines = ["name,re,im"]
     for name, v in (("c1", model.c1), ("c2", model.c2), ("chi", model.chi),
                     ("growth", complex(model.growth)),
@@ -308,7 +296,9 @@ def _infer_nu0(ea: ExpressionSpec, eb: ExpressionSpec):
 
 def cmd_compare(doc_a, doc_b, args, out, err):
     pa = problem_from_config(doc_a)
+    l_min, l_max, kappa = _settings_from(doc_a, args)
     pb = problem_from_config(doc_b)
+    _settings_from(doc_b, args)  # checked like a's, but a's are the ones used
     if pa.expression is None or pb.expression is None:
         raise ConfigurationError("compare requires expression-mode configs")
     nu0 = _infer_nu0(pa.expression, pb.expression)
@@ -319,9 +309,8 @@ def cmd_compare(doc_a, doc_b, args, out, err):
     d, N_d, N_d0 = compute_d(pa.expression, pb.expression, nu0)
     check_boundary_match([(f.p, f.u) for f in pa.boundary.forms],
                          [(f.p, f.u) for f in pb.boundary.forms], d)
-    l_min, l_max, settings = _settings_from(doc_a, args)
-    ra = locate_eigenvalues(pa, l_max=l_max, l_min=l_min, settings=settings)
-    rb = locate_eigenvalues(pb, l_max=l_max, l_min=l_min, settings=settings)
+    ra = locate_eigenvalues(pa, l_max=l_max, l_min=l_min, kappa=kappa)
+    rb = locate_eigenvalues(pb, l_max=l_max, l_min=l_min, kappa=kappa)
     pc = pair_difference(ra.data, rb.data, d,
                          l_range=(max(l_min, 2), l_max), N_d=N_d, N_d0=N_d0)
     lines = ["name,value"]
@@ -343,9 +332,9 @@ def cmd_compare(doc_a, doc_b, args, out, err):
 
 def cmd_birkhoff(doc, args, out, err):
     problem = problem_from_config(doc)
-    _, _, settings = _settings_from(doc, args)
+    _, _, kappa = _settings_from(doc, args)
     model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list, kappa=settings.kappa)
+                             problem.boundary.p_list, kappa=kappa)
     system = conjugate_system(problem.F, model.frame)
     rhos = []
     for tok in args.rho:
@@ -388,7 +377,6 @@ def _build_parser():
         prog="quasispec",
         description="Spectral data of higher-order BVPs with "
                     "distribution coefficients")
-    ap.add_argument("--tol", type=float, default=None)
     ap.add_argument("--lmin", type=int, default=None)
     ap.add_argument("--lmax", type=int, default=None)
     ap.add_argument("--kappa", type=int, default=None)

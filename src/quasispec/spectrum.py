@@ -21,7 +21,8 @@ centered on the calibrated prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "BoundarySpec",
     "ProblemSpec",
     "SpectralDatum",
-    "SpectrumSettings",
     "SpectrumResult",
     "boundary_form",
     "char_delta",
@@ -67,45 +67,53 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundaryForm:
-    """One linear form y^[p](x0) + sum_j u_j y^[j-1](x0), x0 in {0, 1}."""
+    """One linear form y^[p](x0) + sum_j u_j y^[j-1](x0), x0 in {0, 1}.
+
+    field names the u list in a validation error.
+    """
 
     side: int  # 0 or 1
     p: int
     u: tuple = ()
+    field: InitVar[str] = "boundary.u"
 
-    def __post_init__(self):
+    def __post_init__(self, field):
         if self.side not in (0, 1):
             raise ValidationError("boundary.side", "endpoint must be 0 or 1")
         if len(self.u) > self.p:
-            raise ValidationError("boundary.u", "more coefficients than the "
+            raise ValidationError(field, "more coefficients than the "
                                   "form order admits")
         object.__setattr__(self, "u", tuple(complex(v) for v in self.u))
 
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """r forms at x = 0, n - r at x = 1, optional weight form at x = 0."""
+    """r forms at x = 0, n - r at x = 1, optional weight form at x = 0.
+
+    A validation error names form s as boundary.left[s] (s < r) or
+    boundary.right[s - r], as a config document lists them.
+    """
 
     r: int
     forms: tuple
     weight: BoundaryForm | None = None
 
     def __post_init__(self):
-        n = len(self.forms)
-        if not 1 <= self.r <= n - 1:
+        n, r = len(self.forms), self.r
+        if not 1 <= r <= n - 1:
             raise ValidationError("boundary.r", f"need 1 <= r <= {n - 1}")
         for s, f in enumerate(self.forms):
-            want = 0 if s < self.r else 1
+            want = 0 if s < r else 1
+            path = f"boundary.left[{s}]" if s < r else f"boundary.right[{s - r}]"
             if f.side != want:
-                raise ValidationError(f"boundary.forms[{s}]",
-                                      f"expected side {want}")
+                raise ValidationError(path, f"expected side {want}")
             if not 0 <= f.p <= n - 1:
-                raise ValidationError(f"boundary.forms[{s}].p", "out of range")
-        left = [f.p for f in self.forms[: self.r]]
-        right = [f.p for f in self.forms[self.r:]]
-        if len(set(left)) != len(left) or len(set(right)) != len(right):
-            raise ValidationError("boundary.forms", "orders must be distinct "
-                                  "within each side")
+                raise ValidationError(f"{path}.p", "out of range")
+        left = [f.p for f in self.forms[:r]]
+        for key, ps in (("left", left), ("right", [f.p for f in self.forms[r:]])):
+            if len(set(ps)) != len(ps):
+                raise ValidationError(f"boundary.{key}", "orders must be "
+                                      "distinct within each side")
         if self.weight is not None:
             if self.weight.side != 0:
                 raise ValidationError("weight_form", "weight form lives at x = 0")
@@ -131,7 +139,6 @@ class ProblemSpec:
     boundary: BoundarySpec
     expression: ExpressionSpec | None = None
     matrix: AssociatedMatrix | None = None
-    _built: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if (self.expression is None) == (self.matrix is None):
@@ -147,12 +154,11 @@ class ProblemSpec:
     def n(self):
         return self.boundary.n
 
-    @property
+    @cached_property
     def F(self):
-        if "F" not in self._built:
-            self._built["F"] = (self.matrix if self.matrix is not None
-                                else build_associated_matrix(self.expression))
-        return self._built["F"]
+        """The associated matrix, built once per problem."""
+        return (self.matrix if self.matrix is not None
+                else build_associated_matrix(self.expression))
 
     def is_zero_coefficient(self):
         return not np.tril(self.F.table.nonzero).any()
@@ -197,12 +203,12 @@ DERIVATIVE_RTOL = 1e-9
 DERIVATIVE_START_NODES = 16
 # most Newton steps of one root refinement
 NEWTON_MAX_ITER = 50
-
-
-@dataclass(frozen=True)
-class SpectrumSettings:
-    kappa: int | None = None
-    newton_tol: float = 1e-12
+# Newton stops once a step is below this share of max(1, |z|). That is
+# the noise level of the determinants: a smaller value makes Newton fail
+# to converge (1e-14 does at l <= 14 on the seed-1 strip-n4 benchmark
+# config); a larger one gives up accuracy (1e-6 moves those rho by up to
+# 9.5e-12 relative).
+NEWTON_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +234,6 @@ class DeterminantEvaluator:
         self.model = model
         self.n = problem.n
         self.zero_coeff = problem.is_zero_coefficient()
-        self._system = None
         self._cache = {}
         re_dir = np.real(model.e_dir * model.frame.omegas)
         self.eta = float(np.max(re_dir) - np.min(re_dir))
@@ -279,11 +284,10 @@ class DeterminantEvaluator:
 
     # -- factored route ----------------------------------------------------
 
-    @property
+    @cached_property
     def system(self):
-        if self._system is None:
-            self._system = conjugate_system(self.problem.F, self.model.frame)
-        return self._system
+        """The conjugated system of the factored route, built on first use."""
+        return conjugate_system(self.problem.F, self.model.frame)
 
     def _z_pair(self, rho):
         """(z(0), z(1)) for the factored boundary matrix."""
@@ -470,7 +474,7 @@ def delta_derivative(f, lam0, radius):
         "non-analytic point or another zero")
 
 
-def _newton(f, z0, tol):
+def _newton(f, z0):
     z = complex(z0)
     fz = complex(f(z))
     for _ in range(NEWTON_MAX_ITER):
@@ -481,7 +485,7 @@ def _newton(f, z0, tol):
         step = fz / der
         z = z - step
         fz = complex(f(z))
-        if abs(step) <= tol * max(1.0, abs(z)):
+        if abs(step) <= NEWTON_RTOL * max(1.0, abs(z)):
             return z, fz
     raise RootSearchError(f"Newton failed to converge near {z0}")
 
@@ -502,7 +506,7 @@ class SpectrumResult:
         return iter(self.data)
 
 
-def _strip_box_root(ev, model, settings, l, chi_cal, hy):
+def _strip_box_root(ev, model, l, chi_cal, hy):
     """Count-verify and refine the zero for one strip index."""
     growth = model.growth
     pred = growth * (l + chi_cal)
@@ -526,7 +530,7 @@ def _strip_box_root(ev, model, settings, l, chi_cal, hy):
             f"index {l}: no zero found near prediction {pred:.6g}")
     cnt, used_hy = box
     if cnt == 1:
-        root, _ = _newton(fstrip, pred, settings.newton_tol)
+        root, _ = _newton(fstrip, pred)
         return root, 1
     # cluster: a root is returned only when one half-box holds all cnt zeros
     for sgn in (-1, 1):
@@ -538,14 +542,13 @@ def _strip_box_root(ev, model, settings, l, chi_cal, hy):
         except ContourError:
             continue
         if c2 == cnt:
-            root, _ = _newton(fstrip, complex(cx + sgn * 0.25 * growth, cy),
-                              settings.newton_tol)
+            root, _ = _newton(fstrip, complex(cx + sgn * 0.25 * growth, cy))
             return root, c2
     raise RootSearchError(
         f"index {l}: strip box holds {cnt} zeros that no half-box isolates")
 
 
-def _find_disk_zeros(f, pts, expected, settings):
+def _find_disk_zeros(f, pts, expected):
     """All zeros of f inside the circle pts from f's values on it.
 
     pts is the closed circle count_zeros verified (m equispaced points
@@ -593,7 +596,7 @@ def _find_disk_zeros(f, pts, expected, settings):
     for wr, mu in zip(roots, mult_int):
         root = c + R * complex(wr)
         if mu == 1:
-            root, _ = _newton(f, root, settings.newton_tol)
+            root, _ = _newton(f, root)
         if abs(root - c) >= R:
             raise RootSearchError(f"disk root {root:.9g} lies outside the "
                                   f"counting circle")
@@ -605,7 +608,7 @@ def _find_disk_zeros(f, pts, expected, settings):
 
 
 def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
-                       settings: SpectrumSettings = None) -> SpectrumResult:
+                       kappa=None) -> SpectrumResult:
     """Eigenvalues with global numbering, indices l_min..l_max.
 
     Stage 1 counts every zero inside a circle whose radius sits midway
@@ -613,11 +616,11 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     contour moments of the circle values the count made; the count pins
     the integer part of chi. Stage 2 walks one strip box per remaining
     index, counts by winding, refines by Newton, and records the
-    remainder against the calibrated model.
+    remainder against the calibrated model. kappa picks the model's
+    sector (see asymptotic_model).
     """
-    settings = settings or SpectrumSettings()
     model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list, kappa=settings.kappa)
+                             problem.boundary.p_list, kappa=kappa)
     ev = DeterminantEvaluator(problem, model)
     n = problem.n
     growth = model.growth
@@ -635,7 +638,7 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
 
     n_low, circle = count_zeros(f_lam, disk_contour(0.0, lam_radius,
                                                      m=max(64, 16 * L_A)))
-    low = _find_disk_zeros(f_lam, circle, n_low, settings)
+    low = _find_disk_zeros(f_lam, circle, n_low)
     # canonical normalized roots, sorted by |lambda| then arg
     low_data = []
     for root, mult in low:
@@ -657,7 +660,7 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     # stage 2: per-index strip boxes on the calibrated predictions
     hy = BOX_HALF_HEIGHT_FACTOR * growth
     for l in range(idx, l_max + 1):
-        root, mult = _strip_box_root(ev, model, settings, l, chi_cal, hy)
+        root, mult = _strip_box_root(ev, model, l, chi_cal, hy)
         if data and abs(root - data[-1].rho) < DEDUPE_TOL:
             raise RootSearchError(
                 f"index {l}: duplicated root {root:.9g}; numbering drift")

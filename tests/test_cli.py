@@ -1,9 +1,11 @@
 """CLI: config validation, schemas, determinism, exit codes."""
 
+import argparse
 import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasispec
-from quasispec.cli import main, parse_config, problem_from_config
+from quasispec.cli import _build_parser, main, problem_from_config
+from quasispec.errors import ValidationError
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -66,8 +72,8 @@ class TestConfig:
     def test_both_operator_modes_rejected(self):
         doc = third_order_doc()
         doc["raw_matrix"] = {"entries": []}
-        with pytest.raises(Exception):
-            parse_config(doc)
+        with pytest.raises(ValidationError, match="coefficients"):
+            problem_from_config(doc)
 
     def test_raw_matrix_mode(self):
         # Sturm-Liouville in raw form: f21 = q
@@ -114,8 +120,15 @@ class TestConfig:
         (lambda d: d["coefficients"][1].update(value=[0.0, float("inf")]),
          "coefficients[1].value"),
         (lambda d: d["coefficients"][1].update({"class": "L3"}), "coefficients[1]"),
+        (lambda d: d["boundary"]["right"][0].update(u=[[1.0, 0.0]]),
+         "boundary.right[0].u"),
+        (lambda d: d.update(weight_form={"p0": 1, "u0": [[1.0, 0.0], [2.0, 0.0]]}),
+         "weight_form.u0"),
+        (lambda d: d["boundary"]["right"][1].update(p=7), "boundary.right[1].p"),
+        (lambda d: d["boundary"]["right"][1].update(p=0), "boundary.right"),
     ], ids=["no-p", "left-int", "p-str", "order-int", "no-p0", "l_max-str",
-            "nan-value", "inf-value", "bad-class"])
+            "nan-value", "inf-value", "bad-class", "u-count", "u0-count",
+            "p-range", "p-repeated"])
     def test_malformed_config_is_config_error(self, tmp_path, mutate, field):
         doc = third_order_doc(sigma1=1.0)
         mutate(doc)
@@ -288,6 +301,39 @@ class TestBirkhoffCommand:
         assert err.startswith("config error: rho: ")
 
 
+class TestReadme:
+    """The README's CLI section describes the CLI as it is."""
+
+    def cli_section(self):
+        text = README.read_text(encoding="utf-8")
+        return text[text.index("## CLI"):]
+
+    def test_global_flags_line(self):
+        listed = re.search(r"Global flags `([^`]*)`", self.cli_section()).group(1)
+        options = [opt for action in _build_parser()._actions
+                   for opt in action.option_strings if opt not in ("-h", "--help")]
+        assert listed.split() == options
+
+    def test_example_runs_every_command(self, tmp_path):
+        section = self.cli_section()
+        example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        for name in ("prob.json", "a.json", "b.json"):
+            write(tmp_path, example, name)
+        block = re.search(r"```\n(quasispec .*?)```", section, re.S).group(1)
+        lines = [line.split("#")[0].split() for line in block.splitlines()]
+        commands = next(action.choices for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert [argv[1] for argv in lines] == list(commands)
+        for argv in lines:
+            # --lmax caps the located indices so the walk stays fast; compare
+            # fits its pair over l = 2..5, the fewest it accepts
+            argv = ["--lmax", "5"] + [str(tmp_path / a) if a.endswith(".json")
+                                      else a for a in argv[1:]]
+            code, out, err = run(argv)
+            assert (code, err) == (0, ""), argv
+            assert out
+
+
 def fuzz_base_doc():
     doc = third_order_doc(sigma1=1.0)
     doc["coefficients"][0] = {"type": "piecewise_poly", "breakpoints": [0.0, 0.4, 1.0],
@@ -295,7 +341,7 @@ def fuzz_base_doc():
                               "class": "L2"}
     doc["boundary"]["right"][1]["u"] = [[0.5, 0.0]]
     doc["weight_form"] = {"p0": 2, "u0": [[0.0, 1.0]]}
-    doc["settings"].update(tol=1e-12, kappa=None)
+    doc["settings"].update(kappa=None)
     return doc
 
 

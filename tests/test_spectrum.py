@@ -18,7 +18,6 @@ from quasispec.spectrum import (
     BoundarySpec,
     DeterminantEvaluator,
     ProblemSpec,
-    SpectrumSettings,
     boundary_form,
     char_delta,
     char_delta_bullet,
@@ -339,8 +338,7 @@ class TestClusterHandling:
     def test_double_zero_reported_with_multiplicity(self):
         from quasispec.spectrum import _find_disk_zeros
         f = lambda z: (z - 0.4 - 0.1j) ** 2 * (z + 1.2)
-        out = _find_disk_zeros(f, disk_contour(0.0, 2.0), expected=3,
-                               settings=SpectrumSettings())
+        out = _find_disk_zeros(f, disk_contour(0.0, 2.0), expected=3)
         out.sort(key=lambda t: t[0].real)
         assert out[0][1] == 1 and abs(out[0][0] + 1.2) < 1e-8
         assert out[1][1] == 2 and abs(out[1][0] - (0.4 + 0.1j)) < 1e-5
@@ -349,8 +347,7 @@ class TestClusterHandling:
         from quasispec.spectrum import _find_disk_zeros
         roots = [0.3, -0.5 + 0.4j, 0.9j]
         f = lambda z: np.prod([z - r for r in roots])
-        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3,
-                               settings=SpectrumSettings())
+        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3)
         assert len(out) == 3
         for r, m in out:
             assert m == 1
@@ -361,8 +358,7 @@ class TestClusterHandling:
         from quasispec.spectrum import _find_disk_zeros
         roots = [0.3, 0.31, -0.5j]
         f = lambda z: np.prod([z - r for r in roots])
-        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3,
-                               settings=SpectrumSettings())
+        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3)
         assert sorted(m for _, m in out) == [1, 1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
@@ -376,7 +372,7 @@ class TestClusterHandling:
         given = disk_contour(0.0, 1.0)
         cnt, pts = count_zeros(f, given)
         assert cnt == 2 and not np.array_equal(pts, given)
-        out = _find_disk_zeros(f, pts, cnt, settings=SpectrumSettings())
+        out = _find_disk_zeros(f, pts, cnt)
         assert sorted(m for _, m in out) == [1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
@@ -419,5 +415,5 @@ class TestClusterHandling:
                 return lambda z: (z - zeros[0]) * (z - zeros[1])
 
         with pytest.raises(RootSearchError, match="index 5: .* 2 zeros"):
-            _strip_box_root(TwoZeros(), model, SpectrumSettings(), 5,
-                            model.chi, 0.4 * model.growth)
+            _strip_box_root(TwoZeros(), model, 5, model.chi,
+                            0.4 * model.growth)
