@@ -183,17 +183,46 @@ def extract_remainders(data, model, chi_shift=0):
     return ls, eps, diag
 
 
+def _window(ls, vals, l_range):
+    """(ls, vals) as arrays, cut to the inclusive index window l_range
+    (all of them when l_range is None)."""
+    ls = np.asarray(ls, dtype=float)
+    vals = np.asarray(vals, dtype=complex)
+    if l_range is None:
+        return ls, vals
+    mask = (ls >= l_range[0]) & (ls <= l_range[1])
+    return ls[mask], vals[mask]
+
+
+def _log_slope(ls, vals):
+    """Least-squares slope of log|vals| against log l over the nonzero
+    values. Raises when fewer than 4 remain."""
+    nz = np.abs(vals) > 0
+    if np.count_nonzero(nz) < 4:
+        raise ConfigurationError("exponent fit needs at least 4 nonzero values")
+    A = np.vstack([np.log(ls[nz]), np.ones(np.count_nonzero(nz))]).T
+    sol, *_ = np.linalg.lstsq(A, np.log(np.abs(vals[nz])), rcond=None)
+    return float(sol[0])
+
+
+def _aligned(data_a, data_b, key):
+    """(ls, a-values, b-values) of key(datum) at the indices both data
+    hold and neither key is None, in data_a's order."""
+    by_l = {d.l: key(d) for d in data_b}
+    rows = [(d.l, key(d), by_l.get(d.l)) for d in data_a]
+    rows = [row for row in rows if row[1] is not None and row[2] is not None]
+    ls, va, vb = zip(*rows) if rows else ((), (), ())
+    return (np.asarray(ls, dtype=float), np.asarray(va, dtype=complex),
+            np.asarray(vb, dtype=complex))
+
+
 def chi1_fit(ls, eps, l_range=None):
     """Least-squares fit eps_l ~ chi1 / l over an index window.
 
     Returns (chi1, residual_norm). Raises when fewer than 4 usable
     indices fall in the window.
     """
-    ls = np.asarray(ls, dtype=float)
-    eps = np.asarray(eps, dtype=complex)
-    if l_range is not None:
-        mask = (ls >= l_range[0]) & (ls <= l_range[1])
-        ls, eps = ls[mask], eps[mask]
+    ls, eps = _window(ls, eps, l_range)
     if len(ls) < 4:
         raise ConfigurationError("chi1 fit needs at least 4 indices")
     w = 1.0 / ls
@@ -268,7 +297,6 @@ class PairComparison:
     c_hat: complex
     delta_l: np.ndarray
     slope_fit: float
-    slope_residual: float
 
 
 def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
@@ -278,22 +306,12 @@ def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
     zero. c_hat is the mean of l^d rho_hat_l over the top half of the
     window (consistent since delta_l -> 0); slope_fit is the
     least-squares slope of log|rho_hat_l| against log l over the
-    non-zero differences.
+    non-zero differences, 0 when fewer than 4 differences are non-zero.
     """
-    by_l_b = {d_.l: d_ for d_ in data_b}
-    ls, rh = [], []
-    for da in data_a:
-        db = by_l_b.get(da.l)
-        if db is None:
-            continue
-        diff = da.rho - db.rho
-        ls.append(da.l)
-        rh.append(diff if abs(diff) > ROUNDOFF_RTOL * abs(da.rho) else 0.0)
-    ls = np.asarray(ls, dtype=float)
-    rh = np.asarray(rh, dtype=complex)
-    if l_range is not None:
-        mask = (ls >= l_range[0]) & (ls <= l_range[1])
-        ls, rh = ls[mask], rh[mask]
+    ls, ra, rb = _aligned(data_a, data_b, lambda d_: d_.rho)
+    rh = ra - rb
+    rh[np.abs(rh) <= ROUNDOFF_RTOL * np.abs(ra)] = 0.0
+    ls, rh = _window(ls, rh, l_range)
     if len(ls) < 4:
         raise ConfigurationError("pair difference needs at least 4 aligned indices")
     spacing_guard = 0.45
@@ -306,32 +324,16 @@ def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
     top = ls >= np.median(ls)
     c_hat = complex(np.mean(scaled[top]))
     delta_l = scaled - c_hat
-    nz = np.abs(rh) > 0
-    if np.count_nonzero(nz) >= 4:
-        A = np.vstack([np.log(ls[nz]), np.ones(np.count_nonzero(nz))]).T
-        sol, res, *_ = np.linalg.lstsq(A, np.log(np.abs(rh[nz])), rcond=None)
-        slope = float(sol[0])
-        resid = float(np.sqrt(res[0] / len(ls))) if len(res) else 0.0
-    else:
-        slope, resid = 0.0, 0.0
+    slope = (_log_slope(ls, rh) if np.count_nonzero(np.abs(rh) > 0) >= 4
+             else 0.0)
     return PairComparison(d=d, N_d=tuple(N_d), N_d0=tuple(N_d0), ls=ls,
                           rho_hat=rh, c_hat=c_hat, delta_l=delta_l,
-                          slope_fit=slope, slope_residual=resid)
+                          slope_fit=slope)
 
 
 # ---------------------------------------------------------------------------
 # weight-number asymptotics
 # ---------------------------------------------------------------------------
-
-def _log_slope(ls, vals):
-    mask = np.abs(vals) > 0
-    ls, vals = ls[mask], vals[mask]
-    if len(ls) < 4:
-        raise ConfigurationError("exponent fit needs at least 4 nonzero values")
-    A = np.vstack([np.log(ls), np.ones(len(ls))]).T
-    sol, *_ = np.linalg.lstsq(A, np.log(np.abs(vals)), rcond=None)
-    return float(sol[0]), complex(np.exp(sol[1]))
-
 
 def weight_asymptotics(data, model, p0, l_range=None):
     """Growth-exponent fit of the weight numbers.
@@ -342,12 +344,8 @@ def weight_asymptotics(data, model, p0, l_range=None):
     pts = [(d.l, d.beta) for d in data if d.beta is not None]
     if not pts:
         raise ConfigurationError("no weight numbers present")
-    ls = np.array([p[0] for p in pts], dtype=float)
-    bs = np.array([p[1] for p in pts], dtype=complex)
-    if l_range is not None:
-        mask = (ls >= l_range[0]) & (ls <= l_range[1])
-        ls, bs = ls[mask], bs[mask]
-    expo, _ = _log_slope(ls, bs)
+    ls, bs = _window(*zip(*pts), l_range)
+    expo = _log_slope(ls, bs)
     q = model.n - 1 + p0 - model.p_r
     beta0 = complex(np.mean(bs / ls ** q))
     return expo, beta0
@@ -355,18 +353,7 @@ def weight_asymptotics(data, model, p0, l_range=None):
 
 def weight_pair_difference(data_a, data_b, d, l_range=None):
     """Exponent fit of |beta_l - beta_tilde_l| against log l."""
-    by_l_b = {dd.l: dd for dd in data_b}
-    ls, bh = [], []
-    for da in data_a:
-        db = by_l_b.get(da.l)
-        if db is None or da.beta is None or db.beta is None:
-            continue
-        ls.append(da.l)
-        bh.append(da.beta - db.beta)
-    ls = np.asarray(ls, dtype=float)
-    bh = np.asarray(bh, dtype=complex)
-    if l_range is not None:
-        mask = (ls >= l_range[0]) & (ls <= l_range[1])
-        ls, bh = ls[mask], bh[mask]
-    expo, _ = _log_slope(ls, bh)
+    ls, ba, bb = _aligned(data_a, data_b, lambda dd: dd.beta)
+    ls, bh = _window(ls, ba - bb, l_range)
+    expo = _log_slope(ls, bh)
     return expo, ls, bh

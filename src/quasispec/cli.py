@@ -227,12 +227,11 @@ def cmd_matrix(doc, args, out, err):
 def _locate(doc, args):
     problem = problem_from_config(doc)
     l_min, l_max, kappa = _settings_from(doc, args)
-    res = locate_eigenvalues(problem, l_max=l_max, l_min=l_min, kappa=kappa)
-    return problem, res
+    return locate_eigenvalues(problem, l_max=l_max, l_min=l_min, kappa=kappa)
 
 
 def cmd_spectrum(doc, args, out, err):
-    _, res = _locate(doc, args)
+    res = _locate(doc, args)
     lines = ["l,re_lambda,im_lambda,re_rho,im_rho,re_eps,im_eps,multiplicity"]
     for d in res.data:
         lines.append(",".join([
@@ -247,8 +246,7 @@ def cmd_spectrum(doc, args, out, err):
 
 
 def cmd_weights(doc, args, out, err):
-    problem, res = _locate(doc, args)
-    res = weight_numbers(problem, res)
+    res = weight_numbers(_locate(doc, args))
     lines = ["l,re_beta,im_beta"]
     for d in res.data:
         if d.beta is None:
@@ -309,10 +307,16 @@ def cmd_compare(doc_a, doc_b, args, out, err):
     d, N_d, N_d0 = compute_d(pa.expression, pb.expression, nu0)
     check_boundary_match([(f.p, f.u) for f in pa.boundary.forms],
                          [(f.p, f.u) for f in pb.boundary.forms], d)
+    window = (max(l_min, 2), l_max)
+    if window[1] - window[0] + 1 < 4:
+        raise ValidationError(
+            "--lmax" if args.lmax is not None else "settings.l_max",
+            f"the pair difference fits indices {window[0]}..{window[1]}; "
+            "it needs at least 4")
     ra = locate_eigenvalues(pa, l_max=l_max, l_min=l_min, kappa=kappa)
     rb = locate_eigenvalues(pb, l_max=l_max, l_min=l_min, kappa=kappa)
-    pc = pair_difference(ra.data, rb.data, d,
-                         l_range=(max(l_min, 2), l_max), N_d=N_d, N_d0=N_d0)
+    pc = pair_difference(ra.data, rb.data, d, l_range=window, N_d=N_d,
+                         N_d0=N_d0)
     lines = ["name,value"]
     lines.append(f"d,{d}")
     lines.append("N_d," + ";".join(str(v) for v in N_d))

@@ -8,8 +8,9 @@ relative accuracy) the factored route takes over: the boundary matrix is
 assembled from the integral-equation solution z with every exponential
 extracted analytically, and the determinant is expanded over column
 subsets so all remaining exponentials have non-positive real part. Both
-routes share the same zeros; weight numbers use ratios in which all
-normalization factors cancel exactly.
+routes share the same zeros, and on both the bullet determinant carries
+the plain one's normalization, so weight numbers read the same ratio
+Delta_bullet / Delta off either route.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
@@ -21,7 +22,7 @@ centered on the calibrated prediction.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -201,6 +202,10 @@ CONTOUR_RETRIES = 3
 DERIVATIVE_RTOL = 1e-9
 # first node count of the Cauchy derivative circle (doubled up to 5 times)
 DERIVATIVE_START_NODES = 16
+# points of the lambda-circle each weight number is read from
+RESIDUE_POINTS = 32
+# agreement a weight number's ratio and contour residue must reach
+BETA_CROSS_CHECK_RTOL = 1e-8
 # most Newton steps of one root refinement
 NEWTON_MAX_ITER = 50
 # Newton stops once a step is below this share of max(1, |z|). That is
@@ -304,9 +309,11 @@ class DeterminantEvaluator:
         """Normalized determinant in the strip variable.
 
         det[U rows] = rho^P exp(rho omega*) d_norm with P the sum of the
-        rows' orders, omega* the sum of the top n - r ordered roots, and
-        rho = rho_check * e_dir. All exponentials inside d_norm have
-        non-positive real part up to the strip slack.
+        plain rows' orders (for the bullet rows too, so that the ratio
+        of the two d_norm is Delta_bullet / Delta), omega* the sum of the
+        top n - r ordered roots, and rho = rho_check * e_dir. All
+        exponentials inside d_norm have non-positive real part up to the
+        strip slack.
         """
         model = self.model
         rho = complex(rho_check) * model.e_dir
@@ -328,6 +335,9 @@ class DeterminantEvaluator:
             else:
                 B[bi] = vec @ z1
                 bi += 1
+        if bullet:
+            # the weight row (first at x = 0) stands in for row r
+            T[0] *= rho ** (rows[0].p - model.p_r)
         wstar = np.sum(om[r:])
         sgn_base = sum(range(r + 1, n + 1))
         total = 0.0 + 0.0j
@@ -341,7 +351,7 @@ class DeterminantEvaluator:
 
     # -- region dispatch ---------------------------------------------------
 
-    def box_function(self, outer_radius, bullet=False):
+    def box_function(self, outer_radius):
         """Evaluator in rho_check for one box/contour.
 
         One route per contour (mixing them mid-contour would fake a
@@ -351,9 +361,18 @@ class DeterminantEvaluator:
         """
         model = self.model
         if self.zero_coeff or outer_radius > self.direct_limit:
-            return lambda rc: self.d_norm(rc, bullet=bullet)
-        return lambda rc: self.delta(model.sign * complex(rc) ** self.n,
-                                     bullet=bullet)
+            return self.d_norm
+        return lambda rc: self.delta(model.sign * complex(rc) ** self.n)
+
+    def lambda_function(self, rho_abs):
+        """Evaluator f(lam, bullet=False) in lambda for one weight circle
+        around a root of modulus rho_abs: the plain determinant within
+        the cancellation budget, d_norm at the canonical root beyond."""
+        if rho_abs <= self.direct_limit:
+            return self.delta
+        rho_of_lambda = self.model.rho_of_lambda
+        return lambda lam, bullet=False: self.d_norm(rho_of_lambda(lam),
+                                                     bullet=bullet)
 
 
 def char_delta(problem, lam):
@@ -500,10 +519,8 @@ class SpectrumResult:
     model: AsymptoticModel
     chi_cal: complex
     n_low: int
-    diagnostics: dict
-
-    def __iter__(self):
-        return iter(self.data)
+    # the evaluator that located the roots; weight_numbers reuses its cache
+    evaluator: DeterminantEvaluator = field(compare=False, repr=False)
 
 
 def _strip_box_root(ev, model, l, chi_cal, hy):
@@ -670,95 +687,67 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
                                   eps=complex(eps), multiplicity=mult))
 
     data = [d for d in data if l_min <= d.l <= l_max]
-    diagnostics = {
-        "n_low": n_low,
-        "L_A": L_A,
-        "T_A": T_A,
-        "chi_shift": chi_shift,
-        "direct_limit": ev.direct_limit,
-    }
     return SpectrumResult(data=tuple(data), model=model,
-                          chi_cal=complex(chi_cal), n_low=n_low,
-                          diagnostics=diagnostics)
+                          chi_cal=complex(chi_cal), n_low=n_low, evaluator=ev)
 
 
 # ---------------------------------------------------------------------------
 # weight numbers
 # ---------------------------------------------------------------------------
 
-def weight_numbers(problem: ProblemSpec, result: SpectrumResult,
-                   cross_check_rtol=1e-8) -> SpectrumResult:
+def weight_numbers(result: SpectrumResult) -> SpectrumResult:
     """Attach weight numbers beta_l to the located eigenvalues.
 
-    beta_l is minus the residue of Delta_bullet/Delta at lambda_l; the
-    ratio Delta_bullet(lambda_l) / Delta'(lambda_l) and a contour
-    residue must agree to cross_check_rtol (simple eigenvalues only;
-    multiple ones are skipped with their multiplicity flag left set).
+    beta_l is minus the residue of Delta_bullet/Delta at lambda_l. Each
+    simple eigenvalue gets one lambda-circle of RESIDUE_POINTS points,
+    sampled on one route of the evaluator that located the roots: the
+    plain determinants while |rho_l| <= direct_limit, d_norm at the
+    canonical root beyond. Its radius is 0.3 of the lambda-distance to
+    the nearest other located eigenvalue, at most a quarter spacing
+    (0.25 growth |d lambda / d rho|) and at least 1e-8 max(1, |lambda_l|).
+    The ratio Delta_bullet(lambda_l) / Delta'(lambda_l) and the contour
+    residue, both from those values, must agree to BETA_CROSS_CHECK_RTOL.
+    Multiple eigenvalues are skipped with their multiplicity left set.
     """
-    if problem.boundary.weight is None:
+    ev = result.evaluator
+    if ev.problem.boundary.weight is None:
         raise ConfigurationError("weight numbers need a weight form")
-    model = result.model
-    ev = DeterminantEvaluator(problem, model)
-    n = problem.n
-    p0 = problem.boundary.weight.p
-    p_r = model.p_r
-    rhos = np.array([d.rho for d in result.data], dtype=complex)
+    n, growth = ev.n, result.model.growth
+    lams = np.array([d.lam for d in result.data], dtype=complex)
     out = []
     for i, d in enumerate(result.data):
         if d.multiplicity != 1:
             out.append(d)
             continue
-        gaps = [abs(d.rho - rhos[j]) for j in range(len(rhos)) if j != i]
-        gap = min(gaps) if gaps else model.growth
-        r_rho = max(min(0.3 * gap, 0.25 * model.growth), 1e-4 * model.growth)
-        if abs(d.rho) <= ev.direct_limit and abs(d.rho) > 0:
-            beta_raw, res = _beta_direct(ev, model, d, r_rho)
-        else:
-            beta_raw, res = _beta_strip(ev, model, d, r_rho, p0, p_r)
-        if abs(res - beta_raw) > cross_check_rtol * max(abs(beta_raw), 1e-300):
+        gap = np.min(np.abs(np.delete(lams, i) - d.lam), initial=np.inf)
+        spacing = 0.25 * growth * abs(n * d.rho ** (n - 1))
+        radius = max(min(0.3 * gap, spacing), 1e-8 * max(1.0, abs(d.lam)))
+        ratio, res = _ratio_and_residue(ev.lambda_function(abs(d.rho)),
+                                        d.lam, radius)
+        if abs(res - ratio) > BETA_CROSS_CHECK_RTOL * max(abs(ratio), 1e-300):
             raise RootSearchError(
                 f"index {d.l}: residue cross-check failed "
-                f"({res:.9g} vs {beta_raw:.9g})")
-        out.append(replace(d, beta=-beta_raw))
+                f"({res:.9g} vs {ratio:.9g})")
+        out.append(replace(d, beta=-ratio))
     return replace(result, data=tuple(out))
 
 
-def _beta_direct(ev, model, d, r_rho):
-    """Ratio and contour residue in the lambda plane."""
-    n = model.n
-    dlam = abs(n * model.sign * d.rho ** (n - 1)) if d.rho != 0 else 1.0
-    radius = max(r_rho * dlam, 1e-8 * max(1.0, abs(d.lam)))
-    der = delta_derivative(lambda z: ev.delta(z), d.lam, radius)
-    beta_raw = ev.delta(d.lam, bullet=True) / der
-    m = 64
-    th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-    w = d.lam + radius * np.exp(1j * th)
-    g = np.array([ev.delta(z, bullet=True) / ev.delta(z) for z in w])
-    res = radius * np.mean(g * np.exp(1j * th))
-    return complex(beta_raw), complex(res)
+def _ratio_and_residue(f, lam0, radius):
+    """Delta_bullet(lam0) / Delta'(lam0) and the residue of
+    Delta_bullet / Delta at lam0, from f and f(., bullet=True) on the
+    m = RESIDUE_POINTS points lam0 + radius w_k, w_k = exp(2 pi i k / m).
+    Both rows are read at each point in turn, so the bullet value finds
+    the plain one's solve in the evaluator's cache.
 
-
-def _beta_strip(ev, model, d, r_rho, p0, p_r):
-    """Ratio and contour residue from the factored determinants.
-
-    beta_raw = n (-1)^(n-r) rho^(n-1) (rho e_dir)^(p0 - p_r)
-               * D_bullet_norm / D_norm' at the root (all normalization
-               factors cancel in the ratio).
+    By the trapezoid rule on the circle, Delta_bullet(lam0) is the mean
+    of the bullet values, Delta'(lam0) the mean of the plain values over
+    w_k, divided by radius, and the residue radius times the mean of
+    w_k Delta_bullet / Delta.
     """
-    n = model.n
-    rc = d.rho
-    m = 32
-    th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-    circ = rc + r_rho * np.exp(1j * th)
-    dn = np.array([ev.d_norm(z) for z in circ])
-    dnb = np.array([ev.d_norm(z, bullet=True) for z in circ])
-    # derivative of D_norm at the root (Cauchy)
-    der = np.mean(dn * np.exp(-1j * th)) / r_rho
-    dnb_at = ev.d_norm(rc, bullet=True)
-    front = n * model.sign * rc ** (n - 1) * (rc * model.e_dir) ** (p0 - p_r)
-    beta_raw = front * dnb_at / der
-    # residue of Delta_bullet/Delta in lambda via the rho-circle
-    dlam = n * model.sign * circ ** (n - 1)
-    integrand = (circ * model.e_dir) ** (p0 - p_r) * (dnb / dn) * dlam
-    res = r_rho * np.mean(integrand * np.exp(1j * th))
-    return complex(beta_raw), complex(res)
+    w = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
+    pts = lam0 + radius * w
+    plain, bullet = np.array([(f(z), f(z, bullet=True)) for z in pts]).T
+    der = np.mean(plain / w) / radius
+    ratio = np.mean(bullet) / der
+    res = radius * np.mean(w * bullet / plain)
+    return complex(ratio), complex(res)

@@ -278,6 +278,24 @@ class TestCompareCommand:
         assert err.startswith("config error: pair.boundary[2].u[2]: ")
         assert out == ""
 
+    @pytest.mark.parametrize("flag, field", [(["--lmax", "4"], "--lmax"),
+                                             ([], "settings.l_max")])
+    def test_short_window_refused_before_locating(self, tmp_path, monkeypatch,
+                                                  flag, field):
+        # the fit window 2..4 holds 3 indices: refused naming the field
+        # that set l_max, before either spectrum is located
+        from quasispec import cli
+
+        def locate(*args, **kwargs):
+            raise AssertionError("located a spectrum")
+
+        monkeypatch.setattr(cli, "locate_eigenvalues", locate)
+        a = write(tmp_path, third_order_doc(sigma1=1.0, l_max=4), "a.json")
+        code, out, err = run(flag + ["compare", a, a])
+        assert code == 2
+        assert err.startswith(f"config error: {field}: ")
+        assert out == ""
+
 
 class TestBirkhoffCommand:
     def test_zero_coefficients(self, tmp_path):

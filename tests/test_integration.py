@@ -136,9 +136,8 @@ class TestRawMatrixMode:
         prob_expr = ProblemSpec(
             boundary=bnd,
             expression=ExpressionSpec(2, (0,), (P.constant(-q),)))
-        res_raw = weight_numbers(prob_raw, locate_eigenvalues(prob_raw, l_max=6))
-        res_expr = weight_numbers(prob_expr,
-                                  locate_eigenvalues(prob_expr, l_max=6))
+        res_raw = weight_numbers(locate_eigenvalues(prob_raw, l_max=6))
+        res_expr = weight_numbers(locate_eigenvalues(prob_expr, l_max=6))
         for a, b in zip(res_raw.data, res_expr.data):
             assert abs(a.lam - b.lam) < 1e-9 * max(1.0, abs(a.lam))
             assert abs(a.beta - b.beta) < 1e-8 * abs(a.beta)

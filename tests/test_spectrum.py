@@ -301,7 +301,7 @@ class TestLocate:
 class TestWeights:
     def test_dirichlet_weights(self):
         prob = dirichlet2(weight_p=1)
-        res = weight_numbers(prob, locate_eigenvalues(prob, l_max=15))
+        res = weight_numbers(locate_eigenvalues(prob, l_max=15))
         for d in res.data:
             want = -2.0 * (np.pi * d.l) ** 2
             assert abs(d.beta - want) < 1e-6 * abs(want)
@@ -310,7 +310,7 @@ class TestWeights:
         prob = dirichlet2()
         res = locate_eigenvalues(prob, l_max=3)
         with pytest.raises(ConfigurationError):
-            weight_numbers(prob, res)
+            weight_numbers(res)
 
     def test_direct_and_strip_routes_agree(self):
         # n=4 fixture where both routes are usable at moderate index
@@ -322,16 +322,55 @@ class TestWeights:
                            expression=ExpressionSpec(4, (0, 0, 0), coeffs))
         res = locate_eigenvalues(prob, l_max=4)
         model = res.model
-        from quasispec.spectrum import _beta_direct, _beta_strip
-        ev = DeterminantEvaluator(prob, model)
+        from quasispec.spectrum import _ratio_and_residue
+        ev = res.evaluator
         d = res.data[1]
         assert abs(d.rho) < ev.direct_limit
-        b1, r1 = _beta_direct(ev, model, d, 0.1 * model.growth)
-        b2, r2 = _beta_strip(ev, model, d, 0.1 * model.growth,
-                             p0=2, p_r=model.p_r)
+        radius = 0.1 * model.growth * abs(4 * d.rho ** 3)
+        b1, r1 = _ratio_and_residue(ev.lambda_function(0.0), d.lam, radius)
+        b2, r2 = _ratio_and_residue(ev.lambda_function(np.inf), d.lam, radius)
         assert abs(b1 - b2) < 1e-7 * abs(b1)
         assert abs(r1 - b1) < 1e-8 * abs(b1)
         assert abs(r2 - b2) < 1e-8 * abs(b2)
+
+    def test_weight_at_lambda_zero(self):
+        # y''' = lambda y, y'(0) = y'(1) = y''(1) = 0: the constants make
+        # lambda_1 = 0, a root that a rho-circle would wind n times round
+        forms = (BoundaryForm(0, 1), BoundaryForm(1, 1), BoundaryForm(1, 2))
+        prob = ProblemSpec(boundary=BoundarySpec(1, forms, BoundaryForm(0, 0)),
+                           expression=zero_expression(3))
+        res = weight_numbers(locate_eigenvalues(prob, l_max=4))
+        d = res.data[0]
+        assert abs(d.lam) < 1e-8
+        assert abs(d.beta + 2.0) < 1e-9
+
+    def test_one_circle_of_solves_per_weight(self, monkeypatch):
+        # a weight costs its circle's RESIDUE_POINTS solves, shared by the
+        # plain and bullet rows, on either route
+        from quasispec import spectrum
+        forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
+        prob = ProblemSpec(
+            boundary=BoundarySpec(1, forms, BoundaryForm(0, 1)),
+            expression=ExpressionSpec(3, (1, 0), (P.constant(0.4),
+                                                  P.constant(1.1))))
+        res = locate_eigenvalues(prob, l_max=8)
+        ev = res.evaluator
+        assert any(abs(d.rho) <= ev.direct_limit for d in res.data)
+        assert any(abs(d.rho) > ev.direct_limit for d in res.data)
+        calls = []
+
+        def counted(solve):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return solve(*args, **kwargs)
+            return call
+
+        for name in ("integrate_fundamental", "birkhoff_fss",
+                     "closed_form_zero_coeff"):
+            monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name)))
+        out = weight_numbers(res)
+        assert all(d.beta is not None for d in out.data)
+        assert len(calls) <= spectrum.RESIDUE_POINTS * len(out.data)
 
 
 class TestClusterHandling:
@@ -411,7 +450,7 @@ class TestClusterHandling:
         zeros = (pred - 0.2 * model.growth, pred + 0.2 * model.growth)
 
         class TwoZeros:
-            def box_function(self, outer_radius, bullet=False):
+            def box_function(self, outer_radius):
                 return lambda z: (z - zeros[0]) * (z - zeros[1])
 
         with pytest.raises(RootSearchError, match="index 5: .* 2 zeros"):
