@@ -20,17 +20,15 @@ from .regularization import (  # noqa: F401
 )
 from .sectors import SectorFrame, sector_frame  # noqa: F401
 from .solutions import (  # noqa: F401
-    FundamentalMatrix, closed_form_zero_coeff,
-    integrate_fundamental, residual_norm, condensation_index,
+    FundamentalMatrix, closed_form_zero_coeff, integrate_fundamental,
 )
 from .birkhoff import (  # noqa: F401
     BirkhoffSolution, birkhoff_fss, upsilon, upsilon_d,
 )
 from .spectrum import (  # noqa: F401
     BoundaryForm, BoundarySpec, ProblemSpec, SpectralDatum, SpectrumResult,
-    boundary_form, char_delta, char_delta_bullet, delta_derivative,
-    count_zeros, disk_contour, rect_contour, locate_eigenvalues,
-    weight_numbers,
+    boundary_form, delta_derivative, count_zeros, disk_contour, rect_contour,
+    locate_eigenvalues, weight_numbers,
 )
 from .asymptotics import (  # noqa: F401
     AsymptoticModel, asymptotic_model, extract_remainders, chi1_fit,

@@ -295,7 +295,6 @@ class PairComparison:
     ls: np.ndarray
     rho_hat: np.ndarray
     c_hat: complex
-    delta_l: np.ndarray
     slope_fit: float
 
 
@@ -304,7 +303,7 @@ def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
 
     A difference at round-off level (ROUNDOFF_RTOL |rho_l|) is taken as
     zero. c_hat is the mean of l^d rho_hat_l over the top half of the
-    window (consistent since delta_l -> 0); slope_fit is the
+    window (consistent since l^d rho_hat_l - c_hat -> 0); slope_fit is the
     least-squares slope of log|rho_hat_l| against log l over the
     non-zero differences, 0 when fewer than 4 differences are non-zero.
     """
@@ -323,12 +322,10 @@ def pair_difference(data_a, data_b, d, l_range=None, N_d=(), N_d0=()):
     scaled = ls ** d * rh
     top = ls >= np.median(ls)
     c_hat = complex(np.mean(scaled[top]))
-    delta_l = scaled - c_hat
     slope = (_log_slope(ls, rh) if np.count_nonzero(np.abs(rh) > 0) >= 4
              else 0.0)
     return PairComparison(d=d, N_d=tuple(N_d), N_d0=tuple(N_d0), ls=ls,
-                          rho_hat=rh, c_hat=c_hat, delta_l=delta_l,
-                          slope_fit=slope)
+                          rho_hat=rh, c_hat=c_hat, slope_fit=slope)
 
 
 # ---------------------------------------------------------------------------

@@ -410,9 +410,11 @@ def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ValidationError("config", f"cannot open {path}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON and bytes that are not UTF-8;
+    # nesting past the parser's recursion limit raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ValidationError("config", f"invalid JSON: {exc}") from exc
 
 

@@ -32,8 +32,6 @@ __all__ = [
     "FundamentalMatrix",
     "closed_form_zero_coeff",
     "integrate_fundamental",
-    "residual_norm",
-    "condensation_index",
 ]
 
 # three-node Gauss-Legendre abscissae on [0, 1]
@@ -49,8 +47,6 @@ MAX_STEPS = 500_000
 CHUNK_STEPS = 4096
 # factor on the step-count estimate
 STEP_SAFETY = 2.0
-# uniform grid points of the residual_norm check
-RESIDUAL_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -64,10 +60,6 @@ class FundamentalMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.values.shape[-1])
-
-    @property
-    def at_zero(self):
-        return self.values[0]
 
     @property
     def at_one(self):
@@ -231,45 +223,3 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
                 C = _ordered_product(E) @ C
         values[gi + 1] = C
     return FundamentalMatrix(lam=lam, grid=grid, values=values)
-
-
-def residual_norm(F: AssociatedMatrix, fm: FundamentalMatrix):
-    """Integral of ||C'(x) - (F(x)+Lambda) C(x)|| over [0, 1].
-
-    C is re-integrated on a fine grid (a uniform grid joined with the
-    coefficient breakpoints), and C' is estimated on the uniform points
-    with a seven-point sixth-order central difference, skipping a
-    neighborhood of every breakpoint, where C' genuinely jumps.
-    """
-    n = F.n
-    bp = F.breakpoints()
-    x = np.union1d(np.linspace(0.0, 1.0, RESIDUAL_POINTS), bp)
-    fm2 = integrate_fundamental(F, fm.lam, grid=x)
-    xs, vals = fm2.grid, fm2.values
-    # uniform sub-grid for stencils
-    xu = np.linspace(0.0, 1.0, RESIDUAL_POINTS)
-    Cu = vals[np.searchsorted(xs, xu)]
-    h = xu[1] - xu[0]
-    w = np.array([-1, 9, -45, 0, 45, -9, 1]) / 60.0
-    m = len(xu) - 6
-    dC = sum(w[j] * Cu[j:j + m] for j in range(7)) / h
-    Ms = F.evaluate(xu[3:-3]) + _lambda_matrix(n, fm.lam)
-    R = np.max(np.abs(dC - Ms @ Cu[3:-3]), axis=(1, 2))
-    keep = np.min(np.abs(bp[:, None] - xu[3:-3]), axis=0) >= 3.5 * h
-    return float(np.sum(R[keep])) / max(int(np.sum(keep)), 1)
-
-
-def condensation_index(rhos):
-    """sup over unit annuli of the counting-measure increment.
-
-    A sequence is non-condensing when counts N(t+1) - N(t) stay bounded;
-    the series form of that definition telescopes as written, so the
-    bounded-increment reading is implemented here.
-    """
-    mags = np.sort(np.abs(np.asarray(rhos)))
-    if len(mags) == 0:
-        return 0
-    best = 0
-    for t in range(int(np.floor(mags[-1])) + 1):
-        best = max(best, int(np.sum((mags > t) & (mags <= t + 1))))
-    return best

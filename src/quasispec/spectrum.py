@@ -51,8 +51,6 @@ __all__ = [
     "SpectralDatum",
     "SpectrumResult",
     "boundary_form",
-    "char_delta",
-    "char_delta_bullet",
     "delta_derivative",
     "count_zeros",
     "disk_contour",
@@ -272,8 +270,7 @@ class DeterminantEvaluator:
         def compute():
             if self.zero_coeff:
                 return closed_form_zero_coeff(self.n, lam, np.array([1.0]))[0]
-            return integrate_fundamental(self.problem.F, lam,
-                                         grid=np.array([0.0, 1.0])).at_one
+            return integrate_fundamental(self.problem.F, lam).at_one
         return self._memo(("C1", complex(lam)), compute)
 
     def delta(self, lam, bullet=False):
@@ -373,21 +370,6 @@ class DeterminantEvaluator:
         rho_of_lambda = self.model.rho_of_lambda
         return lambda lam, bullet=False: self.d_norm(rho_of_lambda(lam),
                                                      bullet=bullet)
-
-
-def char_delta(problem, lam):
-    """Delta(lambda) by direct integration (moderate |lambda|)."""
-    model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list)
-    return DeterminantEvaluator(problem, model).delta(lam)
-
-
-def char_delta_bullet(problem, lam):
-    """Delta_bullet(lambda): row r replaced by the weight form, rows in
-    increasing s order (0, 1, ..., n without r)."""
-    model = asymptotic_model(problem.n, problem.boundary.r,
-                             problem.boundary.p_list)
-    return DeterminantEvaluator(problem, model).delta(lam, bullet=True)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +501,8 @@ class SpectrumResult:
     model: AsymptoticModel
     chi_cal: complex
     n_low: int
-    # the evaluator that located the roots; weight_numbers reuses its cache
-    evaluator: DeterminantEvaluator = field(compare=False, repr=False)
+    # the located problem, from which weight_numbers builds its evaluator
+    problem: ProblemSpec = field(compare=False, repr=False)
 
 
 def _strip_box_root(ev, model, l, chi_cal, hy):
@@ -688,7 +670,8 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
 
     data = [d for d in data if l_min <= d.l <= l_max]
     return SpectrumResult(data=tuple(data), model=model,
-                          chi_cal=complex(chi_cal), n_low=n_low, evaluator=ev)
+                          chi_cal=complex(chi_cal), n_low=n_low,
+                          problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -700,18 +683,19 @@ def weight_numbers(result: SpectrumResult) -> SpectrumResult:
 
     beta_l is minus the residue of Delta_bullet/Delta at lambda_l. Each
     simple eigenvalue gets one lambda-circle of RESIDUE_POINTS points,
-    sampled on one route of the evaluator that located the roots: the
-    plain determinants while |rho_l| <= direct_limit, d_norm at the
-    canonical root beyond. Its radius is 0.3 of the lambda-distance to
-    the nearest other located eigenvalue, at most a quarter spacing
+    sampled on one route of a DeterminantEvaluator built here for the
+    result's problem and model: the plain determinants while
+    |rho_l| <= direct_limit, d_norm at the canonical root beyond. Its
+    radius is 0.3 of the lambda-distance to the nearest other located
+    eigenvalue, at most a quarter spacing
     (0.25 growth |d lambda / d rho|) and at least 1e-8 max(1, |lambda_l|).
     The ratio Delta_bullet(lambda_l) / Delta'(lambda_l) and the contour
     residue, both from those values, must agree to BETA_CROSS_CHECK_RTOL.
     Multiple eigenvalues are skipped with their multiplicity left set.
     """
-    ev = result.evaluator
-    if ev.problem.boundary.weight is None:
+    if result.problem.boundary.weight is None:
         raise ConfigurationError("weight numbers need a weight form")
+    ev = DeterminantEvaluator(result.problem, result.model)
     n, growth = ev.n, result.model.growth
     lams = np.array([d.lam for d in result.data], dtype=complex)
     out = []

@@ -34,6 +34,12 @@ def write(tmp_path, doc, name="prob.json"):
     return str(path)
 
 
+def write_bytes(tmp_path, data, name="prob.json"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
 def dirichlet_doc(l_max=3, weight=False):
     doc = {
         "order": {"n": 2},
@@ -104,9 +110,17 @@ class TestConfig:
         assert code == 2
         assert "superdiagonal" in err
 
-    def test_missing_file(self):
-        code, out, err = run(["spectrum", "/nonexistent/conf.json"])
-        assert code == 2
+    def test_missing_file(self, tmp_path):
+        # a missing file, a directory, bytes that are not UTF-8 and nesting
+        # past the JSON parser's recursion limit are config errors
+        paths = ["/nonexistent/conf.json", tmp_path,
+                 write_bytes(tmp_path, b"\xff\xfe{}", "latin.json"),
+                 write_bytes(tmp_path, b"[" * 100_000 + b"]" * 100_000,
+                             "deep.json")]
+        for path in paths:
+            code, out, err = run(["spectrum", str(path)])
+            assert code == 2, path
+            assert err.startswith("config error: config:"), path
 
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d["boundary"]["left"][0].pop("p"), "boundary.left[0].p"),
@@ -320,7 +334,8 @@ class TestBirkhoffCommand:
 
 
 class TestReadme:
-    """The README's CLI section describes the CLI as it is."""
+    """The README's CLI section and library example describe the package
+    as it is."""
 
     def cli_section(self):
         text = README.read_text(encoding="utf-8")
@@ -350,6 +365,14 @@ class TestReadme:
             code, out, err = run(argv)
             assert (code, err) == (0, ""), argv
             assert out
+
+    def test_library_example_runs(self):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+        scope = {}
+        exec(compile(block, str(README), "exec"), scope)
+        want = 1.0 / (2.0 * np.pi ** 2)
+        assert abs(scope["chi1"] - want) < 0.05 * want
 
 
 def fuzz_base_doc():

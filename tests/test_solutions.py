@@ -14,9 +14,7 @@ from quasispec.solutions import (
     _magnus6_omegas,
     _step_counts,
     closed_form_zero_coeff,
-    condensation_index,
     integrate_fundamental,
-    residual_norm,
 )
 
 
@@ -176,10 +174,7 @@ class TestIntegrateFundamental:
         s1 = P([0, 1], [[1.0]])
         F = build(3, (1, 0), (s0, s1))
         lam = -25.0 + 4j
-        fm = integrate_fundamental(F, lam)
-        value = residual_norm(F, fm)
-        assert value < 1e-6 * (1 + abs(lam))
-        assert value == pytest.approx(residual_loop(F, lam), rel=1e-14)
+        assert residual_loop(F, lam) < 1e-6 * (1 + abs(lam))
 
 
 def two_piece_quadratic():
@@ -207,9 +202,14 @@ def sequential_reference(F, lam, grid):
 
 
 def residual_loop(F, lam):
-    """residual_norm as a loop over the uniform points."""
+    """Mean over 257 uniform points of max |C'(x) - (F(x)+Lambda) C(x)|.
+
+    C is integrated on the points joined with the breakpoints, and C' is
+    a seven-point sixth-order central difference; points within 3.5
+    steps of a breakpoint, where C' jumps, are skipped.
+    """
     bp = F.breakpoints()
-    x = np.linspace(0.0, 1.0, solutions.RESIDUAL_POINTS)
+    x = np.linspace(0.0, 1.0, 257)
     fm = integrate_fundamental(F, lam, grid=np.union1d(x, bp))
     Cu = np.array([fm.values[np.searchsorted(fm.grid, t)] for t in x])
     h = x[1] - x[0]
@@ -223,9 +223,3 @@ def residual_loop(F, lam):
         total += float(np.max(np.abs(dC - Ms[i] @ Cu[i])))
         count += 1
     return total / max(count, 1)
-
-
-def test_condensation_index():
-    rhos = np.concatenate([np.arange(1, 30, 0.5), [3.1, 3.2, 3.3]])
-    assert condensation_index(rhos) == 5
-    assert condensation_index([]) == 0

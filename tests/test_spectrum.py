@@ -1,5 +1,8 @@
 """Determinants, winding counts, eigenvalue location, weight numbers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -19,8 +22,6 @@ from quasispec.spectrum import (
     DeterminantEvaluator,
     ProblemSpec,
     boundary_form,
-    char_delta,
-    char_delta_bullet,
     count_zeros,
     delta_derivative,
     disk_contour,
@@ -49,6 +50,14 @@ def third_order(c1=0.0):
     coeffs = (P.zero(), P.constant(c1)) if c1 else (P.zero(), P.zero())
     return ProblemSpec(boundary=BoundarySpec(1, forms),
                        expression=ExpressionSpec(3, (1, 0), coeffs))
+
+
+def char_delta(problem, lam, bullet=False):
+    """Delta(lambda), or Delta_bullet(lambda) with bullet=True, on the
+    direct route of a fresh evaluator."""
+    model = asymptotic_model(problem.n, problem.boundary.r,
+                             problem.boundary.p_list)
+    return DeterminantEvaluator(problem, model).delta(lam, bullet=bullet)
 
 
 def beam_roots(count):
@@ -116,12 +125,14 @@ class TestCharDelta:
     def test_bullet_closed_forms(self):
         # rows (U_0, U_2): determinant equals -C_1(1, lam) = -cosh(sqrt lam)
         prob = dirichlet2(weight_p=1)
-        assert char_delta_bullet(prob, -np.pi ** 2) == pytest.approx(1.0, rel=1e-10)
-        assert char_delta_bullet(prob, 0.0) == pytest.approx(-1.0, rel=1e-10)
+        assert char_delta(prob, -np.pi ** 2, bullet=True) == pytest.approx(
+            1.0, rel=1e-10)
+        assert char_delta(prob, 0.0, bullet=True) == pytest.approx(
+            -1.0, rel=1e-10)
 
     def test_bullet_requires_weight(self):
         with pytest.raises(ConfigurationError):
-            char_delta_bullet(dirichlet2(), 1.0)
+            char_delta(dirichlet2(), 1.0, bullet=True)
 
     def test_factored_route_matches_direct(self):
         # exact identity: Delta * det Y(0) = rho^P exp(rho w*) d_norm,
@@ -262,6 +273,26 @@ class TestLocate:
             if d.l >= 4:
                 assert abs(d.rho - growth * (d.l + 1.0 / 6.0)) < 1e-6
 
+    def test_no_evaluator_outlives_its_stage(self, monkeypatch):
+        # the result carries data and the problem, not the solver state
+        # (determinant caches, conjugated system) of locating or weights
+        from quasispec import spectrum
+        refs = []
+
+        class Recorded(DeterminantEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(spectrum, "DeterminantEvaluator", Recorded)
+        res = locate_eigenvalues(dirichlet2(weight_p=1), l_max=5)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        res = weight_numbers(res)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert all(d.beta is not None for d in res.data)
+
     def test_l_min_filter(self):
         res = locate_eigenvalues(dirichlet2(), l_max=6, l_min=4)
         assert [d.l for d in res.data] == [4, 5, 6]
@@ -323,7 +354,7 @@ class TestWeights:
         res = locate_eigenvalues(prob, l_max=4)
         model = res.model
         from quasispec.spectrum import _ratio_and_residue
-        ev = res.evaluator
+        ev = DeterminantEvaluator(prob, model)
         d = res.data[1]
         assert abs(d.rho) < ev.direct_limit
         radius = 0.1 * model.growth * abs(4 * d.rho ** 3)
@@ -354,7 +385,7 @@ class TestWeights:
             expression=ExpressionSpec(3, (1, 0), (P.constant(0.4),
                                                   P.constant(1.1))))
         res = locate_eigenvalues(prob, l_max=8)
-        ev = res.evaluator
+        ev = DeterminantEvaluator(prob, res.model)
         assert any(abs(d.rho) <= ev.direct_limit for d in res.data)
         assert any(abs(d.rho) > ev.direct_limit for d in res.data)
         calls = []
