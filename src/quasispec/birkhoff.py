@@ -62,6 +62,8 @@ TOL = 1e-12
 MAX_ITER = 60
 # (s, x) grid points per axis of upsilon
 UPSILON_POINTS = 25
+# x grid points of upsilon_d when no grid is given
+UPSILON_D_POINTS = 41
 
 
 def _cheb_nodes_and_diff(q):
@@ -442,16 +444,14 @@ def upsilon(system: ConjugatedSystem, rho):
 
 def upsilon_d(entries, rho, frame, grid=None):
     """max over j != k and x of |integral_{b_jk}^x a_{jk}(t)
-    exp(rho (w_j - w_k)(x - t)) dt| for a matrix of functions."""
+    exp(rho (w_j - w_k)(x - t)) dt| for a matrix of functions, over the
+    x points of grid (UPSILON_D_POINTS equispaced ones when None) and
+    the entries' breakpoints."""
     rho = complex(rho)
     n = frame.n
     om = frame.omegas
-    if grid is None:
-        grid = 41
-    if np.isscalar(grid):
-        tg = np.linspace(0.0, 1.0, int(grid))
-    else:
-        tg = np.asarray(grid, dtype=float)
+    tg = (np.linspace(0.0, 1.0, UPSILON_D_POINTS) if grid is None
+          else np.asarray(grid, dtype=float))
     tg = np.union1d(tg, merge_breakpoints(*(e.breakpoints for row in entries
                                             for e in row)))
     grow = frame.grow_mask

@@ -418,26 +418,26 @@ def _load(path):
         raise ValidationError("config", f"invalid JSON: {exc}") from exc
 
 
+# command -> (handler, the arguments that name its config files)
+_COMMANDS = {
+    "matrix": (cmd_matrix, ("config",)),
+    "spectrum": (cmd_spectrum, ("config",)),
+    "weights": (cmd_weights, ("config",)),
+    "asymptotics": (cmd_asymptotics, ("config",)),
+    "compare": (cmd_compare, ("config_a", "config_b")),
+    "birkhoff": (cmd_birkhoff, ("config",)),
+}
+
+
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_parser()
     args = ap.parse_args(argv)
+    handler, paths = _COMMANDS[args.command]
     try:
-        if args.command == "matrix":
-            return cmd_matrix(_load(args.config), args, out, err)
-        if args.command == "spectrum":
-            return cmd_spectrum(_load(args.config), args, out, err)
-        if args.command == "weights":
-            return cmd_weights(_load(args.config), args, out, err)
-        if args.command == "asymptotics":
-            return cmd_asymptotics(_load(args.config), args, out, err)
-        if args.command == "compare":
-            return cmd_compare(_load(args.config_a), _load(args.config_b),
-                               args, out, err)
-        if args.command == "birkhoff":
-            return cmd_birkhoff(_load(args.config), args, out, err)
-        raise ConfigurationError(f"unknown command {args.command}")
+        docs = [_load(getattr(args, p)) for p in paths]
+        return handler(*docs, args, out, err)
     except (ValidationError, ConfigurationError) as exc:
         err.write(f"config error: {exc}\n")
         return 2

@@ -14,10 +14,12 @@ Delta_bullet / Delta off either route.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
-sits midway between model rings and located from the contour moments of
-the same circle values, the model offset chi is shifted by an integer
-so the counts line up, and every further index gets its own strip box
-centered on the calibrated prediction.
+sits midway between model rings, the model offset chi is shifted by an
+integer so the counts line up, and every further index gets its own
+strip box centered on the calibrated prediction. Every counted contour,
+circle or box, gives its zeros from the contour moments of the values
+its count made, and one loop numbers them in order, each zero taking as
+many indices as its multiplicity.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ LOW_INDEX_COUNT = 4
 BOX_HALF_HEIGHT_FACTOR = 0.4
 # segments per side of a strip box contour
 CONTOUR_POINTS = 6
-# two located roots closer than this signal numbering drift
+# two located rho closer than this share of max(1, |rho|) are one zero
+# found twice
 DEDUPE_TOL = 1e-6
 # singular values of the disk moments' Hankel matrix below this share of
 # the largest are noise; the others count the distinct zeros
@@ -279,7 +282,7 @@ class DeterminantEvaluator:
         ends = (np.eye(self.n), self._fundamental_at_one(lam))
         M = np.array([boundary_form(f, ends[f.side])
                       for f in self._rows(bullet)], dtype=complex)
-        # overflow to inf or nan is reported by _winding's finiteness
+        # overflow to inf or nan is reported by count_zeros' finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
             return complex(np.linalg.det(M))
@@ -395,14 +398,18 @@ def rect_contour(x0, x1, y0, y1, m=16):
     return pts
 
 
-def _winding(f, pts):
-    """Winding number of f along the closed polyline pts.
+def _contour_values(f, pts):
+    """(values, phase steps) of f on the closed polyline pts: f at each
+    point and the change of arg f from each point to the next.
 
-    Segments with phase jumps above 1 radian are refined; a value tiny
-    against the contour median trips ContourError (zero too close), and
-    so does a value, or a ratio of neighbouring values, that is not finite.
+    Segments whose phase step exceeds 1 radian are refined and the step
+    is summed over the refined pieces, so no step jumps a branch. A value
+    tiny against the contour median trips ContourError (zero too close),
+    and so does a value, or a ratio of neighbouring values, that is not
+    finite.
     """
     pts = list(np.asarray(pts, dtype=complex))
+    given = [True] * len(pts)
     vals = [complex(f(z)) for z in pts]
     scale = np.median(np.abs(vals))
     if scale == 0:
@@ -420,18 +427,16 @@ def _winding(f, pts):
         dphi = np.angle(ratios)
         bad = np.nonzero(np.abs(dphi) > 1.0)[0]
         if len(bad) == 0:
-            total = float(np.sum(dphi))
-            w = total / (2 * np.pi)
-            if abs(w - round(w)) > INTEGER_ATOL:
-                raise ContourError(
-                    f"winding {w:.6f} not integer-consistent", contact=True)
-            return int(round(w))
+            keep = np.nonzero(given)[0]
+            phase = np.concatenate([[0.0], np.cumsum(dphi)])
+            return np.array(vals)[keep], np.diff(phase[keep])
         if len(pts) + len(bad) > MAX_CONTOUR_POINTS:
             raise ContourError("contour refinement budget exhausted",
                                contact=True)
         for idx in bad[::-1]:
             mid = 0.5 * (pts[idx] + pts[idx + 1])
             pts.insert(idx + 1, mid)
+            given.insert(idx + 1, False)
             vals.insert(idx + 1, complex(f(mid)))
     raise ContourError("winding did not stabilize", contact=True)
 
@@ -446,7 +451,11 @@ def count_zeros(f, contour_pts):
     centroid = np.mean(pts[:-1])
     for attempt in range(CONTOUR_RETRIES + 1):
         try:
-            return _winding(f, pts), pts
+            w = float(np.sum(_contour_values(f, pts)[1])) / (2 * np.pi)
+            if abs(w - round(w)) > INTEGER_ATOL:
+                raise ContourError(f"winding {w:.6f} not integer-consistent",
+                                   contact=True)
+            return int(round(w)), pts
         except ContourError as exc:
             if not exc.contact or attempt == CONTOUR_RETRIES:
                 raise
@@ -505,103 +514,96 @@ class SpectrumResult:
     problem: ProblemSpec = field(compare=False, repr=False)
 
 
-def _strip_box_root(ev, model, l, chi_cal, hy):
-    """Count-verify and refine the zero for one strip index."""
+def _strip_box_zeros(ev, model, l, chi_cal, hy):
+    """Count the first strip box about index l's prediction that holds a
+    zero, and locate its zeros from the count's contour values: a list
+    of (rho, multiplicity) sorted by real part."""
     growth = model.growth
     pred = growth * (l + chi_cal)
     cx, cy = pred.real, pred.imag
     half = 0.5 * growth
     fstrip = ev.box_function(abs(pred) + half + hy * 4)
-    box = None
     for attempt in range(3):
         pts = rect_contour(cx - half, cx + half, cy - hy * (2 ** attempt),
                            cy + hy * (2 ** attempt), m=CONTOUR_POINTS)
         try:
-            cnt, _ = count_zeros(fstrip, pts)
-        except ContourError as exc:
-            raise RootSearchError(
-                f"index {l}: contour count failed: {exc}") from exc
-        if cnt >= 1:
-            box = (cnt, hy * (2 ** attempt))
-            break
-    if box is None:
-        raise RootSearchError(
-            f"index {l}: no zero found near prediction {pred:.6g}")
-    cnt, used_hy = box
-    if cnt == 1:
-        root, _ = _newton(fstrip, pred)
-        return root, 1
-    # cluster: a root is returned only when one half-box holds all cnt zeros
-    for sgn in (-1, 1):
-        sub = rect_contour(cx + (sgn - 1) * 0.25 * growth,
-                           cx + (sgn + 1) * 0.25 * growth,
-                           cy - used_hy, cy + used_hy, m=CONTOUR_POINTS)
-        try:
-            c2, _ = count_zeros(fstrip, sub)
-        except ContourError:
-            continue
-        if c2 == cnt:
-            root, _ = _newton(fstrip, complex(cx + sgn * 0.25 * growth, cy))
-            return root, c2
+            cnt, pts = count_zeros(fstrip, pts)
+            found = _contour_zeros(fstrip, pts, cnt)
+        except (ContourError, RootSearchError) as exc:
+            raise RootSearchError(f"index {l}: {exc}") from exc
+        if found:
+            return sorted(found, key=lambda t: t[0].real)
     raise RootSearchError(
-        f"index {l}: strip box holds {cnt} zeros that no half-box isolates")
+        f"index {l}: no zero found near prediction {pred:.6g}")
 
 
-def _find_disk_zeros(f, pts, expected):
-    """All zeros of f inside the circle pts from f's values on it.
+def _contour_zeros(f, pts, expected):
+    """All zeros of f inside the closed polyline pts, a contour
+    count_zeros verified with count `expected` = N, as a list of
+    (root, multiplicity).
 
-    pts is the closed circle count_zeros verified (m equispaced points
-    and the first one again, centre c, radius R) and `expected` its
-    count N. In the scaled variable w = (z - c) / R the Delves-Lyness
-    moments s_k = sum_i w_i^k come from g = log f - N log w by the
-    trapezoid rule: s_k = -(k / 2 pi i) oint w^(k-1) g dw
-    = -k mean(w^k g). The rank of the Hankel matrix H_0 = [s_(i+j)] is
-    the number of distinct zeros, the pencil (H_1, H_0) gives them, and
-    a Vandermonde fit to s_0..s_(N-1) their multiplicities. Simple zeros
-    are polished by Newton; a multiple one keeps its pencil value.
-    Returns a list of (root, multiplicity).
+    The values are the count's own (a caching f gives them again without
+    solves), with each phase step summed over the count's refinement so
+    no step jumps a branch. The nodes are the points of pts alone: where
+    refinement changes the step, the trapezoid rule's h^2 error terms
+    stop cancelling. With w = (z - c) / R (c the centroid of pts, R the
+    largest |z - c|) the Delves-Lyness moments s_k = sum_i w_i^k are
+    -(k / 2 pi i) oint w^(k-1) g dw, g = log f - N log w, by the
+    trapezoid rule over the polyline (weights (w_(i+1) - w_(i-1)) / 2)
+    divided by the same rule's value of (1 / 2 pi i) oint dw / w; on an
+    equispaced circle that is the periodic trapezoid rule. The rank of
+    H_0 = [s_(i+j)] counts the distinct zeros and the pencil (H_1, H_0)
+    gives them. At rank N all are simple; below it a Vandermonde fit to
+    s_0..s_(N-1) must give integer multiplicities. Simple zeros are
+    polished by Newton, and every root must wind once inside pts.
     """
     if expected == 0:
         return []
-    pts = np.asarray(pts, dtype=complex)[:-1]
-    c = np.mean(pts)
-    R = abs(pts[0] - c)
+    pts = np.asarray(pts, dtype=complex)
+    vals, dphi = _contour_values(f, pts)
+    c = np.mean(pts[:-1])
+    R = np.max(np.abs(pts - c))
     w = (pts - c) / R
-    vals = np.array([complex(f(z)) for z in pts])
-    phase = np.unwrap(np.angle(np.append(vals, vals[0])))
-    turns = (phase[-1] - phase[0]) / (2 * np.pi)
-    if round(turns) != expected:
-        raise RootSearchError(f"phase of f closes at {turns:.6f} turns on "
-                              f"the disk circle, count says {expected}")
-    g = np.log(np.abs(vals)) + 1j * (phase[:-1]
-                                     - expected * np.unwrap(np.angle(w)))
+    # phase of f / w^N along the polyline, from its steps (the constant
+    # start does not enter the moments)
+    steps = dphi - expected * np.angle(w[1:] / w[:-1])
+    arg = np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    w = w[:-1]
+    g = np.log(np.abs(vals[:-1])) - expected * np.log(np.abs(w)) + 1j * arg
+    dw = 0.5 * (np.roll(w, -1) - np.roll(w, 1))
     k = np.arange(1, 2 * expected)
-    s = np.concatenate([[expected], -k * np.mean(w ** k[:, None] * g, axis=1)])
+    s = np.concatenate([[expected], -k * np.sum(w ** (k[:, None] - 1) * g * dw,
+                                                axis=1) / np.sum(dw / w)])
     idx = np.add.outer(np.arange(expected), np.arange(expected))
     U, sig, Vh = np.linalg.svd(s[idx])
     rank = int(np.count_nonzero(sig > PENCIL_RANK_RTOL * sig[0]))
     U, Vh = U[:, :rank], Vh[:rank]
     pencil = (U.conj().T @ s[idx + 1] @ Vh.conj().T) / sig[:rank, None]
     roots = np.linalg.eigvals(pencil)
-    vander = roots[None, :] ** np.arange(expected)[:, None]
-    mult = np.linalg.lstsq(vander, s[:expected], rcond=None)[0]
+    # on a box the trapezoid rule is second order, too coarse for the fit
+    # to show a pair of simple zeros as multiplicities 1 and 1; at full
+    # rank the zeros are distinct, so simple: Newton polishes each, and
+    # locate_eigenvalues refuses two roots that meet
+    mult = np.ones(rank)
+    if rank < expected:
+        vander = roots[None, :] ** np.arange(expected)[:, None]
+        mult = np.linalg.lstsq(vander, s[:expected], rcond=None)[0]
     mult_int = np.rint(mult.real).astype(int)
     if (np.max(np.abs(mult - mult_int)) > INTEGER_ATOL
             or np.any(mult_int < 1) or mult_int.sum() != expected):
         raise RootSearchError(
-            f"disk moments give multiplicities {np.round(mult, 6)}, circle "
+            f"contour moments give multiplicities {np.round(mult, 6)}, "
             f"count says {expected}")
     found = []
     for wr, mu in zip(roots, mult_int):
         root = c + R * complex(wr)
         if mu == 1:
             root, _ = _newton(f, root)
-        if abs(root - c) >= R:
-            raise RootSearchError(f"disk root {root:.9g} lies outside the "
-                                  f"counting circle")
-        if any(abs(root - r0) <= DEDUPE_TOL * max(1.0, abs(r0))
-               for r0, _ in found):
-            raise RootSearchError(f"disk roots coincide at {root:.9g}")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            turns = np.sum(np.angle((pts[1:] - root) / (pts[:-1] - root)))
+        if not abs(turns / (2 * np.pi) - 1) < 0.5:
+            raise RootSearchError(f"root {root:.9g} lies outside the "
+                                  f"counting contour")
         found.append((root, int(mu)))
     return found
 
@@ -611,10 +613,11 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     """Eigenvalues with global numbering, indices l_min..l_max.
 
     Stage 1 counts every zero inside a circle whose radius sits midway
-    between model rings (plain determinant) and locates them from the
-    contour moments of the circle values the count made; the count pins
-    the integer part of chi. Stage 2 walks one strip box per remaining
-    index, counts by winding, refines by Newton, and records the
+    between model rings (plain determinant); the count pins the integer
+    part of chi. Stage 2 counts one strip box per further index by
+    winding. Both stages locate their zeros from the contour moments of
+    the values their count made. One loop numbers the zeros in order,
+    each advancing the index by its multiplicity, and records the
     remainder against the calibrated model. kappa picks the model's
     sector (see asymptotic_model).
     """
@@ -637,36 +640,30 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
 
     n_low, circle = count_zeros(f_lam, disk_contour(0.0, lam_radius,
                                                      m=max(64, 16 * L_A)))
-    low = _find_disk_zeros(f_lam, circle, n_low)
-    # canonical normalized roots, sorted by |lambda| then arg
-    low_data = []
-    for root, mult in low:
-        rho = model.rho_of_lambda(root) if root != 0 else 0.0
-        low_data.append((abs(root), np.angle(root), root, rho, mult))
-    low_data.sort(key=lambda t: (t[0], t[1]))
+    # sorted by |lambda| then arg, with canonical normalized roots
+    low = sorted(_contour_zeros(f_lam, circle, n_low),
+                 key=lambda t: (abs(t[0]), np.angle(t[0])))
+    pending = [(lam, model.rho_of_lambda(lam) if lam != 0 else 0.0, mult)
+               for lam, mult in low]
+    chi_cal = model.chi + (L_A - n_low)
 
-    chi_shift = L_A - n_low
-    chi_cal = model.chi + chi_shift
-
-    data = []
-    idx = 1
-    for _, _, lam, rho, mult in low_data:
-        eps = rho / growth - idx - chi_cal
-        data.append(SpectralDatum(l=idx, lam=complex(lam), rho=complex(rho),
-                                  eps=complex(eps), multiplicity=mult))
-        idx += mult
-
-    # stage 2: per-index strip boxes on the calibrated predictions
+    # stage 2: one strip box per remaining index on the calibrated
+    # predictions, taken as the numbering reaches it
     hy = BOX_HALF_HEIGHT_FACTOR * growth
-    for l in range(idx, l_max + 1):
-        root, mult = _strip_box_root(ev, model, l, chi_cal, hy)
-        if data and abs(root - data[-1].rho) < DEDUPE_TOL:
-            raise RootSearchError(
-                f"index {l}: duplicated root {root:.9g}; numbering drift")
-        eps = root / growth - l - chi_cal
-        lam = model.sign * root ** n
-        data.append(SpectralDatum(l=l, lam=complex(lam), rho=complex(root),
+    data = []
+    l = 1
+    while pending or l <= l_max:
+        if not pending:
+            pending = [(model.sign * rho ** n, rho, mult) for rho, mult
+                       in _strip_box_zeros(ev, model, l, chi_cal, hy)]
+        lam, rho, mult = pending.pop(0)
+        if any(abs(rho - d.rho) <= DEDUPE_TOL * max(1.0, abs(d.rho))
+               for d in data):
+            raise RootSearchError(f"index {l}: duplicated root {rho:.9g}")
+        eps = rho / growth - l - chi_cal
+        data.append(SpectralDatum(l=l, lam=complex(lam), rho=complex(rho),
                                   eps=complex(eps), multiplicity=mult))
+        l += mult
 
     data = [d for d in data if l_min <= d.l <= l_max]
     return SpectrumResult(data=tuple(data), model=model,

@@ -406,18 +406,18 @@ class TestWeights:
 
 class TestClusterHandling:
     def test_double_zero_reported_with_multiplicity(self):
-        from quasispec.spectrum import _find_disk_zeros
+        from quasispec.spectrum import _contour_zeros
         f = lambda z: (z - 0.4 - 0.1j) ** 2 * (z + 1.2)
-        out = _find_disk_zeros(f, disk_contour(0.0, 2.0), expected=3)
+        out = _contour_zeros(f, disk_contour(0.0, 2.0), expected=3)
         out.sort(key=lambda t: t[0].real)
         assert out[0][1] == 1 and abs(out[0][0] + 1.2) < 1e-8
         assert out[1][1] == 2 and abs(out[1][0] - (0.4 + 0.1j)) < 1e-5
 
     def test_simple_zeros_all_refined(self):
-        from quasispec.spectrum import _find_disk_zeros
+        from quasispec.spectrum import _contour_zeros
         roots = [0.3, -0.5 + 0.4j, 0.9j]
         f = lambda z: np.prod([z - r for r in roots])
-        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3)
+        out = _contour_zeros(f, disk_contour(0.0, 1.5), expected=3)
         assert len(out) == 3
         for r, m in out:
             assert m == 1
@@ -425,10 +425,10 @@ class TestClusterHandling:
 
     def test_near_coalescing_pair_stays_two_simple_zeros(self):
         # a pair 1e-2 apart: two simple zeros, not one double one
-        from quasispec.spectrum import _find_disk_zeros
+        from quasispec.spectrum import _contour_zeros
         roots = [0.3, 0.31, -0.5j]
         f = lambda z: np.prod([z - r for r in roots])
-        out = _find_disk_zeros(f, disk_contour(0.0, 1.5), expected=3)
+        out = _contour_zeros(f, disk_contour(0.0, 1.5), expected=3)
         assert sorted(m for _, m in out) == [1, 1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
@@ -436,13 +436,13 @@ class TestClusterHandling:
     def test_zero_on_the_counting_circle(self):
         # the count dilates its circle off the zero at z = 1; the dilated
         # circle it returns yields both zeros
-        from quasispec.spectrum import _find_disk_zeros
+        from quasispec.spectrum import _contour_zeros
         roots = [1.0, -0.3 + 0.2j]
         f = lambda z: (z - roots[0]) * (z - roots[1])
         given = disk_contour(0.0, 1.0)
         cnt, pts = count_zeros(f, given)
         assert cnt == 2 and not np.array_equal(pts, given)
-        out = _find_disk_zeros(f, pts, cnt)
+        out = _contour_zeros(f, pts, cnt)
         assert sorted(m for _, m in out) == [1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
@@ -472,18 +472,53 @@ class TestClusterHandling:
         assert res.n_low >= 1 and len(circle) == 1
         assert len(calls) <= circle[0] + 4 * res.n_low
 
-    def test_two_zeros_split_across_strip_box_refused(self):
-        # one zero in each half of the box: no single root may stand in
-        # for both, so the index fails instead of dropping a zero
-        from quasispec.spectrum import _strip_box_root
-        model = asymptotic_model(2, 1, (0, 0))
-        pred = model.growth * (5 + model.chi)
-        zeros = (pred - 0.2 * model.growth, pred + 0.2 * model.growth)
+    @staticmethod
+    def strip_zeros(monkeypatch, cluster):
+        # Dirichlet problem whose strip boxes see a polynomial with zeros
+        # at 3 pi, 4 pi, 7 pi, 8 pi and `cluster` in the box of index 5
+        from quasispec import spectrum
+        zeros = np.pi * np.array([3.0, 4.0, *cluster, 7.0, 8.0])
 
-        class TwoZeros:
+        class Moved(DeterminantEvaluator):
             def box_function(self, outer_radius):
-                return lambda z: (z - zeros[0]) * (z - zeros[1])
+                return lambda z: np.prod(z - zeros)
 
-        with pytest.raises(RootSearchError, match="index 5: .* 2 zeros"):
-            _strip_box_root(TwoZeros(), model, 5, model.chi,
-                            0.4 * model.growth)
+        monkeypatch.setattr(spectrum, "DeterminantEvaluator", Moved)
+
+    def test_two_zeros_in_one_strip_box_take_two_indices(self, monkeypatch):
+        self.strip_zeros(monkeypatch, (4.8, 5.2))
+        res = locate_eigenvalues(dirichlet2(), l_max=8)
+        assert [d.l for d in res.data] == list(range(1, 9))
+        assert all(d.multiplicity == 1 for d in res.data)
+        for d, want in zip(res.data[2:], (3, 4, 4.8, 5.2, 7, 8)):
+            assert abs(d.rho - want * np.pi) < 1e-9
+
+    def test_double_zero_in_a_strip_box_refused(self, monkeypatch):
+        # the box's moments take the double zero for two simple ones, and
+        # Newton cannot find two distinct zeros inside the box for them
+        self.strip_zeros(monkeypatch, (5.3, 5.3))
+        with pytest.raises(RootSearchError, match="^index 5: "):
+            locate_eigenvalues(dirichlet2(), l_max=8)
+
+    def test_zero_next_to_a_strip_box_edge(self):
+        # the zero sits 1e-3 spacings inside the right edge, so two
+        # neighbouring box points are more than pi apart in phase: the
+        # phase of the unrefined values closes at 0 turns, not 1
+        from quasispec.spectrum import CONTOUR_POINTS, _strip_box_zeros
+        model = asymptotic_model(2, 1, (0, 0))
+        growth = model.growth
+        pred = growth * (5 + model.chi)
+        zero = pred + (0.499 + 0.07j) * growth
+        f = lambda z: (z - zero) * np.exp(z)
+        pts = rect_contour(pred.real - 0.5 * growth, pred.real + 0.5 * growth,
+                           -0.4 * growth, 0.4 * growth, m=CONTOUR_POINTS)
+        phase = np.unwrap(np.angle([f(z) for z in pts]))
+        assert abs(phase[-1] - phase[0]) < 1e-9
+
+        class Box:
+            def box_function(self, outer_radius):
+                return f
+
+        out = _strip_box_zeros(Box(), model, 5, model.chi, 0.4 * growth)
+        assert len(out) == 1 and out[0][1] == 1
+        assert abs(out[0][0] - zero) < 1e-9
