@@ -15,7 +15,7 @@ from .errors import (  # noqa: F401
 from .piecewise import PiecewisePoly  # noqa: F401
 from .regularization import (  # noqa: F401
     chi_matrix, ExpressionSpec, AssociatedMatrix, build_associated_matrix,
-    diagonal_split, ConjugatedSystem, conjugate_system, s_coefficient,
+    ConjugatedSystem, conjugate_system, s_coefficient,
     diag_correction,
 )
 from .sectors import SectorFrame, sector_frame  # noqa: F401

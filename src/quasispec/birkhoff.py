@@ -395,90 +395,66 @@ class _AnchoredCumulative:
                 - np.exp(exp_at_d) * self.vals[d_idx])
 
 
-def upsilon(system: ConjugatedSystem, rho):
-    """Maximal modulus of the oscillatory kernels v_{jkl}(s, x, rho).
+def _kernel_max(a_pw, j, l, ks, rho, frame, tg, s_idx):
+    """max over k in ks, s = tg[s_idx] and x in tg of |v_jlk(s, x)|, the
+    integral of a_pw(t) exp(rho ((w_l - w_k)(t - s) + (w_j - w_k)(x - t)))
+    over the interval set by which of the pairs (j, k), (l, k) grow in
+    the sector (empty, so v = 0, when its ends are reversed)."""
+    om = frame.omegas
+    grow = frame.grow_mask
+    cum = _AnchoredCumulative(a_pw, rho * (om[l] - om[j]), tg)
+    iS, iX = np.meshgrid(s_idx, np.arange(len(tg)), indexing="ij")
+    S, X = tg[iS], tg[iX]
+    best = 0.0
+    for k in ks:
+        gj, gl = grow[j, k], grow[l, k]
+        # interval ends as index grids
+        valid = True
+        if gj and gl:
+            ci, di = iX, iS
+            valid = S >= X
+        elif gj:
+            ci, di = np.maximum(iX, iS), np.full_like(iX, len(tg) - 1)
+        elif gl:
+            ci, di = np.zeros_like(iX), np.minimum(iX, iS)
+        else:
+            ci, di = iS, iX
+            valid = X >= S
+        tc, td = tg[ci], tg[di]
+        gc = rho * ((om[l] - om[k]) * (tc - S) + (om[j] - om[k]) * (X - tc))
+        gd = rho * ((om[l] - om[k]) * (td - S) + (om[j] - om[k]) * (X - td))
+        v = np.where(valid, cum.segment(ci, di, gc, gd), 0.0)
+        best = max(best, float(np.max(np.abs(v))))
+    return best
 
-    v_{jkl} integrates A_0[j,l] against the two-exponent kernel over the
-    interval determined by which of the pairs (j,k), (l,k) grow in the
-    sector; the maximum runs over all index triples and a product grid
-    in (s, x). A_0 == 0 gives exactly 0.
+
+def upsilon(system: ConjugatedSystem, rho):
+    """Maximal modulus of the oscillatory kernels v_jlk(s, x, rho).
+
+    The maximum of _kernel_max over every nonzero entry A_0[j,l], every
+    k and a product grid in (s, x). A_0 == 0 gives exactly 0.
     """
     rho = complex(rho)
-    frame = system.frame
-    n = system.n
-    om = frame.omegas
     tg = np.union1d(np.linspace(0.0, 1.0, UPSILON_POINTS), system.breakpoints())
-    grow = frame.grow_mask
-    best = 0.0
-    S, X = np.meshgrid(tg, tg, indexing="ij")  # S[s_i, x_j]
-    iS, iX = np.meshgrid(np.arange(len(tg)), np.arange(len(tg)), indexing="ij")
-    for j, l in zip(*np.nonzero(system.table.nonzero[0])):
-        a_pw = system.A[0][j][l]
-        mu = rho * (om[l] - om[j])
-        cum = _AnchoredCumulative(a_pw, mu, tg)
-        for k in range(n):
-            gj, gl = grow[j, k], grow[l, k]
-            sgn = (-1.0 if gj else 1.0) * (-1.0 if gl else 1.0)
-            # interval ends as index grids
-            if gj and gl:
-                ci, di = iX, iS          # (x, s), zero when s < x
-                valid = S >= X
-            elif gj and not gl:
-                ci, di = np.maximum(iX, iS), np.full_like(iX, len(tg) - 1)
-                valid = np.ones_like(S, dtype=bool)
-            elif (not gj) and gl:
-                ci, di = np.zeros_like(iX), np.minimum(iX, iS)
-                valid = np.ones_like(S, dtype=bool)
-            else:
-                ci, di = iS, iX          # (s, x), zero when x < s
-                valid = X >= S
-            tc, td = tg[ci], tg[di]
-            gc = rho * ((om[l] - om[k]) * (tc - S) + (om[j] - om[k]) * (X - tc))
-            gd = rho * ((om[l] - om[k]) * (td - S) + (om[j] - om[k]) * (X - td))
-            v = sgn * cum.segment(ci, di, gc, gd)
-            v = np.where(valid, v, 0.0)
-            m = float(np.max(np.abs(v)))
-            best = max(best, m)
-    return best
+    return max((_kernel_max(system.A[0][j][l], j, l, range(system.n), rho,
+                            system.frame, tg, np.arange(len(tg)))
+                for j, l in zip(*np.nonzero(system.table.nonzero[0]))),
+               default=0.0)
 
 
 def upsilon_d(entries, rho, frame, grid=None):
     """max over j != k and x of |integral_{b_jk}^x a_{jk}(t)
     exp(rho (w_j - w_k)(x - t)) dt| for a matrix of functions, over the
     x points of grid (UPSILON_D_POINTS equispaced ones when None) and
-    the entries' breakpoints."""
+    the entries' breakpoints: the slice s = 0, k = l of _kernel_max,
+    where the interval is (x, 1) when (j, k) grows and (0, x) otherwise.
+    """
     rho = complex(rho)
-    n = frame.n
-    om = frame.omegas
     tg = (np.linspace(0.0, 1.0, UPSILON_D_POINTS) if grid is None
           else np.asarray(grid, dtype=float))
     tg = np.union1d(tg, merge_breakpoints(*(e.breakpoints for row in entries
                                             for e in row)))
-    grow = frame.grow_mask
-    best = 0.0
-    idx = np.arange(len(tg))
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            a_pw = entries[j][k]
-            if a_pw.is_zero():
-                continue
-            # exponent is mu'(x - t) with mu' = rho (w_j - w_k); in the
-            # t-integral that is theta(x) + mu t with mu = -mu'
-            mu_p = rho * (om[j] - om[k])
-            cum = _AnchoredCumulative(a_pw, -mu_p, tg)
-            if grow[j, k]:
-                # b = 1: |integral over (x, 1)|; exponents at ends:
-                # g(x) = 0, g(1) = mu'(x - 1) <= 0 in-sector
-                ci, di = idx, np.full_like(idx, len(tg) - 1)
-                gc = np.zeros(len(tg), dtype=complex)
-                gd = mu_p * (tg - 1.0)
-            else:
-                # b = 0: integral over (0, x); g(0) = mu' x, g(x) = 0
-                ci, di = np.zeros_like(idx), idx
-                gc = mu_p * tg
-                gd = np.zeros(len(tg), dtype=complex)
-            v = cum.segment(ci, di, gc, gd)
-            best = max(best, float(np.max(np.abs(v))))
-    return best
+    return max((_kernel_max(entries[j][k], j, k, (k,), rho, frame, tg, [0])
+                for j in range(frame.n) for k in range(frame.n)
+                if j != k and not entries[j][k].is_zero()),
+               default=0.0)

@@ -204,9 +204,7 @@ def _emit(lines, out):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_matrix(doc, args, out, err):
-    problem = problem_from_config(doc)
-    _settings_from(doc, args)  # a malformed setting is refused here too
+def cmd_matrix(problem, settings, args, out, err):
     x = args.x
     if not 0.0 <= x <= 1.0:
         raise ValidationError("x", "evaluation point must lie in [0, 1]")
@@ -224,14 +222,13 @@ def cmd_matrix(doc, args, out, err):
     return 0
 
 
-def _locate(doc, args):
-    problem = problem_from_config(doc)
-    l_min, l_max, kappa = _settings_from(doc, args)
+def _locate(problem, settings):
+    l_min, l_max, kappa = settings
     return locate_eigenvalues(problem, l_max=l_max, l_min=l_min, kappa=kappa)
 
 
-def cmd_spectrum(doc, args, out, err):
-    res = _locate(doc, args)
+def cmd_spectrum(problem, settings, args, out, err):
+    res = _locate(problem, settings)
     lines = ["l,re_lambda,im_lambda,re_rho,im_rho,re_eps,im_eps,multiplicity"]
     for d in res.data:
         lines.append(",".join([
@@ -245,8 +242,8 @@ def cmd_spectrum(doc, args, out, err):
     return 0
 
 
-def cmd_weights(doc, args, out, err):
-    res = weight_numbers(_locate(doc, args))
+def cmd_weights(problem, settings, args, out, err):
+    res = weight_numbers(_locate(problem, settings))
     lines = ["l,re_beta,im_beta"]
     for d in res.data:
         if d.beta is None:
@@ -258,9 +255,8 @@ def cmd_weights(doc, args, out, err):
     return 0
 
 
-def cmd_asymptotics(doc, args, out, err):
-    problem = problem_from_config(doc)
-    l_min, l_max, kappa = _settings_from(doc, args)
+def cmd_asymptotics(problem, settings, args, out, err):
+    l_min, l_max, kappa = settings
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list, kappa=kappa)
     lines = ["name,re,im"]
@@ -292,11 +288,9 @@ def _infer_nu0(ea: ExpressionSpec, eb: ExpressionSpec):
     return max(top, 1)
 
 
-def cmd_compare(doc_a, doc_b, args, out, err):
-    pa = problem_from_config(doc_a)
-    l_min, l_max, kappa = _settings_from(doc_a, args)
-    pb = problem_from_config(doc_b)
-    _settings_from(doc_b, args)  # checked like a's, but a's are the ones used
+def cmd_compare(pa, settings, pb, _, args, out, err):
+    # b's settings are checked like a's, but a's are the ones used
+    l_min, l_max, kappa = settings
     if pa.expression is None or pb.expression is None:
         raise ConfigurationError("compare requires expression-mode configs")
     nu0 = _infer_nu0(pa.expression, pb.expression)
@@ -334,9 +328,8 @@ def cmd_compare(doc_a, doc_b, args, out, err):
     return 0
 
 
-def cmd_birkhoff(doc, args, out, err):
-    problem = problem_from_config(doc)
-    _, _, kappa = _settings_from(doc, args)
+def cmd_birkhoff(problem, settings, args, out, err):
+    kappa = settings[2]
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list, kappa=kappa)
     system = conjugate_system(problem.F, model.frame)
@@ -418,7 +411,8 @@ def _load(path):
         raise ValidationError("config", f"invalid JSON: {exc}") from exc
 
 
-# command -> (handler, the arguments that name its config files)
+# command -> (handler, the arguments that name its config files); a
+# handler takes each config's problem and settings, then args, out, err
 _COMMANDS = {
     "matrix": (cmd_matrix, ("config",)),
     "spectrum": (cmd_spectrum, ("config",)),
@@ -437,7 +431,12 @@ def main(argv=None, out=None, err=None):
     handler, paths = _COMMANDS[args.command]
     try:
         docs = [_load(getattr(args, p)) for p in paths]
-        return handler(*docs, args, out, err)
+        # each config's problem, then its settings, one document after the
+        # other: which error wins follows that order
+        parsed = []
+        for doc in docs:
+            parsed += [problem_from_config(doc), _settings_from(doc, args)]
+        return handler(*parsed, args, out, err)
     except (ValidationError, ConfigurationError) as exc:
         err.write(f"config error: {exc}\n")
         return 2

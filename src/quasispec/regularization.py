@@ -7,10 +7,10 @@ derivative of any sigma is ever formed). The first-order system
 y' = (F(x) + Lambda) y in the quasi-derivatives is then equivalent to
 the original equation, and all spectral computations flow through F.
 
-This module builds F, splits it into its lower diagonals, conjugates the
-split system into the root-of-unity frame of a sector, and evaluates the
-integer combination coefficients that govern the first differing
-diagonal of a pair of expressions.
+This module builds F, conjugates each of its lower diagonals into the
+root-of-unity frame of a sector, and evaluates the integer combination
+coefficients that govern the first differing diagonal of a pair of
+expressions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "ExpressionSpec",
     "AssociatedMatrix",
     "build_associated_matrix",
-    "diagonal_split",
     "ConjugatedSystem",
     "conjugate_system",
     "s_coefficient",
@@ -197,13 +196,6 @@ class AssociatedMatrix:
             t = t + self.entries[a][a - d]
         return t
 
-    def lower_diagonal(self, d):
-        """Matrix holding exactly the lower diagonal of index d (0 = main)."""
-        rows = [[PiecewisePoly.zero() for _ in range(self.n)] for _ in range(self.n)]
-        for a in range(d, self.n):
-            rows[a][a - d] = self.entries[a][a - d]
-        return tuple(tuple(r) for r in rows)
-
     def validate(self):
         """Check the structural contract of a raw_matrix config entry."""
         n = self.n
@@ -279,22 +271,6 @@ def build_associated_matrix(spec: ExpressionSpec) -> AssociatedMatrix:
     if tr.sup_on_grid() > 1e-10 * (1.0 + max(s.sup_on_grid() for s in spec.coefficients)):
         raise ConsistencyError("built associated matrix has nonzero trace")
     return out
-
-
-def diagonal_split(F: AssociatedMatrix):
-    """Split F into the constant shift and its lower diagonals.
-
-    Returns (F_minus1, [F_0, ..., F_{n-1}]) where F_minus1 is the
-    constant matrix with ones on the superdiagonal and at (n, 1), and
-    F_d holds exactly the lower diagonal of index d of F(x).
-    """
-    n = F.n
-    f_m1 = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        f_m1[j, j + 1] = 1.0
-    f_m1[n - 1, 0] = 1.0
-    diags = [F.lower_diagonal(d) for d in range(n)]
-    return f_m1, diags
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The rho-plane splits into 2n angular sectors of opening pi/n. Inside a
 fixed sector the real parts Re(rho * omega_k) of the n-th roots of unity
-admit a strict ordering; the ordered frame (omegas, Omega, B) drives the
+admit a strict ordering; the ordered frame (omegas, Omega) drives the
 system conjugation and all large-|rho| asymptotics.
 """
 
@@ -33,7 +33,6 @@ class SectorFrame:
     omegas: np.ndarray
     Omega: np.ndarray = field(init=False, repr=False)
     Omega_inv: np.ndarray = field(init=False, repr=False)
-    B: np.ndarray = field(init=False, repr=False)
     mid_ray: complex = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -46,7 +45,6 @@ class SectorFrame:
                              dtype=complex) / n
         object.__setattr__(self, "Omega", Omega)
         object.__setattr__(self, "Omega_inv", Omega_inv)
-        object.__setattr__(self, "B", np.diag(om))
         mid = np.exp(1j * np.pi * (self.kappa - 0.5) / n)
         object.__setattr__(self, "mid_ray", complex(mid))
 

@@ -351,24 +351,27 @@ class DeterminantEvaluator:
 
     # -- region dispatch ---------------------------------------------------
 
-    def box_function(self, outer_radius):
-        """Evaluator in rho_check for one box/contour.
+    def is_direct(self, outer_radius):
+        """The route rule: a contour takes the plain determinant if and
+        only if its largest |rho|, outer_radius, is within the budget."""
+        return outer_radius <= self.direct_limit
 
-        One route per contour (mixing them mid-contour would fake a
-        discontinuity): the factored determinant whenever the problem is
-        coefficient-free (it is then exact at every rho) or the box
-        leaves the plain determinant's cancellation budget.
-        """
+    def box_function(self, outer_radius):
+        """Evaluator in rho_check for one box/contour, on one route (mixing
+        them mid-contour would fake a discontinuity): the plain
+        determinant by the route rule, unless the problem is
+        coefficient-free (d_norm is then exact at every rho)."""
         model = self.model
-        if self.zero_coeff or outer_radius > self.direct_limit:
+        if self.zero_coeff or not self.is_direct(outer_radius):
             return self.d_norm
         return lambda rc: self.delta(model.sign * complex(rc) ** self.n)
 
-    def lambda_function(self, rho_abs):
+    def lambda_function(self, outer_radius):
         """Evaluator f(lam, bullet=False) in lambda for one weight circle
-        around a root of modulus rho_abs: the plain determinant within
-        the cancellation budget, d_norm at the canonical root beyond."""
-        if rho_abs <= self.direct_limit:
+        whose largest |rho| is outer_radius (its far side): the plain
+        determinant when the route rule says so, d_norm at the canonical
+        root otherwise."""
+        if self.is_direct(outer_radius):
             return self.delta
         rho_of_lambda = self.model.rho_of_lambda
         return lambda lam, bullet=False: self.d_norm(rho_of_lambda(lam),
@@ -537,6 +540,11 @@ def _strip_box_zeros(ev, model, l, chi_cal, hy):
         f"index {l}: no zero found near prediction {pred:.6g}")
 
 
+def _same_root(z, w):
+    """Whether z and w are one zero found twice."""
+    return abs(z - w) <= DEDUPE_TOL * max(1.0, abs(w))
+
+
 def _contour_zeros(f, pts, expected):
     """All zeros of f inside the closed polyline pts, a contour
     count_zeros verified with count `expected` = N, as a list of
@@ -555,7 +563,8 @@ def _contour_zeros(f, pts, expected):
     H_0 = [s_(i+j)] counts the distinct zeros and the pencil (H_1, H_0)
     gives them. At rank N all are simple; below it a Vandermonde fit to
     s_0..s_(N-1) must give integer multiplicities. Simple zeros are
-    polished by Newton, and every root must wind once inside pts.
+    polished by Newton. Every root must wind once inside pts and no two
+    may meet; otherwise the zeros could not be separated.
     """
     if expected == 0:
         return []
@@ -601,9 +610,10 @@ def _contour_zeros(f, pts, expected):
             root, _ = _newton(f, root)
         with np.errstate(invalid="ignore", divide="ignore"):
             turns = np.sum(np.angle((pts[1:] - root) / (pts[:-1] - root)))
-        if not abs(turns / (2 * np.pi) - 1) < 0.5:
-            raise RootSearchError(f"root {root:.9g} lies outside the "
-                                  f"counting contour")
+        if (not abs(turns / (2 * np.pi) - 1) < 0.5
+                or any(_same_root(root, r) for r, _ in found)):
+            raise RootSearchError(f"the {expected} zeros inside the contour "
+                                  "could not be separated (a multiple zero)")
         found.append((root, int(mu)))
     return found
 
@@ -657,8 +667,7 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
             pending = [(model.sign * rho ** n, rho, mult) for rho, mult
                        in _strip_box_zeros(ev, model, l, chi_cal, hy)]
         lam, rho, mult = pending.pop(0)
-        if any(abs(rho - d.rho) <= DEDUPE_TOL * max(1.0, abs(d.rho))
-               for d in data):
+        if any(_same_root(rho, d.rho) for d in data):
             raise RootSearchError(f"index {l}: duplicated root {rho:.9g}")
         eps = rho / growth - l - chi_cal
         data.append(SpectralDatum(l=l, lam=complex(lam), rho=complex(rho),
@@ -681,9 +690,10 @@ def weight_numbers(result: SpectrumResult) -> SpectrumResult:
     beta_l is minus the residue of Delta_bullet/Delta at lambda_l. Each
     simple eigenvalue gets one lambda-circle of RESIDUE_POINTS points,
     sampled on one route of a DeterminantEvaluator built here for the
-    result's problem and model: the plain determinants while
-    |rho_l| <= direct_limit, d_norm at the canonical root beyond. Its
-    radius is 0.3 of the lambda-distance to the nearest other located
+    result's problem and model, by the evaluator's route rule on the
+    circle's far side (|lambda_l| + radius)^(1/n): the plain determinants
+    while it is within direct_limit, d_norm at the canonical root beyond.
+    Its radius is 0.3 of the lambda-distance to the nearest other located
     eigenvalue, at most a quarter spacing
     (0.25 growth |d lambda / d rho|) and at least 1e-8 max(1, |lambda_l|).
     The ratio Delta_bullet(lambda_l) / Delta'(lambda_l) and the contour
@@ -703,8 +713,8 @@ def weight_numbers(result: SpectrumResult) -> SpectrumResult:
         gap = np.min(np.abs(np.delete(lams, i) - d.lam), initial=np.inf)
         spacing = 0.25 * growth * abs(n * d.rho ** (n - 1))
         radius = max(min(0.3 * gap, spacing), 1e-8 * max(1.0, abs(d.lam)))
-        ratio, res = _ratio_and_residue(ev.lambda_function(abs(d.rho)),
-                                        d.lam, radius)
+        far = (abs(d.lam) + radius) ** (1.0 / n)
+        ratio, res = _ratio_and_residue(ev.lambda_function(far), d.lam, radius)
         if abs(res - ratio) > BETA_CROSS_CHECK_RTOL * max(abs(ratio), 1e-300):
             raise RootSearchError(
                 f"index {d.l}: residue cross-check failed "

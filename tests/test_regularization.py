@@ -1,4 +1,4 @@
-"""Regularization layer: chi stencils, golden matrices, splits, conjugation."""
+"""Regularization layer: chi stencils, golden matrices, conjugation."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from quasispec.regularization import (
     chi_matrix,
     conjugate_system,
     diag_correction,
-    diagonal_split,
     ExpressionSpec,
     s_coefficient,
     zero_expression,
@@ -147,72 +146,7 @@ class TestExpressionValidation:
         make_spec(4, (2, 0, 0), (1.0, 1.0, 1.0), tags=("L2", "L1", "L1"))
 
 
-class TestDiagonalSplit:
-    def test_third_order_split(self):
-        s0, s1 = P.constant(2.0), P.constant(3.0)
-        F = build_associated_matrix(ExpressionSpec(3, (1, 0), (s0, s1)))
-        f_m1, diags = diagonal_split(F)
-        shift = np.zeros((3, 3))
-        shift[0, 1] = shift[1, 2] = shift[2, 0] = 1
-        np.testing.assert_array_equal(f_m1.real, shift)
-        # F_0 == 0, F_1 carries (2,1) and (3,2)
-        for a in range(3):
-            for b in range(3):
-                assert diags[0][a][b].is_zero()
-        assert diags[1][1][0].equals(s0 + s1)
-        assert diags[1][2][1].equals(-(s0 - s1))
-        assert diags[2][2][0].is_zero()
-
-    def test_zero_coefficients(self):
-        F = build_associated_matrix(zero_expression(5))
-        _, diags = diagonal_split(F)
-        for d in range(5):
-            for a in range(5):
-                for b in range(5):
-                    assert diags[d][a][b].is_zero()
-
-    def test_fourth_order_main_diagonal(self):
-        s = (P.constant(2.0), P.constant(3.0), P.constant(5.0))
-        F = build_associated_matrix(ExpressionSpec(4, (1, 1, 1), s))
-        _, diags = diagonal_split(F)
-        assert diags[0][1][1].equals(-s[2])
-        assert diags[0][2][2].equals(s[2])
-        total = P.zero()
-        for a in range(4):
-            total = total + diags[0][a][a]
-        assert total.sup_on_grid() < 1e-13
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 3, 4, 5, 6):
-            idx, vals = [], []
-            m = n // 2
-            for nu in range(n - 1):
-                k, j = divmod(nu, 2)
-                idx.append(int(rng.integers(0, m - k - j + 1)))
-                vals.append(complex(rng.normal(), rng.normal()))
-            F = build_associated_matrix(make_spec(n, idx, vals))
-            f_m1, diags = diagonal_split(F)
-            x = np.linspace(0, 1, 101)
-            recon = np.zeros((101, n, n), dtype=complex)
-            for a in range(n - 1):
-                recon[:, a, a + 1] = 1.0
-            for d in range(n):
-                for a in range(d, n):
-                    recon[:, a, a - d] += diags[d][a][a - d](x)
-            np.testing.assert_allclose(recon, F.evaluate(x), atol=1e-14)
-
-
 class TestConjugation:
-    def test_companion_identity(self):
-        # Omega^{-1} F_{-1} Omega = B with F_{-1} the split's constant shift
-        for n in range(2, 9):
-            F_m1, _ = diagonal_split(build_associated_matrix(zero_expression(n)))
-            for kappa in (1, 2):
-                frame = sector_frame(n, kappa)
-                lhs = frame.Omega_inv @ F_m1 @ frame.Omega
-                np.testing.assert_allclose(lhs, frame.B, atol=1e-14)
-
     def test_zero_system(self):
         F = build_associated_matrix(zero_expression(4))
         sys = conjugate_system(F, sector_frame(4, 1))

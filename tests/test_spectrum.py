@@ -404,6 +404,37 @@ class TestWeights:
         assert len(calls) <= spectrum.RESIDUE_POINTS * len(out.data)
 
 
+    def test_weight_circle_routed_by_its_far_side(self, monkeypatch):
+        # l = 3 lies inside direct_limit, but its weight circle reaches
+        # past it, so the whole circle takes the factored route
+        from quasispec.spectrum import _ratio_and_residue
+        forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
+        prob = ProblemSpec(
+            boundary=BoundarySpec(1, forms, BoundaryForm(0, 1)),
+            expression=ExpressionSpec(3, (1, 0), (P.constant(0.4),
+                                                  P.constant(1.1))))
+        res = locate_eigenvalues(prob, l_max=6)
+        ev = DeterminantEvaluator(prob, res.model)
+        lams = np.array([d.lam for d in res.data])
+        d = res.data[2]
+        spacing = 0.25 * res.model.growth * abs(3 * d.rho ** 2)
+        radius = min(0.3 * np.min(np.abs(np.delete(lams, 2) - d.lam)), spacing)
+        assert abs(d.rho) < ev.direct_limit
+        assert (abs(d.lam) + radius) ** (1 / 3) > ev.direct_limit
+        plain = []
+        delta = DeterminantEvaluator.delta
+
+        def recorded(self, lam, bullet=False):
+            plain.append(lam)
+            return delta(self, lam, bullet=bullet)
+
+        monkeypatch.setattr(DeterminantEvaluator, "delta", recorded)
+        out = weight_numbers(res)
+        assert plain and not any(abs(lam - d.lam) < 2 * radius for lam in plain)
+        ratio, _ = _ratio_and_residue(ev.lambda_function(np.inf), d.lam, radius)
+        assert abs(out.data[2].beta + ratio) < 1e-9 * abs(ratio)
+
+
 class TestClusterHandling:
     def test_double_zero_reported_with_multiplicity(self):
         from quasispec.spectrum import _contour_zeros
@@ -497,8 +528,20 @@ class TestClusterHandling:
         # the box's moments take the double zero for two simple ones, and
         # Newton cannot find two distinct zeros inside the box for them
         self.strip_zeros(monkeypatch, (5.3, 5.3))
-        with pytest.raises(RootSearchError, match="^index 5: "):
+        with pytest.raises(RootSearchError, match=r"^index 5: the 2 zeros "
+                           r"inside the contour could not be separated "
+                           r"\(a multiple zero\)$"):
             locate_eigenvalues(dirichlet2(), l_max=8)
+
+    def test_box_height_doubles_until_it_holds_a_zero(self, monkeypatch):
+        # the index-5 zero sits 0.6 spacings off the axis, outside the
+        # first box (half-height 0.4 spacings) and inside the doubled one
+        self.strip_zeros(monkeypatch, (5 + 0.6j, 6.0))
+        res = locate_eigenvalues(dirichlet2(), l_max=8)
+        assert [d.l for d in res.data] == list(range(1, 9))
+        assert all(d.multiplicity == 1 for d in res.data)
+        for d, want in zip(res.data[2:], (3, 4, 5 + 0.6j, 6, 7, 8)):
+            assert abs(d.rho - want * np.pi) < 1e-9
 
     def test_zero_next_to_a_strip_box_edge(self):
         # the zero sits 1e-3 spacings inside the right edge, so two
