@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import NonContractionError, ValidationError
+from .errors import IntegrationError, NonContractionError, ValidationError
 from .piecewise import _shift_coeffs, merge_breakpoints
 from .regularization import ConjugatedSystem
 
@@ -56,6 +56,9 @@ DEGREE = 12
 TARGET_EXPONENT = 5.0
 # fewest panels of a layout
 MIN_PANELS = 4
+# most panels of a layout; a larger |rho| is refused before any array is
+# built (the largest benchmark layouts hold about 60)
+MAX_PANELS = 10_000
 # relative change that stops the fixed-point iteration; GMRES tolerance
 TOL = 1e-12
 # fixed-point iterations before the GMRES fallback
@@ -85,10 +88,16 @@ _XHAT, _DIFF = _cheb_nodes_and_diff(DEGREE)
 
 def _panel_layout(breakpoints, rho_abs, span):
     """Panels per coefficient piece, so that the largest kernel exponent
-    per panel stays below the target; the tuple names the layout."""
+    per panel stays below the target; the tuple names the layout.
+    IntegrationError when that takes more than MAX_PANELS panels."""
     width_cap = TARGET_EXPONENT / max(rho_abs * span, 1e-9)
     widths = np.diff(np.asarray(breakpoints, dtype=float))
-    return tuple(np.maximum(1, np.ceil(widths / width_cap)).astype(int).tolist())
+    counts = np.maximum(1, np.ceil(widths / width_cap))
+    if not counts.sum() <= MAX_PANELS:
+        raise IntegrationError(
+            f"|rho| = {rho_abs:.3g} is too large: the factored solve would "
+            f"need {counts.sum():.3g} panels, more than {MAX_PANELS}")
+    return tuple(counts.astype(int).tolist())
 
 
 def _segments(breakpoints, counts):
@@ -249,56 +258,59 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
     rho = complex(rho)
     if rho == 0:
         raise ValidationError("rho", "rho must be nonzero")
-    n = system.n
-    frame = system.frame
-    om = frame.omegas
-    span = float(np.max(np.abs(om[:, None] - om[None, :])))
-    breakpoints = system.breakpoints()
-    counts = _panel_layout(breakpoints, abs(rho), span)
-    bank = _KernelBank(frame, rho, *_segments(breakpoints, counts))
-    xs = bank.xs
-    Ak = system.cached(counts, lambda: _node_Ak(system, xs))
-    V = np.tensordot(rho ** -np.arange(n), Ak, axes=1)     # (j, l, P, q+1)
+    # rho near the float limits overflows to inf or nan; the solve then
+    # fails with its typed error, not with numpy warnings
+    with np.errstate(all="ignore"):
+        n = system.n
+        frame = system.frame
+        om = frame.omegas
+        span = float(np.max(np.abs(om[:, None] - om[None, :])))
+        breakpoints = system.breakpoints()
+        counts = _panel_layout(breakpoints, abs(rho), span)
+        bank = _KernelBank(frame, rho, *_segments(breakpoints, counts))
+        xs = bank.xs
+        Ak = system.cached(counts, lambda: _node_Ak(system, xs))
+        V = np.tensordot(rho ** -np.arange(n), Ak, axes=1)     # (j, l, P, q+1)
 
-    ident = np.zeros((n, n) + xs.shape, dtype=complex)
-    for j in range(n):
-        ident[j, j] = 1.0
+        ident = np.zeros((n, n) + xs.shape, dtype=complex)
+        for j in range(n):
+            ident[j, j] = 1.0
 
-    def apply_V(z):
-        G = np.einsum("jlpq,lkpq->jkpq", V, z)
-        return bank.apply(G)
+        def apply_V(z):
+            G = np.einsum("jlpq,lkpq->jkpq", V, z)
+            return bank.apply(G)
 
-    z = ident.copy()
-    prev = np.inf
-    for it in range(1, MAX_ITER + 1):
-        znew = ident + apply_V(z)
-        delta = float(np.max(np.abs(znew - z)))
-        z = znew
-        scale = float(np.max(np.abs(z)))
-        if delta < TOL * max(1.0, scale):
-            return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z, A=V,
-                                    iterations=it)
-        ratio = delta / prev if np.isfinite(prev) and prev > 0 else 0.0
-        prev = delta
-        if it >= 6 and ratio >= 0.97:
-            break
-    # stalled or out of iterations
-    shape = ident.shape
+        z = ident.copy()
+        prev = np.inf
+        for it in range(1, MAX_ITER + 1):
+            znew = ident + apply_V(z)
+            delta = float(np.max(np.abs(znew - z)))
+            z = znew
+            scale = float(np.max(np.abs(z)))
+            if delta < TOL * max(1.0, scale):
+                return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z, A=V,
+                                        iterations=it)
+            ratio = delta / prev if np.isfinite(prev) and prev > 0 else 0.0
+            prev = delta
+            if it >= 6 and ratio >= 0.97:
+                break
+        # stalled or out of iterations
+        shape = ident.shape
 
-    def matvec(v):
-        zz = v.reshape(shape)
-        return (zz - apply_V(zz)).ravel()
+        def matvec(v):
+            zz = v.reshape(shape)
+            return (zz - apply_V(zz)).ravel()
 
-    op = LinearOperator((ident.size, ident.size), matvec=matvec,
-                        dtype=complex)
-    sol, info = gmres(op, ident.ravel(), rtol=TOL,
-                      atol=0.0, restart=60, maxiter=40)
-    if info != 0:
-        raise NonContractionError(
-            f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
-            "increase |rho|")
-    return BirkhoffSolution(rho=rho, system=system, xs=xs, z=sol.reshape(shape),
-                            A=V, iterations=MAX_ITER, used_gmres=True)
+        op = LinearOperator((ident.size, ident.size), matvec=matvec,
+                            dtype=complex)
+        sol, info = gmres(op, ident.ravel(), rtol=TOL,
+                          atol=0.0, restart=60, maxiter=40)
+        if info != 0:
+            raise NonContractionError(
+                f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
+                "increase |rho|")
+        return BirkhoffSolution(rho=rho, system=system, xs=xs, z=sol.reshape(shape),
+                                A=V, iterations=MAX_ITER, used_gmres=True)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ class ConsistencyError(QuasispecError):
 
 
 class IntegrationError(QuasispecError):
-    """Raised when the ODE integrator cannot reach its accuracy target.
+    """Raised when an ODE integrator cannot reach its accuracy target
+    within its budget: the Magnus steps of the direct route, or the
+    panels of the factored solve.
 
     Attributes:
         x: position in [0, 1] where the failure occurred (may be None).

@@ -6,8 +6,8 @@ directly and the determinant formed as written. Beyond a cancellation
 budget (the plain determinant loses eps * exp(spread * |rho|) of
 relative accuracy) the factored route takes over: the boundary matrix is
 assembled from the integral-equation solution z with every exponential
-extracted analytically, and the determinant is expanded over column
-subsets so all remaining exponentials have non-positive real part. Both
+extracted analytically, and its columns are scaled so that all remaining
+exponentials have non-positive real part; one determinant follows. Both
 routes share the same zeros, and on both the bullet determinant carries
 the plain one's normalization, so weight numbers read the same ratio
 Delta_bullet / Delta off either route.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -246,18 +245,6 @@ class DeterminantEvaluator:
         self.direct_limit = (np.inf if self.eta < 1e-12
                              else EXPONENT_BUDGET / self.eta)
 
-    # -- rows -----------------------------------------------------------
-
-    def _rows(self, bullet=False):
-        b = self.problem.boundary
-        if not bullet:
-            return list(b.forms)
-        if b.weight is None:
-            raise ConfigurationError("weight form required for the bullet "
-                                     "determinant")
-        rows = [b.weight] + [f for s, f in enumerate(b.forms) if s != b.r - 1]
-        return rows
-
     def _memo(self, key, compute):
         """compute(), cached under key; the cache is wiped past 4,096 entries."""
         if key not in self._cache:
@@ -276,16 +263,32 @@ class DeterminantEvaluator:
             return integrate_fundamental(self.problem.F, lam).at_one
         return self._memo(("C1", complex(lam)), compute)
 
-    def delta(self, lam, bullet=False):
-        """det[U_s(C_k)]; rows at x = 0 come from C(0) = I exactly."""
-        lam = complex(lam)
-        ends = (np.eye(self.n), self._fundamental_at_one(lam))
-        M = np.array([boundary_form(f, ends[f.side])
-                      for f in self._rows(bullet)], dtype=complex)
+    def _boundary_det(self, ends, bullet, rho=None):
+        """det of the rows U_f applied to ends[f.side]; the bullet rows
+        put the weight form in place of row r - 1. With rho given, each
+        row is scaled by rho^(-p) for the order p of the plain row it
+        stands for."""
+        b = self.problem.boundary
+        rows, ps = list(b.forms), list(b.p_list)
+        if bullet:
+            if b.weight is None:
+                raise ConfigurationError("weight form required for the "
+                                         "bullet determinant")
+            rows = [b.weight] + rows[:b.r - 1] + rows[b.r:]
+            ps = [ps[b.r - 1]] + ps[:b.r - 1] + ps[b.r:]
+        M = np.array([boundary_form(f, ends[f.side]) for f in rows],
+                     dtype=complex)
+        if rho is not None:
+            M *= rho ** -np.array(ps)[:, None]
         # overflow to inf or nan is reported by count_zeros' finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
             return complex(np.linalg.det(M))
+
+    def delta(self, lam, bullet=False):
+        """det[U_s(C_k)]; rows at x = 0 come from C(0) = I exactly."""
+        ends = (np.eye(self.n), self._fundamental_at_one(complex(lam)))
+        return self._boundary_det(ends, bullet)
 
     # -- factored route ----------------------------------------------------
 
@@ -311,43 +314,23 @@ class DeterminantEvaluator:
         det[U rows] = rho^P exp(rho omega*) d_norm with P the sum of the
         plain rows' orders (for the bullet rows too, so that the ratio
         of the two d_norm is Delta_bullet / Delta), omega* the sum of the
-        top n - r ordered roots, and rho = rho_check * e_dir. All
-        exponentials inside d_norm have non-positive real part up to the
-        strip slack.
+        top n - r ordered roots, and rho = rho_check * e_dir. The rows
+        apply to V z(x), V[j, k] = (rho omega_k)^j, the quasi-derivatives
+        of w = z exp(rho B x) without exponentials. With c = omega_(r-1),
+        exp(-rho c) leaves every x = 1 row and exp(-rho (omega_k - c))
+        every column k >= r: by the sector ordering, the exponents left
+        have non-positive real part up to the strip slack.
         """
         model = self.model
         rho = complex(rho_check) * model.e_dir
         z0, z1 = self._z_pair(rho)
-        om = model.frame.omegas
-        n, r = self.n, model.r
-        rows = self._rows(bullet)
-        T = np.zeros((r, n), dtype=complex)
-        B = np.zeros((n - r, n), dtype=complex)
-        ti = bi = 0
-        for f in rows:
-            vec = om ** f.p
-            for j, uj in enumerate(f.u, start=1):
-                if uj != 0:
-                    vec = vec + uj * rho ** (j - 1 - f.p) * om ** (j - 1)
-            if f.side == 0:
-                T[ti] = vec @ z0
-                ti += 1
-            else:
-                B[bi] = vec @ z1
-                bi += 1
-        if bullet:
-            # the weight row (first at x = 0) stands in for row r
-            T[0] *= rho ** (rows[0].p - model.p_r)
-        wstar = np.sum(om[r:])
-        sgn_base = sum(range(r + 1, n + 1))
-        total = 0.0 + 0.0j
-        for S in combinations(range(n), n - r):
-            Sc = [k for k in range(n) if k not in S]
-            sgn = (-1) ** (sum(S) + len(S) + sgn_base)
-            ex = np.exp(rho * (np.sum(om[list(S)]) - wstar))
-            total += (sgn * np.linalg.det(B[:, list(S)])
-                      * np.linalg.det(T[:, Sc]) * ex)
-        return total
+        om, r = model.frame.omegas, model.r
+        upper = np.arange(self.n) >= r
+        V = (rho * om) ** np.arange(self.n)[:, None]
+        g = np.exp(np.where(upper, -rho, rho) * (om - om[r - 1]))
+        ends = (V @ z0 * np.where(upper, g, 1.0),
+                V @ z1 * np.where(upper, 1.0, g))
+        return self._boundary_det(ends, bullet, rho)
 
     # -- region dispatch ---------------------------------------------------
 

@@ -332,6 +332,21 @@ class TestBirkhoffCommand:
         assert code == 2
         assert err.startswith("config error: rho: ")
 
+    @pytest.mark.parametrize("token", ["1e300,0", "1e-300,0"])
+    def test_extreme_rho_is_numerical_failure(self, tmp_path, token):
+        # 1e300 asks for more panels than MAX_PANELS, refused before any
+        # array is built; 1e-300 overflows rho^-k and the solve fails; a
+        # fresh process shows any numpy warning on stderr too
+        doc = third_order_doc(sigma1=0.8)
+        env = dict(os.environ, PYTHONPATH=str(Path(quasispec.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasispec.cli", "birkhoff",
+             write(tmp_path, doc), "--rho", token],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestReadme:
     """The README's CLI section and library example describe the package

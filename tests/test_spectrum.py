@@ -137,21 +137,39 @@ class TestCharDelta:
     def test_factored_route_matches_direct(self):
         # exact identity: Delta * det Y(0) = rho^P exp(rho w*) d_norm,
         # with Y(0) = diag(rho^j) Omega z(0) from the factored solution
-        prob = third_order(c1=1.0)
-        model = asymptotic_model(3, 1, (0, 0, 1))
-        ev = DeterminantEvaluator(prob, model)
-        om = model.frame.omegas
-        wstar = np.sum(om[model.r:])
-        for rc in (8.0 + 0.1j, 11.0 - 0.3j):
-            rho = rc * model.e_dir
-            direct = ev.delta(model.sign * rc ** 3)
-            z0, _ = ev._z_pair(rho)
-            detY0 = (np.prod([rho ** j for j in range(3)])
-                     * np.linalg.det(model.frame.Omega) * np.linalg.det(z0))
-            lhs = direct * detY0
-            rhs = (rho ** sum(model.p_list) * np.exp(rho * wstar)
-                   * ev.d_norm(rc))
-            assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), abs(rhs))
+        # and P the plain rows' orders (for the bullet rows too)
+        jump = lambda a, c: P([0.0, 0.45, 1.0], [[a], [c]])
+        # r = 2, jump coefficients, u-terms on both sides: 6 column pairs
+        fourth = ProblemSpec(
+            boundary=BoundarySpec(2, (
+                BoundaryForm(0, 0), BoundaryForm(0, 2, u=(0.5, -0.3)),
+                BoundaryForm(1, 1, u=(0.7,)), BoundaryForm(1, 3))),
+            expression=ExpressionSpec(4, (0, 0, 0), (
+                jump(0.7, -0.4), jump(-0.3, 0.9), jump(0.5, 0.2))))
+        weighted = ProblemSpec(
+            boundary=BoundarySpec(1, third_order().boundary.forms,
+                                  BoundaryForm(0, 2, u=(0.4, 0.0))),
+            expression=ExpressionSpec(3, (1, 0), (P.constant(0.6),
+                                                  P.constant(1.2))))
+        for prob, rcs, bullet in (
+                (third_order(c1=1.0), (8.0 + 0.1j, 11.0 - 0.3j), False),
+                (fourth, (6.0 + 0.2j, 9.0 - 0.1j), False),
+                (weighted, (8.0 + 0.1j, 11.0 - 0.3j), True)):
+            n, b = prob.n, prob.boundary
+            model = asymptotic_model(n, b.r, b.p_list)
+            ev = DeterminantEvaluator(prob, model)
+            wstar = np.sum(model.frame.omegas[model.r:])
+            for rc in rcs:
+                rho = rc * model.e_dir
+                direct = ev.delta(model.sign * rc ** n, bullet=bullet)
+                z0, _ = ev._z_pair(rho)
+                detY0 = (np.prod([rho ** j for j in range(n)])
+                         * np.linalg.det(model.frame.Omega)
+                         * np.linalg.det(z0))
+                lhs = direct * detY0
+                rhs = (rho ** sum(model.p_list) * np.exp(rho * wstar)
+                       * ev.d_norm(rc, bullet=bullet))
+                assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), abs(rhs))
 
     def test_factored_laplace_identity_zero_coeff(self):
         # for zero coefficients both routes are exact: compare absolutely
