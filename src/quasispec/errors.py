@@ -31,8 +31,9 @@ class ConsistencyError(QuasispecError):
 
 class IntegrationError(QuasispecError):
     """Raised when an ODE integrator cannot reach its accuracy target
-    within its budget: the Magnus steps of the direct route, or the
-    panels of the factored solve.
+    within its budget: the Magnus steps of the direct route, the panels
+    of the factored solve, or the eigenvector conditioning of the exact
+    route on constant pieces.
 
     Attributes:
         x: position in [0, 1] where the failure occurred (may be None).

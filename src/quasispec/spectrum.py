@@ -4,13 +4,17 @@ The characteristic function Delta(lambda) = det[U_s(C_k)] is evaluated
 on two routes. For moderate |rho| the fundamental matrix is integrated
 directly and the determinant formed as written. Beyond a cancellation
 budget (the plain determinant loses eps * exp(spread * |rho|) of
-relative accuracy) the factored route takes over: the boundary matrix is
-assembled from the integral-equation solution z with every exponential
-extracted analytically, and its columns are scaled so that all remaining
-exponentials have non-positive real part; one determinant follows. Both
-routes share the same zeros, and on both the bullet determinant carries
-the plain one's normalization, so weight numbers read the same ratio
-Delta_bullet / Delta off either route.
+relative accuracy) the normalized determinant d_norm takes over, in
+which no exponential with a positive real part is ever taken. Where
+every coefficient piece is constant it is exact: the (n - r)-th compound
+of the x = 1 rows is carried to x = 0 through one eigendecomposition per
+piece and met by the x = 0 rows in a Laplace sum (the compound-matrix
+method). Otherwise the boundary matrix is assembled from the
+integral-equation solution z of the Birkhoff factored solve, its
+columns scaled so that every exponential left decays, and one
+determinant follows. All routes share the same zeros, and on each the
+bullet determinant carries the plain one's normalization, so weight
+numbers read the same ratio Delta_bullet / Delta off any route.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .birkhoff import birkhoff_fss
 from .errors import (
     ConfigurationError,
     ContourError,
+    IntegrationError,
     RootSearchError,
     ValidationError,
 )
@@ -202,6 +208,10 @@ CONTOUR_RETRIES = 3
 DERIVATIVE_RTOL = 1e-9
 # first node count of the Cauchy derivative circle (doubled up to 5 times)
 DERIVATIVE_START_NODES = 16
+# largest 1-norm condition number of a piece's eigenvector matrix the
+# exact route accepts (the benchmark problems stay below 1.02 for |rho|
+# from 11 to 420)
+EIGVEC_COND_MAX = 1e6
 # points of the lambda-circle each weight number is read from
 RESIDUE_POINTS = 32
 # agreement a weight number's ratio and contour residue must reach
@@ -263,11 +273,11 @@ class DeterminantEvaluator:
             return integrate_fundamental(self.problem.F, lam).at_one
         return self._memo(("C1", complex(lam)), compute)
 
-    def _boundary_det(self, ends, bullet, rho=None):
-        """det of the rows U_f applied to ends[f.side]; the bullet rows
-        put the weight form in place of row r - 1. With rho given, each
-        row is scaled by rho^(-p) for the order p of the plain row it
-        stands for."""
+    def _boundary_rows(self, ends, bullet, rho=None):
+        """The rows U_f applied to ends[f.side]; the bullet rows put the
+        weight form in place of row r - 1. With rho given, each row is
+        scaled by rho^(-p) for the order p of the plain row it stands
+        for."""
         b = self.problem.boundary
         rows, ps = list(b.forms), list(b.p_list)
         if bullet:
@@ -280,6 +290,11 @@ class DeterminantEvaluator:
                      dtype=complex)
         if rho is not None:
             M *= rho ** -np.array(ps)[:, None]
+        return M
+
+    def _boundary_det(self, ends, bullet, rho=None):
+        """det of _boundary_rows(ends, bullet, rho)."""
+        M = self._boundary_rows(ends, bullet, rho)
         # overflow to inf or nan is reported by count_zeros' finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
@@ -297,36 +312,119 @@ class DeterminantEvaluator:
         """The conjugated system of the factored route, built on first use."""
         return conjugate_system(self.problem.F, self.model.frame)
 
+    @cached_property
+    def exact(self):
+        """Whether every piece of the conjugated table is constant, so
+        that d_norm takes the exact route."""
+        return bool(self.system.table.constant.all())
+
+    @cached_property
+    def _pieces(self):
+        """The exact route's fixed data: piece widths, A_k at the piece
+        midpoints (shape (n, pieces, n, n)), the column subsets S of size
+        n - r, their complements and the Laplace signs
+        (-1)^(sum of the x = 1 rows + sum S), both counted from 0."""
+        n, r = self.n, self.model.r
+        bp = self.system.breakpoints()
+        Ak = self.system.evaluate_Ak(0.5 * (bp[:-1] + bp[1:]))
+        subsets = np.array(list(combinations(range(n), n - r)))
+        comps = np.array([[j for j in range(n) if j not in S]
+                          for S in subsets])
+        signs = (-1.0) ** (subsets.sum(axis=1) + (n - r) * (n + r - 1) // 2)
+        return np.diff(bp), Ak, subsets, comps, signs
+
     def _z_pair(self, rho):
         """(z(0), z(1)) for the factored boundary matrix."""
-        if self.zero_coeff:
-            eye = np.eye(self.n, dtype=complex)
-            return eye, eye
-
         def compute():
             sol = birkhoff_fss(self.system, rho)
             return sol.z_at_zero, sol.z_at_one
         return self._memo(("z", complex(rho)), compute)
 
-    def d_norm(self, rho_check, bullet=False):
-        """Normalized determinant in the strip variable.
+    def _carry(self, rho, right):
+        """The compound q_S = det right[:, S] of the x = 1 rows, carried
+        back to x = 0, the last piece first.
 
-        det[U rows] = rho^P exp(rho omega*) d_norm with P the sum of the
-        plain rows' orders (for the bullet rows too, so that the ratio
-        of the two d_norm is Delta_bullet / Delta), omega* the sum of the
-        top n - r ordered roots, and rho = rho_check * e_dir. The rows
-        apply to V z(x), V[j, k] = (rho omega_k)^j, the quasi-derivatives
-        of w = z exp(rho B x) without exponentials. With c = omega_(r-1),
-        exp(-rho c) leaves every x = 1 row and exp(-rho (omega_k - c))
-        every column k >= r: by the sector ordering, the exponents left
-        have non-positive real part up to the strip slack.
+        On a piece of width h, rho B + A = X diag(mu) X^-1 and the
+        propagator's compound is C(X) diag(exp(h sum_S mu)) C(X^-1), with
+        C(Y)[S, T] = det Y[S, T]; each piece also takes exp(-h rho
+        omega*), so no exponent has a real part above O(h).
+        IntegrationError when rho B + A is not finite or X is
+        ill-conditioned (coalescing mu). Runs under d_norm's errstate.
+        """
+        widths, Ak, subsets, _, _ = self._pieces
+        om = self.model.frame.omegas
+        M = (np.tensordot(rho ** -np.arange(self.n), Ak, axes=1)
+             + np.diag(rho * om))
+        if not np.all(np.isfinite(M)):
+            raise IntegrationError(
+                f"rho B + A is not finite at rho = {rho:.6g}")
+        mu, X = np.linalg.eig(M)
+        try:
+            Xinv = np.linalg.inv(X)
+            cond = (np.max(np.sum(np.abs(X), axis=-2), axis=-1)
+                    * np.max(np.sum(np.abs(Xinv), axis=-2), axis=-1))
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not np.all(cond <= EIGVEC_COND_MAX):
+            raise IntegrationError(
+                f"rho B + A at rho = {rho:.6g} is nearly defective: its "
+                f"eigenvectors have condition number {np.max(cond):.3g}, "
+                f"more than {EIGVEC_COND_MAX:.3g}")
+        CX, CXinv = np.linalg.det(np.stack([X, Xinv])[
+            ..., subsets[:, None, :, None], subsets[None, :, None, :]])
+        wstar = np.sum(om[self.model.r:])
+        decay = np.exp(widths[:, None]
+                       * (np.sum(mu[:, subsets], axis=-1) - rho * wstar))
+        q = np.linalg.det(np.moveaxis(right[:, subsets], 1, 0))
+        for k in reversed(range(len(widths))):
+            q = (q @ CX[k]) * decay[k] @ CXinv[k]
+        return q
+
+    def d_norm(self, rho_check, bullet=False):
+        """Normalized determinant in the strip variable, built on one of
+        two routes.
+
+        Let rho = rho_check * e_dir, V[j, k] = (rho omega_k)^j, P the sum
+        of the plain rows' orders (for the bullet rows too, so that the
+        ratio of the two d_norm is Delta_bullet / Delta) and omega* the
+        sum of the top n - r ordered roots. Each row is scaled by rho^(-p).
+
+        Exact route, when every coefficient piece is constant: the rows
+        act on V w(x) for the solutions w of w' = (rho B + A) w with
+        w(0) = I, so d_norm = Delta det V rho^(-P) exp(-rho omega*). The
+        x = 1 rows' compound is carried to x = 0 (_carry) and met by the
+        x = 0 rows in a Laplace sum over the column subsets S:
+        sum_S sign_S det(L[:, S^c]) q_S.
+
+        Factored route otherwise: the rows act on V z(x), the
+        quasi-derivatives of w = z exp(rho B x) without exponentials, so
+        det[U rows] = Delta det(V z(0)) = rho^P exp(rho omega*) d_norm.
+        With c = omega_(r-1), exp(-rho c) leaves every x = 1 row and
+        exp(-rho (omega_k - c)) every column k >= r: by the sector
+        ordering, the exponents left have non-positive real part up to
+        the strip slack.
+
+        The factored value is the exact one times det z(0), which is 1:
+        the pairs integrated from x = 0 start from the identity, so z(0)
+        is unit lower triangular. Both routes thus give one function, up
+        to the factored solve's accuracy.
         """
         model = self.model
         rho = complex(rho_check) * model.e_dir
-        z0, z1 = self._z_pair(rho)
         om, r = model.frame.omegas, model.r
-        upper = np.arange(self.n) >= r
+        if self.exact:
+            _, _, _, comps, signs = self._pieces
+            # no numpy warnings: _carry fails typed on a non-finite system,
+            # and count_zeros reports a non-finite value
+            with np.errstate(all="ignore"):
+                V = (rho * om) ** np.arange(self.n)[:, None]
+                rows = self._boundary_rows((V, V), bullet, rho)
+                q = self._memo(("q", rho), lambda: self._carry(rho, rows[r:]))
+                left = np.linalg.det(np.moveaxis(rows[:r][:, comps], 1, 0))
+                return complex(np.sum(signs * left * q))
         V = (rho * om) ** np.arange(self.n)[:, None]
+        z0, z1 = self._z_pair(rho)
+        upper = np.arange(self.n) >= r
         g = np.exp(np.where(upper, -rho, rho) * (om - om[r - 1]))
         ends = (V @ z0 * np.where(upper, g, 1.0),
                 V @ z1 * np.where(upper, 1.0, g))

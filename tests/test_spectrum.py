@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from quasispec.errors import (
     ConfigurationError,
     ContourError,
+    IntegrationError,
     RootSearchError,
     ValidationError,
 )
@@ -136,8 +137,9 @@ class TestCharDelta:
 
     def test_factored_route_matches_direct(self):
         # exact identity: Delta * det Y(0) = rho^P exp(rho w*) d_norm,
-        # with Y(0) = diag(rho^j) Omega z(0) from the factored solution
-        # and P the plain rows' orders (for the bullet rows too)
+        # with P the plain rows' orders (for the bullet rows too) and
+        # Y(0) = diag(rho^j) Omega on the exact route (constant pieces),
+        # diag(rho^j) Omega z(0) on the factored solve (polynomial pieces)
         jump = lambda a, c: P([0.0, 0.45, 1.0], [[a], [c]])
         # r = 2, jump coefficients, u-terms on both sides: 6 column pairs
         fourth = ProblemSpec(
@@ -151,25 +153,48 @@ class TestCharDelta:
                                   BoundaryForm(0, 2, u=(0.4, 0.0))),
             expression=ExpressionSpec(3, (1, 0), (P.constant(0.6),
                                                   P.constant(1.2))))
-        for prob, rcs, bullet in (
-                (third_order(c1=1.0), (8.0 + 0.1j, 11.0 - 0.3j), False),
-                (fourth, (6.0 + 0.2j, 9.0 - 0.1j), False),
-                (weighted, (8.0 + 0.1j, 11.0 - 0.3j), True)):
+        linear = ProblemSpec(
+            boundary=BoundarySpec(1, third_order().boundary.forms,
+                                  BoundaryForm(0, 1)),
+            expression=ExpressionSpec(3, (1, 0), (
+                P.zero(), P([0.0, 1.0], [[0.5, 0.8]]))))
+        for prob, rcs, bullet, exact in (
+                (third_order(c1=1.0), (8.0 + 0.1j, 11.0 - 0.3j), False, True),
+                (fourth, (6.0 + 0.2j, 9.0 - 0.1j), False, True),
+                (weighted, (8.0 + 0.1j, 11.0 - 0.3j), True, True),
+                (linear, (8.0 + 0.1j, 11.0 - 0.3j), True, False)):
             n, b = prob.n, prob.boundary
             model = asymptotic_model(n, b.r, b.p_list)
             ev = DeterminantEvaluator(prob, model)
+            assert ev.exact == exact
             wstar = np.sum(model.frame.omegas[model.r:])
             for rc in rcs:
                 rho = rc * model.e_dir
                 direct = ev.delta(model.sign * rc ** n, bullet=bullet)
-                z0, _ = ev._z_pair(rho)
                 detY0 = (np.prod([rho ** j for j in range(n)])
-                         * np.linalg.det(model.frame.Omega)
-                         * np.linalg.det(z0))
+                         * np.linalg.det(model.frame.Omega))
+                if not exact:
+                    detY0 *= np.linalg.det(ev._z_pair(rho)[0])
                 lhs = direct * detY0
                 rhs = (rho ** sum(model.p_list) * np.exp(rho * wstar)
                        * ev.d_norm(rc, bullet=bullet))
                 assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), abs(rhs))
+
+    def test_exact_route_fails_typed(self):
+        # n = 2, constant sigma: rho B + A is a nonzero nilpotent matrix
+        # where det(F + Lambda) = 0, and not finite at a subnormal rho
+        prob = ProblemSpec(
+            boundary=BoundarySpec(1, (BoundaryForm(0, 0), BoundaryForm(1, 0))),
+            expression=ExpressionSpec(2, (0,), (P.constant(3.0),)))
+        model = asymptotic_model(2, 1, (0, 0))
+        ev = DeterminantEvaluator(prob, model)
+        F = prob.F.table(0.5)
+        defective = model.rho_of_lambda(np.linalg.det(F) / F[0, 1])
+        with pytest.raises(IntegrationError, match="nearly defective"):
+            ev.d_norm(defective)
+        assert np.isfinite(ev.d_norm(defective * (1 + 1e-6)))
+        with pytest.raises(IntegrationError, match="not finite"):
+            ev.d_norm(1e-310)
 
     def test_factored_laplace_identity_zero_coeff(self):
         # for zero coefficients both routes are exact: compare absolutely
@@ -187,6 +212,72 @@ class TestCharDelta:
             lhs = direct * detY0
             rhs = rho ** sum(model.p_list) * np.exp(rho * wstar) * ev.d_norm(rc)
             assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))
+
+
+class TestExactRouteOracle:
+    """The exact route against 50 digits of mpmath, on an n = 4 jump
+    problem shaped like the strip-n4 benchmark: Delta from the product
+    of mp.expm((F + Lambda) h) over the pieces, with F the library's
+    associated matrix on each piece."""
+
+    BREAKS = (0.0, 0.45, 1.0)
+
+    @classmethod
+    def problem(cls):
+        jump = lambda a, c: P(list(cls.BREAKS), [[a], [c]])
+        forms = (BoundaryForm(0, 1), BoundaryForm(1, 0), BoundaryForm(1, 2),
+                 BoundaryForm(1, 3))
+        return ProblemSpec(
+            boundary=BoundarySpec(1, forms),
+            expression=ExpressionSpec(4, (0, 0, 0), (
+                jump(0.7, -0.4), jump(-0.3, 0.9), jump(0.5, 0.2))))
+
+    @classmethod
+    def reference(cls, mp, prob, model, rho):
+        """Delta det V rho^(-P) exp(-rho omega*) at rho, to 50 digits
+        past the exp(2 |rho|) cancellation of the plain determinant."""
+        n, b = prob.n, prob.boundary
+        with mp.workdps(50 + int(np.ceil(2 * abs(rho) / np.log(10)))):
+            rho = mp.mpc(rho)
+            C = mp.eye(n)
+            for a, c in zip(cls.BREAKS[:-1], cls.BREAKS[1:]):
+                F = prob.F.table(0.5 * (a + c))
+                M = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in F])
+                M[n - 1, 0] += rho ** n
+                C = mp.expm(M * (mp.mpf(c) - mp.mpf(a))) * C
+            U = mp.matrix(n, n)
+            for s, f in enumerate(b.forms):
+                end = mp.eye(n) if f.side == 0 else C
+                for k in range(n):
+                    U[s, k] = end[f.p, k] + sum(mp.mpc(u) * end[j, k]
+                                                for j, u in enumerate(f.u))
+            om = [mp.mpc(complex(w)) for w in model.frame.omegas]
+            detV = (mp.det(mp.matrix([[w ** j for w in om] for j in range(n)]))
+                    * rho ** (n * (n - 1) // 2))
+            return (mp.det(U) * detV * rho ** -sum(b.p_list)
+                    * mp.exp(-rho * sum(om[model.r:])))
+
+    def test_d_norm_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        prob = self.problem()
+        model = asymptotic_model(4, 1, prob.boundary.p_list)
+        ev = DeterminantEvaluator(prob, model)
+        assert ev.exact
+        for rc in (180.0 + 0.3j, 400.0 - 0.2j):
+            want = complex(self.reference(mp, prob, model, rc * model.e_dir))
+            assert abs(ev.d_norm(rc) - want) < 1e-10 * abs(want)
+
+    def test_root_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        prob = self.problem()
+        res = locate_eigenvalues(prob, l_min=40, l_max=40)
+        (d,) = res.data
+        e_dir = res.model.e_dir
+        with mp.workdps(30):
+            root = complex(mp.findroot(
+                lambda rc: self.reference(mp, prob, res.model, rc * e_dir),
+                mp.mpc(d.rho), tol=mp.mpf(10) ** -25, verify=False))
+        assert abs(d.rho - root) < 1e-12 * abs(root)
 
 
 class TestContours:
@@ -395,7 +486,8 @@ class TestWeights:
 
     def test_one_circle_of_solves_per_weight(self, monkeypatch):
         # a weight costs its circle's RESIDUE_POINTS solves, shared by the
-        # plain and bullet rows, on either route
+        # plain and bullet rows, on either route: a direct integration, or
+        # a carry of the exact route (constant coefficients)
         from quasispec import spectrum
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
@@ -417,10 +509,35 @@ class TestWeights:
         for name in ("integrate_fundamental", "birkhoff_fss",
                      "closed_form_zero_coeff"):
             monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name)))
+        monkeypatch.setattr(DeterminantEvaluator, "_carry",
+                            counted(DeterminantEvaluator._carry))
         out = weight_numbers(res)
         assert all(d.beta is not None for d in out.data)
+        assert any(isinstance(a[0], DeterminantEvaluator) for a in calls)
         assert len(calls) <= spectrum.RESIDUE_POINTS * len(out.data)
 
+    def test_constant_pieces_need_no_factored_solve(self, monkeypatch):
+        # past direct_limit, constant coefficients take the exact route;
+        # a polynomial coefficient still takes the factored solve
+        from quasispec import spectrum
+        forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
+        boundary = BoundarySpec(1, forms, BoundaryForm(0, 1))
+
+        def problem(coeff):
+            return ProblemSpec(boundary=boundary, expression=ExpressionSpec(
+                3, (1, 0), (P.constant(0.4), coeff)))
+
+        def refused(system, rho):
+            raise AssertionError(f"factored solve at rho = {rho}")
+
+        monkeypatch.setattr(spectrum, "birkhoff_fss", refused)
+        res = weight_numbers(locate_eigenvalues(problem(P.constant(1.1)),
+                                                l_max=5))
+        ev = DeterminantEvaluator(res.problem, res.model)
+        assert abs(res.data[-1].rho) > ev.direct_limit
+        assert all(d.beta is not None for d in res.data)
+        with pytest.raises(AssertionError, match="factored solve"):
+            locate_eigenvalues(problem(P([0.0, 1.0], [[1.1, 0.6]])), l_max=5)
 
     def test_weight_circle_routed_by_its_far_side(self, monkeypatch):
         # l = 3 lies inside direct_limit, but its weight circle reaches
