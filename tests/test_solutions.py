@@ -122,41 +122,61 @@ class TestIntegrateFundamental:
             rtol=0, atol=1e-12 * np.max(np.abs(fm.values)))
 
     def test_stacked_expm_calls(self, monkeypatch):
-        # at |lambda| = 3e4 the quadratic piece takes ~5,800 steps: two
-        # stacked calls on it, then one for the constant piece
+        # at |lambda| = 1e7 the quadratic piece takes ~6,900 steps: two
+        # stacked exponentials on it, and one scipy expm on the constant
+        # piece's single step
         s1 = P([0, 0.8, 1], [[0.5, 1.0, -2.0], [1.0]])
         F = build(3, (1, 0), (P.zero(), s1))
-        lam = 3e4
-        sizes = []
+        lam = 1e7
+        sizes = {"_expm": [], "expm": []}
 
-        def counted(A):
-            sizes.append(len(A))
-            return expm(A)
+        def counted(name):
+            f = getattr(solutions, name)
 
-        monkeypatch.setattr(solutions, "expm", counted)
+            def wrapped(A):
+                sizes[name].append(len(A))
+                return f(A)
+            return wrapped
+
+        for name in sizes:
+            monkeypatch.setattr(solutions, name, counted(name))
         fm = integrate_fundamental(F, lam)
         counts = _step_counts(F.table, fm.grid, lam ** (1 / 3)).astype(int)
         chunk = solutions.CHUNK_STEPS
         expected = []
-        for nsteps in counts:
+        for nsteps in counts[counts > 1]:
             full, rest = divmod(int(nsteps), chunk)
             expected += [chunk] * full + [rest] * (rest > 0)
         assert counts[0] > chunk and counts[1] == 1
-        assert sizes == expected
+        assert sizes == {"_expm": expected, "expm": [1]}
 
     def test_step_budget_checked_before_integrating(self, monkeypatch):
         # each piece fits MAX_STEPS alone, the two together do not
-        s1 = P([0, 0.5, 1], [[0.0, 1400.0], [700.0, 1400.0]])
+        s1 = P([0, 0.5, 1], [[0.0, 8400.0], [4200.0, 8400.0]])
         F = build(3, (1, 0), (P.zero(), s1))
 
         def no_expm(A):
             raise AssertionError("expm called before the budget check")
 
+        monkeypatch.setattr(solutions, "_expm", no_expm)
         monkeypatch.setattr(solutions, "expm", no_expm)
         with pytest.raises(IntegrationError) as info:
             integrate_fundamental(F, 10.0)
         assert str(info.value) == "step budget exhausted (at x=0.5)"
         assert info.value.x == 0.5
+
+    @pytest.mark.parametrize("lam_abs", [11.0, 221.0, 1.4e3, 3e4])
+    def test_step_count_against_finer_reference(self, monkeypatch, lam_abs):
+        # C(1) at the calibrated step count against eight times the steps;
+        # at 3e4 the reference's Omegas have 1-norm ~4.7 before balancing,
+        # where the unbalanced Pade approximant loses ~1e-8 entrywise
+        F = build(3, (1, 0), two_piece_quadratic())
+        lam = lam_abs * np.exp(0.7j)
+        C1 = integrate_fundamental(F, lam).at_one
+        monkeypatch.setattr(solutions, "STEPS_PER_SCALE",
+                            8 * solutions.STEPS_PER_SCALE)
+        ref = integrate_fundamental(F, lam).at_one
+        assert np.max(np.abs(C1 - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_lambda_cap(self):
         F = build_associated_matrix(zero_expression(3))
@@ -175,6 +195,70 @@ class TestIntegrateFundamental:
         F = build(3, (1, 0), (s0, s1))
         lam = -25.0 + 4j
         assert residual_loop(F, lam) < 1e-6 * (1 + abs(lam))
+
+
+def random_stack(rng, n, norms):
+    """Complex (len(norms), n, n) stack, slice k of 1-norm norms[k]."""
+    shape = (len(norms), n, n)
+    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return A * (norms / one_norms(A))[:, None, None]
+
+
+def one_norms(A):
+    return np.abs(A).sum(axis=1).max(axis=1)
+
+
+class TestStackedExpm:
+    THETA = solutions._THETA13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_pade_matches_scipy_per_slice(self, n):
+        # 1-norms from 1e-3 up to theta_13, one stack
+        A = random_stack(np.random.default_rng(n), n,
+                         np.geomspace(1e-3, self.THETA, 40))
+        for e, a in zip(solutions._pade13(A), A):
+            ref = expm(a)
+            assert np.max(np.abs(e - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("norms", [
+        np.geomspace(1e-3, 0.999 * THETA, 20),   # every slice small
+        np.geomspace(1.001 * THETA, 50.0, 9),    # every slice past theta
+        np.geomspace(1e-3, 50.0, 30),            # both sides: mixed
+    ])
+    def test_route_and_values(self, monkeypatch, norms):
+        # the Pade block runs only when no slice is past theta_13; scipy's
+        # expm takes the whole stack otherwise
+        A = random_stack(np.random.default_rng(len(norms)), 3, norms)
+        calls = []
+
+        def via(name, f):
+            def wrapped(B):
+                calls.append((name, len(B)))
+                return f(B)
+            return wrapped
+
+        monkeypatch.setattr(solutions, "_pade13",
+                            via("pade", solutions._pade13))
+        monkeypatch.setattr(solutions, "expm", via("scipy", expm))
+        E = solutions._expm(A)
+        small = bool(np.all(one_norms(A) <= self.THETA))
+        assert calls == [("pade" if small else "scipy", len(A))]
+        for e, a in zip(E, A):
+            ref = expm(a)
+            assert np.max(np.abs(e - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_non_finite_slice_reaches_fallback(self, monkeypatch):
+        A = random_stack(np.random.default_rng(3), 3,
+                         np.array([0.5, 1.0, 0.5]))
+        A[1, 2, 0] = np.inf
+
+        def refused(B):
+            raise AssertionError("Pade block ran on a non-finite slice")
+
+        monkeypatch.setattr(solutions, "_pade13", refused)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = solutions._expm(A)
+        assert not np.isfinite(E[1]).all()
 
 
 def two_piece_quadratic():

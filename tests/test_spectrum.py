@@ -280,6 +280,59 @@ class TestExactRouteOracle:
         assert abs(d.rho - root) < 1e-12 * abs(root)
 
 
+class TestDirectRouteOracle:
+    """A direct-route root against mpmath, on an n = 3 problem shaped like
+    the lowdisk-poly3 benchmark: a quadratic sigma_1, and C(1) summed as
+    the Taylor series of y' = (F + Lambda) y at 30 digits, with F the
+    library's associated matrix."""
+
+    @staticmethod
+    def problem():
+        sigma1 = P([0, 1], [[0.48, 0.33, -0.054]])
+        forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
+        return ProblemSpec(boundary=BoundarySpec(1, forms),
+                           expression=ExpressionSpec(3, (1, 0),
+                                                     (P.zero(), sigma1)))
+
+    @staticmethod
+    def delta(mp, prob, rho):
+        """det[U_s(C)] at lambda = rho^n; C(1) = sum of c_k with
+        (k + 1) c_(k+1) = sum_d F_d c_(k-d), F_0 carrying Lambda."""
+        n, b = prob.n, prob.boundary
+        npow = max(len(e.coeffs[0]) for row in prob.F.entries for e in row)
+        coef = lambda e, d: (mp.mpc(complex(e.coeffs[0][d]))
+                             if d < len(e.coeffs[0]) else 0)
+        Fd = [mp.matrix([[coef(e, d) for e in row] for row in prob.F.entries])
+              for d in range(npow)]
+        Fd[0][n - 1, 0] += mp.mpc(rho) ** n
+        terms, C = [mp.eye(n)], mp.eye(n)
+        while len(terms) < 8 or mp.mnorm(terms[-1], 1) > mp.eps * mp.mnorm(C, 1):
+            k = len(terms) - 1
+            nxt = sum((Fd[d] * terms[k - d] for d in range(min(npow, k + 1))),
+                      mp.zeros(n)) / (k + 1)
+            terms.append(nxt)
+            C += nxt
+        U = mp.matrix(n, n)
+        for s, f in enumerate(b.forms):
+            end = mp.eye(n) if f.side == 0 else C
+            for k in range(n):
+                U[s, k] = end[f.p, k]
+        return mp.det(U)
+
+    def test_root_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        prob = self.problem()
+        res = locate_eigenvalues(prob, l_min=1, l_max=1)
+        (d,) = res.data
+        assert DeterminantEvaluator(prob, res.model).is_direct(abs(d.rho))
+        e_dir = res.model.e_dir
+        with mp.workdps(30):
+            root = complex(mp.findroot(
+                lambda rc: self.delta(mp, prob, rc * e_dir),
+                mp.mpc(d.rho), tol=mp.mpf(10) ** -25, verify=False))
+        assert abs(d.rho - root) < 1e-12 * abs(root)
+
+
 class TestContours:
     def test_disk_counts(self):
         prob = dirichlet2()
