@@ -230,6 +230,12 @@ NEWTON_RTOL = 1e-12
 # boundary forms and direct determinants
 # ---------------------------------------------------------------------------
 
+def _unfused_product(a, b):
+    """a * b per entry of a, flat, rounded as unfused scalar complex
+    arithmetic rounds it: numpy's fused kernels may land an ulp apart."""
+    return np.array([complex(x) * b for x in np.ravel(a)], dtype=complex)
+
+
 def boundary_form(form: BoundaryForm, values):
     """Apply one form to quasi-derivatives at its endpoint: a column
     gives a number, a matrix (one column per solution) a row."""
@@ -255,29 +261,26 @@ class DeterminantEvaluator:
         self.direct_limit = (np.inf if self.eta < 1e-12
                              else EXPONENT_BUDGET / self.eta)
 
-    def _memo(self, key, compute):
-        """compute(), cached under key; the cache is wiped past 4,096 entries."""
-        if key not in self._cache:
-            value = compute()
-            if len(self._cache) > 4096:
+    def _memo(self, kind, keys, compute):
+        """Values under (kind, key) for a batch of keys; one call
+        compute(positions) gives the uncached ones. Wiped past 4,096."""
+        keys = [(kind, complex(k)) for k in keys]
+        got = {k: self._cache[k] for k in keys if k in self._cache}
+        miss = {k: i for i, k in enumerate(keys) if k not in got}
+        if miss:
+            got.update(zip(miss, compute(list(miss.values()))))
+            if len(self._cache) + len(miss) > 4096:
                 self._cache.clear()
-            self._cache[key] = value
-        return self._cache[key]
+            self._cache.update((k, got[k]) for k in miss)
+        return [got[k] for k in keys]
 
     # -- direct route -----------------------------------------------------
 
-    def _fundamental_at_one(self, lam):
-        def compute():
-            if self.zero_coeff:
-                return closed_form_zero_coeff(self.n, lam, np.array([1.0]))[0]
-            return integrate_fundamental(self.problem.F, lam).at_one
-        return self._memo(("C1", complex(lam)), compute)
-
     def _boundary_rows(self, ends, bullet, rho=None):
-        """The rows U_f applied to ends[f.side]; the bullet rows put the
-        weight form in place of row r - 1. With rho given, each row is
-        scaled by rho^(-p) for the order p of the plain row it stands
-        for."""
+        """The rows U_f applied to ends[f.side], per matrix of the (m, n, n)
+        stacks; the bullet rows put the weight form in place of row r - 1.
+        With rho (m,) given, each row is scaled by rho^(-p) for the order
+        p of the plain row it stands for."""
         b = self.problem.boundary
         rows, ps = list(b.forms), list(b.p_list)
         if bullet:
@@ -286,24 +289,30 @@ class DeterminantEvaluator:
                                          "bullet determinant")
             rows = [b.weight] + rows[:b.r - 1] + rows[b.r:]
             ps = [ps[b.r - 1]] + ps[:b.r - 1] + ps[b.r:]
-        M = np.array([boundary_form(f, ends[f.side]) for f in rows],
-                     dtype=complex)
+        sides = [np.moveaxis(end, -2, 0) for end in ends]
+        M = np.stack([boundary_form(f, sides[f.side]) for f in rows], axis=-2)
         if rho is not None:
-            M *= rho ** -np.array(ps)[:, None]
+            M *= rho[:, None, None] ** -np.array(ps)[:, None]
         return M
 
     def _boundary_det(self, ends, bullet, rho=None):
-        """det of _boundary_rows(ends, bullet, rho)."""
+        """det of each matrix of _boundary_rows(ends, bullet, rho)."""
         M = self._boundary_rows(ends, bullet, rho)
         # overflow to inf or nan is reported by count_zeros' finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
-            return complex(np.linalg.det(M))
+            return np.linalg.det(M)
 
     def delta(self, lam, bullet=False):
-        """det[U_s(C_k)]; rows at x = 0 come from C(0) = I exactly."""
-        ends = (np.eye(self.n), self._fundamental_at_one(complex(lam)))
-        return self._boundary_det(ends, bullet)
+        """det[U_s(C_k)] at an array of lambda, in its shape; rows at x = 0
+        come from C(0) = I exactly, C(1) from one solve per uncached lambda."""
+        flat = np.ravel(lam)
+        C1 = np.array(self._memo("C1", flat, lambda idx: [
+            closed_form_zero_coeff(self.n, flat[i], 1.0)[0] if self.zero_coeff
+            else integrate_fundamental(self.problem.F, flat[i]).at_one
+            for i in idx]))
+        ends = (np.broadcast_to(np.eye(self.n), C1.shape), C1)
+        return self._boundary_det(ends, bullet).reshape(np.shape(lam))
 
     # -- factored route ----------------------------------------------------
 
@@ -334,55 +343,59 @@ class DeterminantEvaluator:
         return np.diff(bp), Ak, subsets, comps, signs
 
     def _z_pair(self, rho):
-        """(z(0), z(1)) for the factored boundary matrix."""
-        def compute():
-            sol = birkhoff_fss(self.system, rho)
-            return sol.z_at_zero, sol.z_at_one
-        return self._memo(("z", complex(rho)), compute)
+        """(z(0), z(1)) for the factored boundary matrix at one rho."""
+        sol = birkhoff_fss(self.system, rho)
+        return sol.z_at_zero, sol.z_at_one
 
     def _carry(self, rho, right):
-        """The compound q_S = det right[:, S] of the x = 1 rows, carried
-        back to x = 0, the last piece first.
+        """The compounds q_S = det right[:, :, S] of a batch's x = 1 rows
+        (m, n - r, n), carried back to x = 0, the last piece first.
 
         On a piece of width h, rho B + A = X diag(mu) X^-1 and the
         propagator's compound is C(X) diag(exp(h sum_S mu)) C(X^-1), with
         C(Y)[S, T] = det Y[S, T]; each piece also takes exp(-h rho
-        omega*), so no exponent has a real part above O(h).
-        IntegrationError when rho B + A is not finite or X is
-        ill-conditioned (coalescing mu). Runs under d_norm's errstate.
+        omega*), so no exponent has a real part above O(h). One eig, inv
+        and det serve all points and pieces. IntegrationError names the
+        first rho at which rho B + A is not finite or X is ill-conditioned
+        (coalescing mu). Runs under d_norm's errstate.
         """
         widths, Ak, subsets, _, _ = self._pieces
-        om = self.model.frame.omegas
-        M = (np.tensordot(rho ** -np.arange(self.n), Ak, axes=1)
-             + np.diag(rho * om))
-        if not np.all(np.isfinite(M)):
-            raise IntegrationError(
-                f"rho B + A is not finite at rho = {rho:.6g}")
+        n, om = self.n, self.model.frame.omegas
+        M = (np.tensordot(rho[:, None] ** -np.arange(n), Ak, axes=1)
+             + (rho[:, None] * om)[:, None, None, :] * np.eye(n))
+        finite = np.all(np.isfinite(M), axis=(1, 2, 3))
+        M[~finite] = 0.0
         mu, X = np.linalg.eig(M)
         try:
             Xinv = np.linalg.inv(X)
             cond = (np.max(np.sum(np.abs(X), axis=-2), axis=-1)
                     * np.max(np.sum(np.abs(Xinv), axis=-2), axis=-1))
         except np.linalg.LinAlgError:
-            cond = np.inf
-        if not np.all(cond <= EIGVEC_COND_MAX):
+            cond = np.linalg.cond(X, 1)     # inf where X is singular
+        ok = finite & np.all(cond <= EIGVEC_COND_MAX, axis=-1)
+        if not ok.all():
+            i = np.argmin(ok)
+            if not finite[i]:
+                raise IntegrationError(
+                    f"rho B + A is not finite at rho = {rho[i]:.6g}")
             raise IntegrationError(
-                f"rho B + A at rho = {rho:.6g} is nearly defective: its "
-                f"eigenvectors have condition number {np.max(cond):.3g}, "
+                f"rho B + A at rho = {rho[i]:.6g} is nearly defective: its "
+                f"eigenvectors have condition number {np.max(cond[i]):.3g}, "
                 f"more than {EIGVEC_COND_MAX:.3g}")
         CX, CXinv = np.linalg.det(np.stack([X, Xinv])[
             ..., subsets[:, None, :, None], subsets[None, :, None, :]])
         wstar = np.sum(om[self.model.r:])
-        decay = np.exp(widths[:, None]
-                       * (np.sum(mu[:, subsets], axis=-1) - rho * wstar))
-        q = np.linalg.det(np.moveaxis(right[:, subsets], 1, 0))
+        decay = np.exp(widths[:, None] * (
+            np.sum(mu[..., subsets], axis=-1)
+            - _unfused_product(rho, wstar)[:, None, None]))
+        q = np.linalg.det(np.moveaxis(right[..., subsets], -2, -3))[:, None]
         for k in reversed(range(len(widths))):
-            q = (q @ CX[k]) * decay[k] @ CXinv[k]
-        return q
+            q = (q @ CX[:, k]) * decay[:, k, None] @ CXinv[:, k]
+        return q[:, 0]
 
     def d_norm(self, rho_check, bullet=False):
-        """Normalized determinant in the strip variable, built on one of
-        two routes.
+        """Normalized determinant in the strip variable at each rho_check
+        of an array, in its shape, built on one of two routes.
 
         Let rho = rho_check * e_dir, V[j, k] = (rho omega_k)^j, P the sum
         of the plain rows' orders (for the bullet rows too, so that the
@@ -392,9 +405,9 @@ class DeterminantEvaluator:
         Exact route, when every coefficient piece is constant: the rows
         act on V w(x) for the solutions w of w' = (rho B + A) w with
         w(0) = I, so d_norm = Delta det V rho^(-P) exp(-rho omega*). The
-        x = 1 rows' compound is carried to x = 0 (_carry) and met by the
-        x = 0 rows in a Laplace sum over the column subsets S:
-        sum_S sign_S det(L[:, S^c]) q_S.
+        x = 1 rows' compound is carried to x = 0 (_carry, one call for the
+        points not cached) and met by the x = 0 rows in a Laplace sum over
+        the column subsets S: sum_S sign_S det(L[:, S^c]) q_S.
 
         Factored route otherwise: the rows act on V z(x), the
         quasi-derivatives of w = z exp(rho B x) without exponentials, so
@@ -402,33 +415,36 @@ class DeterminantEvaluator:
         With c = omega_(r-1), exp(-rho c) leaves every x = 1 row and
         exp(-rho (omega_k - c)) every column k >= r: by the sector
         ordering, the exponents left have non-positive real part up to
-        the strip slack.
+        the strip slack. z takes one factored solve per point not cached.
 
         The factored value is the exact one times det z(0), which is 1:
         the pairs integrated from x = 0 start from the identity, so z(0)
         is unit lower triangular. Both routes thus give one function, up
         to the factored solve's accuracy.
         """
-        model = self.model
-        rho = complex(rho_check) * model.e_dir
+        model, shape = self.model, np.shape(rho_check)
+        rho = _unfused_product(rho_check, model.e_dir)
         om, r = model.frame.omegas, model.r
-        if self.exact:
-            _, _, _, comps, signs = self._pieces
-            # no numpy warnings: _carry fails typed on a non-finite system,
-            # and count_zeros reports a non-finite value
-            with np.errstate(all="ignore"):
-                V = (rho * om) ** np.arange(self.n)[:, None]
+        # no numpy warnings: _carry fails typed on a non-finite system,
+        # and count_zeros reports a non-finite value
+        with np.errstate(all="ignore"):
+            V = (rho[:, None, None] * om) ** np.arange(self.n)[:, None]
+            if self.exact:
+                _, _, _, comps, signs = self._pieces
                 rows = self._boundary_rows((V, V), bullet, rho)
-                q = self._memo(("q", rho), lambda: self._carry(rho, rows[r:]))
-                left = np.linalg.det(np.moveaxis(rows[:r][:, comps], 1, 0))
-                return complex(np.sum(signs * left * q))
-        V = (rho * om) ** np.arange(self.n)[:, None]
-        z0, z1 = self._z_pair(rho)
+                q = np.array(self._memo("q", rho, lambda idx: self._carry(
+                    rho[idx], rows[idx, r:])))
+                left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps],
+                                                 -2, -3))
+                return np.sum(signs * left * q, axis=-1).reshape(shape)
+        z0, z1 = map(np.array, zip(*self._memo("z", rho, lambda idx: [
+            self._z_pair(rho[i]) for i in idx])))
         upper = np.arange(self.n) >= r
-        g = np.exp(np.where(upper, -rho, rho) * (om - om[r - 1]))
-        ends = (V @ z0 * np.where(upper, g, 1.0),
-                V @ z1 * np.where(upper, 1.0, g))
-        return self._boundary_det(ends, bullet, rho)
+        g = np.exp(np.where(upper, -rho[:, None], rho[:, None])
+                   * (om - om[r - 1]))
+        ends = (V @ z0 * np.where(upper, g, 1.0)[:, None],
+                V @ z1 * np.where(upper, 1.0, g)[:, None])
+        return self._boundary_det(ends, bullet, rho).reshape(shape)
 
     # -- region dispatch ---------------------------------------------------
 
@@ -438,20 +454,20 @@ class DeterminantEvaluator:
         return outer_radius <= self.direct_limit
 
     def box_function(self, outer_radius):
-        """Evaluator in rho_check for one box/contour, on one route (mixing
-        them mid-contour would fake a discontinuity): the plain
-        determinant by the route rule, unless the problem is
+        """Evaluator f(points) -> values in rho_check for one box/contour,
+        on one route (mixing them mid-contour would fake a discontinuity):
+        the plain determinant by the route rule, unless the problem is
         coefficient-free (d_norm is then exact at every rho)."""
         model = self.model
         if self.zero_coeff or not self.is_direct(outer_radius):
             return self.d_norm
-        return lambda rc: self.delta(model.sign * complex(rc) ** self.n)
+        return lambda rc: self.delta(model.sign * np.asarray(rc) ** self.n)
 
     def lambda_function(self, outer_radius):
-        """Evaluator f(lam, bullet=False) in lambda for one weight circle
-        whose largest |rho| is outer_radius (its far side): the plain
-        determinant when the route rule says so, d_norm at the canonical
-        root otherwise."""
+        """Evaluator f(lams, bullet=False) -> values in lambda for one
+        weight circle whose largest |rho| is outer_radius (its far side):
+        the plain determinant when the route rule says so, d_norm at the
+        canonical root otherwise."""
         if self.is_direct(outer_radius):
             return self.delta
         rho_of_lambda = self.model.rho_of_lambda
@@ -486,15 +502,16 @@ def _contour_values(f, pts):
     """(values, phase steps) of f on the closed polyline pts: f at each
     point and the change of arg f from each point to the next.
 
-    Segments whose phase step exceeds 1 radian are refined and the step
-    is summed over the refined pieces, so no step jumps a branch. A value
-    tiny against the contour median trips ContourError (zero too close),
-    and so does a value, or a ratio of neighbouring values, that is not
-    finite.
+    f maps an array of points to their values: one call takes all of pts,
+    and one more each refinement round. Segments whose phase step exceeds
+    1 radian are refined by their midpoints and the step is summed over
+    the refined pieces, so no step jumps a branch. A value tiny against
+    the contour median trips ContourError (zero too close), and so does a
+    value, or a ratio of neighbouring values, that is not finite.
     """
-    pts = list(np.asarray(pts, dtype=complex))
-    given = [True] * len(pts)
-    vals = [complex(f(z)) for z in pts]
+    pts = np.asarray(pts, dtype=complex)
+    given = np.ones(len(pts), dtype=bool)
+    vals = np.asarray(f(pts), dtype=complex)
     scale = np.median(np.abs(vals))
     if scale == 0:
         raise ContourError("determinant vanishes on the contour")
@@ -505,7 +522,7 @@ def _contour_values(f, pts):
         if np.min(mags) < ZERO_CONTACT_RTOL * scale:
             raise ContourError("zero too close to the contour", contact=True)
         with np.errstate(invalid="ignore", over="ignore"):
-            ratios = np.array(vals[1:]) / np.array(vals[:-1])
+            ratios = vals[1:] / vals[:-1]
         if not np.all(np.isfinite(ratios)):
             raise ContourError("determinant ratio is not finite on the contour")
         dphi = np.angle(ratios)
@@ -513,20 +530,20 @@ def _contour_values(f, pts):
         if len(bad) == 0:
             keep = np.nonzero(given)[0]
             phase = np.concatenate([[0.0], np.cumsum(dphi)])
-            return np.array(vals)[keep], np.diff(phase[keep])
+            return vals[keep], np.diff(phase[keep])
         if len(pts) + len(bad) > MAX_CONTOUR_POINTS:
             raise ContourError("contour refinement budget exhausted",
                                contact=True)
-        for idx in bad[::-1]:
-            mid = 0.5 * (pts[idx] + pts[idx + 1])
-            pts.insert(idx + 1, mid)
-            given.insert(idx + 1, False)
-            vals.insert(idx + 1, complex(f(mid)))
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        pts = np.insert(pts, bad + 1, mids)
+        given = np.insert(given, bad + 1, False)
+        vals = np.insert(vals, bad + 1, f(mids))
     raise ContourError("winding did not stabilize", contact=True)
 
 
 def count_zeros(f, contour_pts):
-    """Argument-principle zero count inside a closed contour.
+    """Argument-principle zero count of f, which maps an array of points
+    to their values, inside a closed contour.
 
     On contact with a zero the contour is dilated about its centroid by
     3 percent and retried; other contour failures are raised at once.
@@ -557,7 +574,7 @@ def delta_derivative(f, lam0, radius):
     for _ in range(6):
         th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
         w = lam0 + radius * np.exp(1j * th)
-        vals = np.array([f(z) for z in w])
+        vals = np.asarray(f(w))
         est = np.mean(vals * np.exp(-1j * th)) / radius
         if prev is not None and abs(est - prev) <= DERIVATIVE_RTOL * max(1.0, abs(est)):
             return complex(est)
@@ -569,18 +586,20 @@ def delta_derivative(f, lam0, radius):
 
 
 def _newton(f, z0):
+    """A zero of f polished from z0 by Newton steps on a central
+    difference: one call of f on (z, z + h, z - h) per step, none after
+    the last, which is the first step below NEWTON_RTOL of max(1, |z|)."""
     z = complex(z0)
-    fz = complex(f(z))
     for _ in range(NEWTON_MAX_ITER):
         h = 1e-7 * max(1.0, abs(z))
-        der = (f(z + h) - f(z - h)) / (2 * h)
+        fz, fp, fm = map(complex, f(np.array([z, z + h, z - h])))
+        der = (fp - fm) / (2 * h)
         if der == 0:
             raise RootSearchError(f"flat derivative near {z}")
         step = fz / der
         z = z - step
-        fz = complex(f(z))
         if abs(step) <= NEWTON_RTOL * max(1.0, abs(z)):
-            return z, fz
+            return z
     raise RootSearchError(f"Newton failed to converge near {z0}")
 
 
@@ -688,7 +707,7 @@ def _contour_zeros(f, pts, expected):
     for wr, mu in zip(roots, mult_int):
         root = c + R * complex(wr)
         if mu == 1:
-            root, _ = _newton(f, root)
+            root = _newton(f, root)
         with np.errstate(invalid="ignore", divide="ignore"):
             turns = np.sum(np.angle((pts[1:] - root) / (pts[:-1] - root)))
         if (not abs(turns / (2 * np.pi) - 1) < 0.5
@@ -726,9 +745,7 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     T_A = growth * (L_A + chi_re + 0.5)
     lam_radius = T_A ** n
 
-    def f_lam(lam):
-        return ev.delta(lam)
-
+    f_lam = ev.delta
     n_low, circle = count_zeros(f_lam, disk_contour(0.0, lam_radius,
                                                      m=max(64, 16 * L_A)))
     # sorted by |lambda| then arg, with canonical normalized roots
@@ -808,8 +825,9 @@ def _ratio_and_residue(f, lam0, radius):
     """Delta_bullet(lam0) / Delta'(lam0) and the residue of
     Delta_bullet / Delta at lam0, from f and f(., bullet=True) on the
     m = RESIDUE_POINTS points lam0 + radius w_k, w_k = exp(2 pi i k / m).
-    Both rows are read at each point in turn, so the bullet value finds
-    the plain one's solve in the evaluator's cache.
+    One call of f takes the plain row at all points and one more the
+    bullet row, which finds the plain one's solves in the evaluator's
+    cache.
 
     By the trapezoid rule on the circle, Delta_bullet(lam0) is the mean
     of the bullet values, Delta'(lam0) the mean of the plain values over
@@ -818,7 +836,7 @@ def _ratio_and_residue(f, lam0, radius):
     """
     w = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
     pts = lam0 + radius * w
-    plain, bullet = np.array([(f(z), f(z, bullet=True)) for z in pts]).T
+    plain, bullet = f(pts), f(pts, bullet=True)
     der = np.mean(plain / w) / radius
     ratio = np.mean(bullet) / der
     res = radius * np.mean(w * bullet / plain)

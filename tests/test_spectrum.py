@@ -1,6 +1,7 @@
 """Determinants, winding counts, eigenvalue location, weight numbers."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -373,8 +374,8 @@ class TestContours:
         calls = []
 
         def f(z):
-            calls.append(z)
-            return value
+            calls.extend(np.ravel(z))
+            return np.full(np.shape(z), value)
 
         with pytest.raises(ContourError, match="not finite"):
             count_zeros(f, disk_contour(0.0, 1.0))
@@ -384,8 +385,8 @@ class TestContours:
         calls = []
 
         def f(z):
-            calls.append(z)
-            return 0.0
+            calls.extend(np.ravel(z))
+            return np.zeros(np.shape(z))
 
         with pytest.raises(ContourError, match="vanishes"):
             count_zeros(f, disk_contour(0.0, 1.0))
@@ -539,8 +540,9 @@ class TestWeights:
 
     def test_one_circle_of_solves_per_weight(self, monkeypatch):
         # a weight costs its circle's RESIDUE_POINTS solves, shared by the
-        # plain and bullet rows, on either route: a direct integration, or
-        # a carry of the exact route (constant coefficients)
+        # plain and bullet rows, on either route: a direct integration per
+        # point, or a point of an exact-route carry (constant coefficients),
+        # which takes a batch of rho per call
         from quasispec import spectrum
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
@@ -566,8 +568,11 @@ class TestWeights:
                             counted(DeterminantEvaluator._carry))
         out = weight_numbers(res)
         assert all(d.beta is not None for d in out.data)
-        assert any(isinstance(a[0], DeterminantEvaluator) for a in calls)
-        assert len(calls) <= spectrum.RESIDUE_POINTS * len(out.data)
+        carried = [len(a[1]) for a in calls
+                   if isinstance(a[0], DeterminantEvaluator)]
+        points = len(calls) - len(carried) + sum(carried)
+        assert carried
+        assert points <= spectrum.RESIDUE_POINTS * len(out.data)
 
     def test_constant_pieces_need_no_factored_solve(self, monkeypatch):
         # past direct_limit, constant coefficients take the exact route;
@@ -613,7 +618,7 @@ class TestWeights:
         delta = DeterminantEvaluator.delta
 
         def recorded(self, lam, bullet=False):
-            plain.append(lam)
+            plain.extend(np.ravel(lam))
             return delta(self, lam, bullet=bullet)
 
         monkeypatch.setattr(DeterminantEvaluator, "delta", recorded)
@@ -621,6 +626,122 @@ class TestWeights:
         assert plain and not any(abs(lam - d.lam) < 2 * radius for lam in plain)
         ratio, _ = _ratio_and_residue(ev.lambda_function(np.inf), d.lam, radius)
         assert abs(out.data[2].beta + ratio) < 1e-9 * abs(ratio)
+
+
+class TestBatches:
+    """Evaluators map an array of points to an array of values, and every
+    contour pass, weight circle and Newton step is one call."""
+
+    @staticmethod
+    def weighted(coeff):
+        # n = 3 with a weight form: constant coefficients take the exact
+        # route past direct_limit, a linear one the factored solve
+        forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
+        prob = ProblemSpec(
+            boundary=BoundarySpec(1, forms, BoundaryForm(0, 1)),
+            expression=ExpressionSpec(3, (1, 0), (P.constant(0.4), coeff)))
+        b = prob.boundary
+        return prob, asymptotic_model(3, b.r, b.p_list)
+
+    @pytest.mark.parametrize("coeff, exact", [
+        (P.constant(1.1), True), (P([0.0, 1.0], [[1.1, 0.6]]), False)])
+    @pytest.mark.parametrize("bullet", [False, True])
+    def test_d_norm_batch_equals_its_points(self, coeff, exact, bullet):
+        prob, model = self.weighted(coeff)
+        # a repeated point, as a closed contour has
+        rcs = np.array([[8.0 + 0.1j, 11.0 - 0.3j, 15.0 + 0.2j],
+                        [26.0 + 0.5j, 9.5, 8.0 + 0.1j]])
+        ev = DeterminantEvaluator(prob, model)
+        assert ev.exact == exact
+        batch = ev.d_norm(rcs, bullet=bullet)
+        single = DeterminantEvaluator(prob, model)
+        points = [single.d_norm(rc, bullet=bullet) for rc in rcs.ravel()]
+        assert all(isinstance(v, np.ndarray) and v.shape == () for v in points)
+        assert batch.shape == rcs.shape
+        assert np.array_equal(batch.ravel(), np.array(points))
+
+    @pytest.mark.parametrize("bullet", [False, True])
+    def test_delta_batch_equals_its_points(self, bullet):
+        prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
+        lams = model.sign * np.array([3.0 + 0.2j, 5.0 - 0.1j, 3.0 + 0.2j,
+                                      7.5]) ** 3
+        batch = DeterminantEvaluator(prob, model).delta(lams, bullet=bullet)
+        single = DeterminantEvaluator(prob, model)
+        points = [single.delta(lam, bullet=bullet) for lam in lams]
+        assert all(isinstance(v, np.ndarray) and v.shape == () for v in points)
+        assert batch.shape == lams.shape
+        assert np.array_equal(batch, np.array(points))
+
+    def test_batch_fails_typed_at_its_first_bad_point(self):
+        # the n = 2 problem of test_exact_route_fails_typed: a defective
+        # rho B + A at one rho, a non-finite one at a subnormal rho; the
+        # error names whichever comes first, and the batch caches nothing
+        prob = ProblemSpec(
+            boundary=BoundarySpec(1, (BoundaryForm(0, 0), BoundaryForm(1, 0))),
+            expression=ExpressionSpec(2, (0,), (P.constant(3.0),)))
+        model = asymptotic_model(2, 1, (0, 0))
+        F = prob.F.table(0.5)
+        defective = model.rho_of_lambda(np.linalg.det(F) / F[0, 1])
+        tiny, good = 1e-310, defective * (1 + 1e-6)
+        name = lambda rc: re.escape(f"{complex(rc) * model.e_dir:.6g}")
+        for batch, match in (
+                ([good, defective, tiny], "^rho B \\+ A at rho = "
+                 f"{name(defective)} is nearly defective"),
+                ([good, tiny, defective],
+                 f"^rho B \\+ A is not finite at rho = {name(tiny)}$")):
+            ev = DeterminantEvaluator(prob, model)
+            with pytest.raises(IntegrationError, match=match):
+                ev.d_norm(np.array(batch))
+            assert not ev._cache
+            assert np.isfinite(ev.d_norm(good))
+
+    @staticmethod
+    def counted(f, calls):
+        def call(z, **kwargs):
+            calls.append((np.array(z), kwargs))
+            return f(z, **kwargs)
+        return call
+
+    def test_one_call_per_contour_pass(self):
+        # a zero 0.03 inside the unit circle: the 64-point circle's steps
+        # near it exceed 1 radian twice over, so two refinement rounds
+        # each add the midpoints of the steps still too large
+        calls = []
+        f = self.counted(lambda z: z - 0.97, calls)
+        pts = disk_contour(0.0, 1.0)
+        cnt, out = count_zeros(f, pts)
+        assert cnt == 1 and np.array_equal(out, pts)
+        assert len(calls) == 3 and np.array_equal(calls[0][0], pts)
+        seen = pts
+        for z, _ in calls[1:]:
+            assert 0 < len(z) < len(pts) and not np.isin(z, seen).any()
+            seen = np.concatenate([seen, z])
+
+    def test_one_call_per_weight_row(self):
+        from quasispec.spectrum import RESIDUE_POINTS, _ratio_and_residue
+        prob, model = self.weighted(P.constant(1.1))
+        ev = DeterminantEvaluator(prob, model)
+        calls = []
+        f = self.counted(ev.lambda_function(np.inf), calls)
+        _ratio_and_residue(f, model.sign * 20.0 ** 3, 50.0)
+        assert [len(z) for z, _ in calls] == [RESIDUE_POINTS] * 2
+        assert [kw.get("bullet", False) for _, kw in calls] == [False, True]
+
+    def test_one_call_per_newton_step(self):
+        # each call takes (z, z + h, z - h); the root is the step from the
+        # last call's values, taken with no evaluation after it
+        from quasispec.spectrum import _newton
+        calls = []
+        f = self.counted(lambda z: (z - 1.0) * (z + 2.0), calls)
+        root = _newton(f, 1.1)
+        assert abs(root - 1.0) < 1e-12 and len(calls) >= 2
+        z = 1.1
+        for pts, _ in calls:
+            h = 1e-7 * max(1.0, abs(z))
+            assert np.array_equal(pts, [z, z + h, z - h])
+            fz, fp, fm = map(complex, (pts - 1.0) * (pts + 2.0))
+            z = z - fz / ((fp - fm) / (2 * h))
+        assert root == z
 
 
 class TestClusterHandling:
@@ -635,7 +756,7 @@ class TestClusterHandling:
     def test_simple_zeros_all_refined(self):
         from quasispec.spectrum import _contour_zeros
         roots = [0.3, -0.5 + 0.4j, 0.9j]
-        f = lambda z: np.prod([z - r for r in roots])
+        f = lambda z: np.prod([z - r for r in roots], axis=0)
         out = _contour_zeros(f, disk_contour(0.0, 1.5), expected=3)
         assert len(out) == 3
         for r, m in out:
@@ -646,7 +767,7 @@ class TestClusterHandling:
         # a pair 1e-2 apart: two simple zeros, not one double one
         from quasispec.spectrum import _contour_zeros
         roots = [0.3, 0.31, -0.5j]
-        f = lambda z: np.prod([z - r for r in roots])
+        f = lambda z: np.prod([z - r for r in roots], axis=0)
         out = _contour_zeros(f, disk_contour(0.0, 1.5), expected=3)
         assert sorted(m for _, m in out) == [1, 1, 1]
         for rr in roots:
@@ -700,7 +821,7 @@ class TestClusterHandling:
 
         class Moved(DeterminantEvaluator):
             def box_function(self, outer_radius):
-                return lambda z: np.prod(z - zeros)
+                return lambda z: np.prod(np.subtract.outer(z, zeros), axis=-1)
 
         monkeypatch.setattr(spectrum, "DeterminantEvaluator", Moved)
 
