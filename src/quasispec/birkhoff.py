@@ -34,6 +34,7 @@ count per piece, and one solve costs:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ MIN_PANELS = 4
 # most panels of a layout; a larger |rho| is refused before any array is
 # built (the largest benchmark layouts hold about 60)
 MAX_PANELS = 10_000
+# (point, panel) pairs of one stacked solve
+CHUNK_PANELS = 64
 # relative change that stops the fixed-point iteration; GMRES tolerance
 TOL = 1e-12
 # fixed-point iterations before the GMRES fallback
@@ -87,17 +90,21 @@ _XHAT, _DIFF = _cheb_nodes_and_diff(DEGREE)
 
 
 def _panel_layout(breakpoints, rho_abs, span):
-    """Panels per coefficient piece, so that the largest kernel exponent
-    per panel stays below the target; the tuple names the layout.
-    IntegrationError when that takes more than MAX_PANELS panels."""
-    width_cap = TARGET_EXPONENT / max(rho_abs * span, 1e-9)
+    """Panels per coefficient piece at each |rho| of rho_abs (m,), as an
+    (m, pieces) array whose rows name the layouts: the largest kernel
+    exponent per panel stays below the target. IntegrationError names
+    the first |rho| whose layout takes more than MAX_PANELS panels."""
+    width_cap = TARGET_EXPONENT / np.maximum(rho_abs * span, 1e-9)
     widths = np.diff(np.asarray(breakpoints, dtype=float))
-    counts = np.maximum(1, np.ceil(widths / width_cap))
-    if not counts.sum() <= MAX_PANELS:
+    counts = np.maximum(1, np.ceil(widths / width_cap[:, None]))
+    total = counts.sum(axis=1)
+    refused = ~(total <= MAX_PANELS)
+    if refused.any():
+        i = np.argmax(refused)
         raise IntegrationError(
-            f"|rho| = {rho_abs:.3g} is too large: the factored solve would "
-            f"need {counts.sum():.3g} panels, more than {MAX_PANELS}")
-    return tuple(counts.astype(int).tolist())
+            f"|rho| = {rho_abs[i]:.3g} is too large: the factored solve would "
+            f"need {total[i]:.3g} panels, more than {MAX_PANELS}")
+    return counts.astype(int)
 
 
 def _segments(breakpoints, counts):
@@ -183,17 +190,20 @@ def _node_Ak(system, xs):
 
 
 class _KernelBank:
-    """Per-(j,k) panelized kernel solvers for integral from b_jk to x.
+    """Per-(j,k) panelized kernel solvers for integral from b_jk to x, for
+    a stack of points that share one panel layout.
 
-    Panel axes run in x for the local work; the carries run in scan
-    order, which is reversed for the pairs integrated from x = 1.
+    Every array has the point axis first; the collocation solves and
+    their kernel factors are per point, the nodes xs per layout. Panel
+    axes run in x for the local work; the carries run in scan order,
+    which is reversed for the pairs integrated from x = 1.
     """
 
     def __init__(self, frame, rho, bounds, counts):
         om = frame.omegas
         q = DEGREE
         grow = frame.grow_mask
-        mus = rho * (om[:, None] - om[None, :])
+        mus = rho[:, None, None] * (om[:, None] - om[None, :])   # (m, n, n)
         ends = np.cumsum(counts)
         seg = np.repeat(np.arange(len(counts)), counts)    # segment per panel
         lengths = np.diff(bounds)
@@ -203,48 +213,153 @@ class _KernelBank:
         self.xs = starts[:, None] + (_XHAT[None, :] + 1.0) * 0.5 * hs[seg][:, None]
         widths, wid = np.unique(hs, return_inverse=True)
         self.segments = [(slice(e - m, e), w) for e, m, w in zip(ends, counts, wid)]
-        # collocation solves over the (j, k, distinct width) triples only
-        nus = mus[:, :, None] * widths[None, None, :] / 2.0    # (n, n, W)
+        # collocation solves over the (point, j, k, distinct width) tuples only
+        nus = mus[..., None] * widths / 2.0    # (m, n, n, W)
         eye = np.eye(q + 1)
         Amat = _DIFF - nus[..., None, None] * eye
-        Proj = np.broadcast_to(eye, Amat.shape).copy()
+        Proj = np.broadcast_to(eye, (1,) + Amat.shape[1:]).copy()
         pin = np.where(grow, q, 0)[:, :, None]
-        jj, kk, ww = np.indices(nus.shape)
-        Amat[jj, kk, ww, pin, :] = 0.0
-        Amat[jj, kk, ww, pin, pin] = 1.0
-        Proj[jj, kk, ww, pin, pin] = 0.0
-        psi = np.linalg.solve(Amat, Proj) * (widths[:, None, None] / 2.0)
-        self.psiT = np.swapaxes(psi, -1, -2)
+        jj, kk, ww = np.indices(nus.shape[1:])
+        Amat[:, jj, kk, ww, pin, :] = 0.0
+        Amat[:, jj, kk, ww, pin, pin] = 1.0
+        Proj[:, jj, kk, ww, pin, pin] = 0.0
+        self.psi = np.linalg.solve(Amat, Proj)
+        self.psi *= widths[:, None, None] / 2.0
         # each node's kernel factor from its panel's integration origin
         origin = np.where(grow[:, :, None, None], _XHAT - 1.0, _XHAT + 1.0)
-        self.prop = np.exp(nus[..., None] * origin)[:, :, wid[seg]]
+        self.prop = np.exp(nus[..., None] * origin)[:, :, :, wid[seg]]
         # scan factors exp(mu h) forward, exp(-mu h) backward: both decay
         self.back = grow[:, :, None]
-        step = np.exp(np.where(grow, -mus, mus)[:, :, None] * widths)[:, :, wid[seg]]
-        step = np.where(self.back, step[:, :, ::-1], step)   # scan order
+        step = np.exp(np.where(grow, -mus, mus)[..., None] * widths)[..., wid[seg]]
+        step = np.where(self.back, step[..., ::-1], step)   # scan order
         # Hillis-Steele levels: products of step over windows of length d
         self.levels = []
         d = 1
         while d < len(seg):
-            self.levels.append((d, step[:, :, d:]))
-            step = np.concatenate([step[:, :, :d], step[:, :, d:] * step[:, :, :-d]],
+            self.levels.append((d, step[..., d:]))
+            step = np.concatenate([step[..., :d], step[..., d:] * step[..., :-d]],
                                   axis=-1)
             d *= 2
 
-    def apply(self, G):
-        """out[j,k,p,:] = integral_{b_jk}^{x} G_jk(t) exp(mu_jk (x-t)) dt."""
-        partial = np.empty_like(G)
+    def take(self, points):
+        """The bank of the given points of the stack only."""
+        sub = copy.copy(self)
+        sub.psi, sub.prop = self.psi[points], self.prop[points]
+        sub.levels = [(d, a[points]) for d, a in self.levels]
+        return sub
+
+    def apply(self, V, z):
+        """out[i,j,k,p,:] = integral_{b_jk}^{x} G_jk(t) exp(mu_jk (x-t)) dt
+        with G = V z at each point i."""
+        G = np.einsum("ijlpq,ilkpq->ijkpq", V, z)
         for sl, w in self.segments:
-            partial[:, :, sl] = G[:, :, sl] @ self.psiT[:, :, w]
+            G[..., sl, :] = G[..., sl, :] @ np.swapaxes(self.psi[:, :, :, w], -1, -2)
         # carry recurrence inputs in scan order: each panel's local integral
         # at the panel end that faces away from the integration origin
-        y = np.where(self.back, partial[:, :, ::-1, 0], partial[:, :, :, -1])
+        y = np.where(self.back, G[..., ::-1, 0], G[..., -1])
         for d, a in self.levels:
-            y[:, :, d:] = y[:, :, d:] + a * y[:, :, :-d]
+            y[..., d:] = y[..., d:] + a * y[..., :-d]
         carry = np.zeros_like(y)
-        carry[:, :, 1:] = y[:, :, :-1]
-        carry = np.where(self.back, carry[:, :, ::-1], carry)
-        return partial + carry[..., None] * self.prop
+        carry[..., 1:] = y[..., :-1]
+        carry = np.where(self.back, carry[..., ::-1], carry)
+        G += carry[..., None] * self.prop
+        return G
+
+
+def _gmres(bank, V, rho):
+    """z = I + V z at one point (V of shape (1, n, n, P, q+1)) by GMRES;
+    NonContractionError when it fails."""
+    diag = np.arange(V.shape[1])
+    ident = np.zeros(V.shape, dtype=complex)
+    ident[:, diag, diag] = 1.0
+
+    def matvec(v):
+        z = v.reshape(V.shape)
+        return (z - bank.apply(V, z)).ravel()
+
+    op = LinearOperator((ident.size, ident.size), matvec=matvec, dtype=complex)
+    sol, info = gmres(op, ident.ravel(), rtol=TOL, atol=0.0, restart=60,
+                      maxiter=40)
+    if info != 0:
+        raise NonContractionError(
+            f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
+            "increase |rho|")
+    return sol.reshape(V.shape)
+
+
+def _solve_stack(system, rho, counts, keep):
+    """Factored solves at the points rho (m,) of one layout, stacked on a
+    leading point axis; keep(i, solution) takes point i's solution as it
+    finishes, and a finished point leaves the stack.
+
+    Each point runs the fixed-point iteration z <- I + V z of a lone
+    solve and keeps its stop rule: relative change TOL, or GMRES for that
+    point alone once its contraction stalls or MAX_ITER runs out.
+    """
+    n = system.n
+    bank = _KernelBank(system.frame, rho, *_segments(system.breakpoints(), counts))
+    xs = bank.xs
+    Ak = system.cached(counts, lambda: _node_Ak(system, xs))
+    # one vector-matrix product per point, the arithmetic of a lone solve
+    V = (rho[:, None, None] ** -np.arange(n) @ Ak.reshape(n, -1)).reshape(
+        (len(rho),) + Ak.shape[1:])                       # (m, j, l, P, q+1)
+    diag = np.arange(n)
+    z = np.zeros(V.shape, dtype=complex)
+    z[:, diag, diag] = 1.0
+    live, prev = np.arange(len(rho)), np.full(len(rho), np.inf)
+
+    def finish(sel, zs, iterations, used_gmres=False):
+        for i, zi, Vi in zip(live[sel], zs, V[sel]):
+            keep(i, BirkhoffSolution(rho=complex(rho[i]), system=system, xs=xs,
+                                     z=zi, A=Vi, iterations=iterations,
+                                     used_gmres=used_gmres))
+
+    for it in range(1, MAX_ITER + 1):
+        znew = bank.apply(V, z)
+        znew[:, diag, diag] += 1.0
+        delta = np.max(np.abs(znew - z), axis=(1, 2, 3, 4))
+        z = znew
+        done = delta < TOL * np.fmax(1.0, np.max(np.abs(z), axis=(1, 2, 3, 4)))
+        ratio = np.where(np.isfinite(prev) & (prev > 0), delta / prev, 0.0)
+        prev = delta
+        # stalled or out of iterations
+        stalled = ~done & ((it >= 6) & (ratio >= 0.97) | (it == MAX_ITER))
+        if done.any():
+            finish(done, z[done], it)
+        for i in np.flatnonzero(stalled):
+            finish([i], _gmres(bank.take([i]), V[i:i + 1], rho[live[i]]),
+                   MAX_ITER, used_gmres=True)
+        rest = ~(done | stalled)
+        if not rest.all():
+            if not rest.any():
+                return
+            live, z, V, prev = live[rest], z[rest], V[rest], prev[rest]
+            bank = bank.take(rest)
+
+
+def _factored_solves(system, rho, keep):
+    """The factored solve at every point of rho (m,); keep(i, solution)
+    takes point i's solution as it finishes. Points are grouped by panel
+    layout, each keeping its own, and a group is solved in stacks of at
+    most CHUNK_PANELS (point, panel) pairs."""
+    if np.any(rho == 0):
+        raise ValidationError("rho", "rho must be nonzero")
+    om = system.frame.omegas
+    span = float(np.max(np.abs(om[:, None] - om[None, :])))
+    breakpoints = system.breakpoints()
+    # rho near the float limits overflows to inf or nan; the solve then
+    # fails with its typed error, not with numpy warnings
+    with np.errstate(all="ignore"):
+        layouts, group = np.unique(_panel_layout(breakpoints, np.abs(rho), span),
+                                   axis=0, return_inverse=True)
+        for g, counts in enumerate(layouts):
+            counts = tuple(counts.tolist())
+            points = np.flatnonzero(group.ravel() == g)
+            size = max(1, CHUNK_PANELS // int(_segments(breakpoints, counts)[1].sum()))
+            for s in range(0, len(points), size):
+                chunk = points[s:s + size]
+                _solve_stack(system, rho[chunk], counts,
+                             lambda i, sol: keep(chunk[i], sol))
 
 
 def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
@@ -255,62 +370,26 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
     discretized linear system is solved by GMRES instead
     (NonContractionError when that fails too).
     """
-    rho = complex(rho)
-    if rho == 0:
-        raise ValidationError("rho", "rho must be nonzero")
-    # rho near the float limits overflows to inf or nan; the solve then
-    # fails with its typed error, not with numpy warnings
-    with np.errstate(all="ignore"):
-        n = system.n
-        frame = system.frame
-        om = frame.omegas
-        span = float(np.max(np.abs(om[:, None] - om[None, :])))
-        breakpoints = system.breakpoints()
-        counts = _panel_layout(breakpoints, abs(rho), span)
-        bank = _KernelBank(frame, rho, *_segments(breakpoints, counts))
-        xs = bank.xs
-        Ak = system.cached(counts, lambda: _node_Ak(system, xs))
-        V = np.tensordot(rho ** -np.arange(n), Ak, axes=1)     # (j, l, P, q+1)
+    out = []
+    _factored_solves(system, np.array([complex(rho)]),
+                     lambda i, sol: out.append(sol))
+    return out[0]
 
-        ident = np.zeros((n, n) + xs.shape, dtype=complex)
-        for j in range(n):
-            ident[j, j] = 1.0
 
-        def apply_V(z):
-            G = np.einsum("jlpq,lkpq->jkpq", V, z)
-            return bank.apply(G)
+def fss_ends(system: ConjugatedSystem, rho):
+    """(z(0), z(1)), each of shape (m, n, n), of the factored solve at
+    every point of rho (m,): one stacked solve per panel layout (and per
+    CHUNK_PANELS pairs), bit for bit the solve birkhoff_fss makes at each
+    point."""
+    rho = np.asarray(rho, dtype=complex)
+    z0 = np.empty((len(rho), system.n, system.n), dtype=complex)
+    z1 = np.empty_like(z0)
 
-        z = ident.copy()
-        prev = np.inf
-        for it in range(1, MAX_ITER + 1):
-            znew = ident + apply_V(z)
-            delta = float(np.max(np.abs(znew - z)))
-            z = znew
-            scale = float(np.max(np.abs(z)))
-            if delta < TOL * max(1.0, scale):
-                return BirkhoffSolution(rho=rho, system=system, xs=xs, z=z, A=V,
-                                        iterations=it)
-            ratio = delta / prev if np.isfinite(prev) and prev > 0 else 0.0
-            prev = delta
-            if it >= 6 and ratio >= 0.97:
-                break
-        # stalled or out of iterations
-        shape = ident.shape
+    def keep(i, sol):
+        z0[i], z1[i] = sol.z[:, :, 0, 0], sol.z[:, :, -1, -1]
 
-        def matvec(v):
-            zz = v.reshape(shape)
-            return (zz - apply_V(zz)).ravel()
-
-        op = LinearOperator((ident.size, ident.size), matvec=matvec,
-                            dtype=complex)
-        sol, info = gmres(op, ident.ravel(), rtol=TOL,
-                          atol=0.0, restart=60, maxiter=40)
-        if info != 0:
-            raise NonContractionError(
-                f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
-                "increase |rho|")
-        return BirkhoffSolution(rho=rho, system=system, xs=xs, z=sol.reshape(shape),
-                                A=V, iterations=MAX_ITER, used_gmres=True)
+    _factored_solves(system, rho, keep)
+    return z0, z1
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .asymptotics import AsymptoticModel, asymptotic_model
-from .birkhoff import birkhoff_fss
+from .birkhoff import birkhoff_fss, fss_ends  # noqa: F401 (birkhoff_fss: bench/tracer.py)
 from .errors import (
     ConfigurationError,
     ContourError,
@@ -342,11 +342,6 @@ class DeterminantEvaluator:
         signs = (-1.0) ** (subsets.sum(axis=1) + (n - r) * (n + r - 1) // 2)
         return np.diff(bp), Ak, subsets, comps, signs
 
-    def _z_pair(self, rho):
-        """(z(0), z(1)) for the factored boundary matrix at one rho."""
-        sol = birkhoff_fss(self.system, rho)
-        return sol.z_at_zero, sol.z_at_one
-
     def _carry(self, rho, right):
         """The compounds q_S = det right[:, :, S] of a batch's x = 1 rows
         (m, n - r, n), carried back to x = 0, the last piece first.
@@ -437,8 +432,8 @@ class DeterminantEvaluator:
                 left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps],
                                                  -2, -3))
                 return np.sum(signs * left * q, axis=-1).reshape(shape)
-        z0, z1 = map(np.array, zip(*self._memo("z", rho, lambda idx: [
-            self._z_pair(rho[i]) for i in idx])))
+        z0, z1 = map(np.array, zip(*self._memo("z", rho, lambda idx: zip(
+            *fss_ends(self.system, rho[idx])))))
         upper = np.arange(self.n) >= r
         g = np.exp(np.where(upper, -rho[:, None], rho[:, None])
                    * (om - om[r - 1]))

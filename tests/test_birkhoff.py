@@ -12,6 +12,7 @@ from quasispec.birkhoff import (
     upsilon,
     upsilon_d,
 )
+from quasispec.errors import NonContractionError
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import (
     ConjugatedSystem,
@@ -176,7 +177,72 @@ class TestWorkCounts:
         monkeypatch.setattr(np.linalg, "solve", recorded)
         sol = birkhoff_fss(sys, 90.0 * np.exp(1j * np.pi / 6))
         assert sol.xs.shape[0] > 20
-        assert shapes == [(3, 3, widths, DEGREE + 1, DEGREE + 1)]
+        assert shapes == [(1, 3, 3, widths, DEGREE + 1, DEGREE + 1)]
+
+
+class TestStacks:
+    """The factored solve of a batch of points equals, bit for bit, the
+    lone solve at each point."""
+
+    @staticmethod
+    def stacked(sys, rho, monkeypatch):
+        """Each point's solution from one batched call, and the (points,
+        layout) of every stacked solve it made."""
+        stacks, sols = [], {}
+        solve_stack = birkhoff._solve_stack
+
+        def recorded(system, rho, counts, keep):
+            stacks.append((len(rho), counts))
+            return solve_stack(system, rho, counts, keep)
+
+        monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
+        birkhoff._factored_solves(sys, rho, sols.__setitem__)
+        return sols, stacks
+
+    @staticmethod
+    def assert_lone_solves(sys, rho, sols):
+        z0, z1 = birkhoff.fss_ends(sys, rho)
+        assert sorted(sols) == list(range(len(rho)))
+        for i, r in enumerate(rho):
+            lone = birkhoff_fss(sys, r)
+            assert np.array_equal(sols[i].z, lone.z)
+            assert np.array_equal(z0[i], lone.z_at_zero)
+            assert np.array_equal(z1[i], lone.z_at_one)
+            assert sols[i].iterations == lone.iterations
+            assert sols[i].used_gmres == lone.used_gmres
+
+    def test_layouts_and_budget(self, monkeypatch):
+        sys = conj(3, (1, 0), (P([0, 1], [[0.4, 0.3]]),
+                               P([0, 0.6, 1], [[0.8], [0.1, -1.0]])))
+        theta = np.linspace(0.1, 0.9, 4) * np.pi / 3
+        rho = np.concatenate([r * np.exp(1j * theta) for r in (5.0, 15.0, 90.0)]
+                             + [100.0 * np.exp(1j * np.linspace(0.1, 1.0, 9))])
+        sols, stacks = self.stacked(sys, rho, monkeypatch)
+        assert len({counts for _, counts in stacks}) >= 4
+        assert sum(m for m, _ in stacks) == len(rho)
+        assert any(m > 1 for m, _ in stacks)
+        for m, counts in stacks:
+            assert m == 1 or m * sum(counts) <= birkhoff.CHUNK_PANELS
+        self.assert_lone_solves(sys, rho, sols)
+
+    def test_gmres_for_the_stalled_point_alone(self, monkeypatch):
+        # test_gmres_fallback's point and a contracting one of its layout
+        F = build_associated_matrix(ExpressionSpec(
+            3, (1, 0), (P.constant(4.0), P.constant(6.0))))
+        sys = conjugate_system(F, sector_frame(3, 1))
+        rho = np.array([1.0, 2.8]) * np.exp(1j * np.pi / 6)
+        sols, stacks = self.stacked(sys, rho, monkeypatch)
+        assert [m for m, _ in stacks] == [2]
+        assert sols[0].used_gmres and not sols[1].used_gmres
+        self.assert_lone_solves(sys, rho, sols)
+
+    def test_failed_fallback_names_its_rho(self, monkeypatch):
+        F = build_associated_matrix(ExpressionSpec(
+            3, (1, 0), (P.constant(4.0), P.constant(6.0))))
+        sys = conjugate_system(F, sector_frame(3, 1))
+        monkeypatch.setattr(birkhoff, "gmres", lambda op, b, **kw: (b, 7))
+        with pytest.raises(NonContractionError, match=r"\|rho\|=1.5\b"):
+            birkhoff.fss_ends(sys, np.array([2.8, 1.5]) * np.exp(1j * np.pi / 6))
 
 
 class TestThirdOrderExpansion:

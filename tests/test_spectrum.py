@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from quasispec.birkhoff import birkhoff_fss
 from quasispec.errors import (
     ConfigurationError,
     ContourError,
@@ -175,7 +176,8 @@ class TestCharDelta:
                 detY0 = (np.prod([rho ** j for j in range(n)])
                          * np.linalg.det(model.frame.Omega))
                 if not exact:
-                    detY0 *= np.linalg.det(ev._z_pair(rho)[0])
+                    detY0 *= np.linalg.det(
+                        birkhoff_fss(ev.system, rho).z_at_zero)
                 lhs = direct * detY0
                 rhs = (rho ** sum(model.p_list) * np.exp(rho * wstar)
                        * ev.d_norm(rc, bullet=bullet))
@@ -588,7 +590,7 @@ class TestWeights:
         def refused(system, rho):
             raise AssertionError(f"factored solve at rho = {rho}")
 
-        monkeypatch.setattr(spectrum, "birkhoff_fss", refused)
+        monkeypatch.setattr(spectrum, "fss_ends", refused)
         res = weight_numbers(locate_eigenvalues(problem(P.constant(1.1)),
                                                 l_max=5))
         ev = DeterminantEvaluator(res.problem, res.model)
