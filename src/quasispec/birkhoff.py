@@ -55,7 +55,7 @@ __all__ = [
 DEGREE = 12
 # cap on |mu| * panel width
 TARGET_EXPONENT = 5.0
-# fewest panels of a layout
+# fewest panels per unit length of a layout
 MIN_PANELS = 4
 # most panels of a layout; a larger |rho| is refused before any array is
 # built (the largest benchmark layouts hold about 60)
@@ -92,11 +92,13 @@ _XHAT, _DIFF = _cheb_nodes_and_diff(DEGREE)
 def _panel_layout(breakpoints, rho_abs, span):
     """Panels per coefficient piece at each |rho| of rho_abs (m,), as an
     (m, pieces) array whose rows name the layouts: the largest kernel
-    exponent per panel stays below the target. IntegrationError names
-    the first |rho| whose layout takes more than MAX_PANELS panels."""
+    exponent per panel stays below the target, and a piece of width h
+    takes at least ceil(MIN_PANELS h) panels. IntegrationError names the
+    first |rho| whose layout takes more than MAX_PANELS panels."""
     width_cap = TARGET_EXPONENT / np.maximum(rho_abs * span, 1e-9)
     widths = np.diff(np.asarray(breakpoints, dtype=float))
-    counts = np.maximum(1, np.ceil(widths / width_cap[:, None]))
+    counts = np.maximum(np.ceil(MIN_PANELS * widths),
+                        np.ceil(widths / width_cap[:, None]))
     total = counts.sum(axis=1)
     refused = ~(total <= MAX_PANELS)
     if refused.any():
@@ -105,21 +107,6 @@ def _panel_layout(breakpoints, rho_abs, span):
             f"|rho| = {rho_abs[i]:.3g} is too large: the factored solve would "
             f"need {total[i]:.3g} panels, more than {MAX_PANELS}")
     return counts.astype(int)
-
-
-def _segments(breakpoints, counts):
-    """The layout as (bounds, counts): counts[i] equal panels on
-    [bounds[i], bounds[i + 1]]. A layout of fewer than MIN_PANELS panels
-    is refined to the union of its edges with the uniform MIN_PANELS
-    grid, one panel per interval."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if sum(counts) >= MIN_PANELS:
-        return bp, np.asarray(counts)
-    edges = np.concatenate([bp[:1]] + [
-        a + (b - a) * np.arange(1, m + 1) / m
-        for a, b, m in zip(bp[:-1], bp[1:], counts)])
-    bounds = np.union1d(edges, np.linspace(0.0, 1.0, MIN_PANELS + 1))
-    return bounds, np.ones(len(bounds) - 1, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -297,7 +284,7 @@ def _solve_stack(system, rho, counts, keep):
     point alone once its contraction stalls or MAX_ITER runs out.
     """
     n = system.n
-    bank = _KernelBank(system.frame, rho, *_segments(system.breakpoints(), counts))
+    bank = _KernelBank(system.frame, rho, system.breakpoints(), np.array(counts))
     xs = bank.xs
     Ak = system.cached(counts, lambda: _node_Ak(system, xs))
     # one vector-matrix product per point, the arithmetic of a lone solve
@@ -355,7 +342,7 @@ def _factored_solves(system, rho, keep):
         for g, counts in enumerate(layouts):
             counts = tuple(counts.tolist())
             points = np.flatnonzero(group.ravel() == g)
-            size = max(1, CHUNK_PANELS // int(_segments(breakpoints, counts)[1].sum()))
+            size = max(1, CHUNK_PANELS // sum(counts))
             for s in range(0, len(points), size):
                 chunk = points[s:s + size]
                 _solve_stack(system, rho[chunk], counts,
