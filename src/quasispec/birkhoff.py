@@ -16,8 +16,12 @@ collocation solve of the equivalent scalar ODE I' = mu I + f with I
 pinned at the integration origin; panels are sized so the local
 exponent stays small, which keeps the collocation spectrally accurate.
 
-Panels are uniform inside each coefficient piece, so a layout is a panel
-count per piece, and one solve costs:
+Panels are uniform inside each coefficient piece, at least
+ceil(MIN_PANELS h) on a piece of width h, so a layout is a panel count
+per piece. The points of one call are grouped by layout and each group
+is solved as one stack with the point axis first (at most CHUNK_PANELS
+(point, panel) pairs), every point keeping its own stop rule. Per point
+a solve costs:
 
 - one collocation solve per pair (j, k) and distinct panel width;
 - A = A_0 + sum_k rho^-k A_k at the nodes from node values of the A_k,
@@ -256,37 +260,32 @@ class _KernelBank:
 def _gmres(bank, V, rho):
     """z = I + V z at one point (V of shape (1, n, n, P, q+1)) by GMRES;
     NonContractionError when it fails."""
-    diag = np.arange(V.shape[1])
-    ident = np.zeros(V.shape, dtype=complex)
-    ident[:, diag, diag] = 1.0
+    ident = np.broadcast_to(np.eye(V.shape[1], dtype=complex)[:, :, None, None],
+                            V.shape).ravel()
 
     def matvec(v):
         z = v.reshape(V.shape)
         return (z - bank.apply(V, z)).ravel()
 
     op = LinearOperator((ident.size, ident.size), matvec=matvec, dtype=complex)
-    sol, info = gmres(op, ident.ravel(), rtol=TOL, atol=0.0, restart=60,
+    sol, info = gmres(op, ident, rtol=TOL, atol=0.0, restart=60,
                       maxiter=40)
     if info != 0:
         raise NonContractionError(
             f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
             "increase |rho|")
-    return sol.reshape(V.shape)
+    return sol.reshape(V.shape[1:])
 
 
-def _solve_stack(system, rho, counts, keep):
+def _solve_stack(system, rho, counts):
     """Factored solves at the points rho (m,) of one layout, stacked on a
-    leading point axis; keep(i, solution) takes point i's solution as it
-    finishes, and a finished point leaves the stack.
-
-    Each point runs the fixed-point iteration z <- I + V z of a lone
-    solve and keeps its stop rule: relative change TOL, or GMRES for that
-    point alone once its contraction stalls or MAX_ITER runs out.
-    """
+    leading point axis: yields (i, solution) as point i finishes, and a
+    finished point leaves the stack. Each point stops the fixed-point
+    iteration z <- I + V z at relative change TOL; once its contraction
+    stalls or MAX_ITER runs out, GMRES solves its discretized system."""
     n = system.n
     bank = _KernelBank(system.frame, rho, system.breakpoints(), np.array(counts))
-    xs = bank.xs
-    Ak = system.cached(counts, lambda: _node_Ak(system, xs))
+    Ak = system.cached(counts, lambda: _node_Ak(system, bank.xs))
     # one vector-matrix product per point, the arithmetic of a lone solve
     V = (rho[:, None, None] ** -np.arange(n) @ Ak.reshape(n, -1)).reshape(
         (len(rho),) + Ak.shape[1:])                       # (m, j, l, P, q+1)
@@ -294,13 +293,6 @@ def _solve_stack(system, rho, counts, keep):
     z = np.zeros(V.shape, dtype=complex)
     z[:, diag, diag] = 1.0
     live, prev = np.arange(len(rho)), np.full(len(rho), np.inf)
-
-    def finish(sel, zs, iterations, used_gmres=False):
-        for i, zi, Vi in zip(live[sel], zs, V[sel]):
-            keep(i, BirkhoffSolution(rho=complex(rho[i]), system=system, xs=xs,
-                                     z=zi, A=Vi, iterations=iterations,
-                                     used_gmres=used_gmres))
-
     for it in range(1, MAX_ITER + 1):
         znew = bank.apply(V, z)
         znew[:, diag, diag] += 1.0
@@ -311,72 +303,58 @@ def _solve_stack(system, rho, counts, keep):
         prev = delta
         # stalled or out of iterations
         stalled = ~done & ((it >= 6) & (ratio >= 0.97) | (it == MAX_ITER))
-        if done.any():
-            finish(done, z[done], it)
-        for i in np.flatnonzero(stalled):
-            finish([i], _gmres(bank.take([i]), V[i:i + 1], rho[live[i]]),
-                   MAX_ITER, used_gmres=True)
+        for i in np.flatnonzero(done | stalled):
+            r = rho[live[i]]
+            yield live[i], BirkhoffSolution(
+                rho=complex(r), system=system, xs=bank.xs, A=V[i],
+                z=z[i] if done[i] else _gmres(bank.take([i]), V[i:i + 1], r),
+                iterations=it if done[i] else MAX_ITER, used_gmres=not done[i])
         rest = ~(done | stalled)
+        if not rest.any():
+            return
         if not rest.all():
-            if not rest.any():
-                return
             live, z, V, prev = live[rest], z[rest], V[rest], prev[rest]
             bank = bank.take(rest)
 
 
-def _factored_solves(system, rho, keep):
-    """The factored solve at every point of rho (m,); keep(i, solution)
-    takes point i's solution as it finishes. Points are grouped by panel
-    layout, each keeping its own, and a group is solved in stacks of at
-    most CHUNK_PANELS (point, panel) pairs."""
+def _factored_solves(system, rho, pick):
+    """[pick(solution)] of the factored solve at each point of rho (m,).
+    Points are grouped by panel layout, each keeping its own, and a group
+    is solved in stacks of at most CHUNK_PANELS (point, panel) pairs."""
     if np.any(rho == 0):
         raise ValidationError("rho", "rho must be nonzero")
     om = system.frame.omegas
-    span = float(np.max(np.abs(om[:, None] - om[None, :])))
+    span = np.max(np.abs(om[:, None] - om))
     breakpoints = system.breakpoints()
+    out = [None] * len(rho)
     # rho near the float limits overflows to inf or nan; the solve then
     # fails with its typed error, not with numpy warnings
     with np.errstate(all="ignore"):
         layouts, group = np.unique(_panel_layout(breakpoints, np.abs(rho), span),
                                    axis=0, return_inverse=True)
         for g, counts in enumerate(layouts):
-            counts = tuple(counts.tolist())
             points = np.flatnonzero(group.ravel() == g)
-            size = max(1, CHUNK_PANELS // sum(counts))
+            size = max(1, CHUNK_PANELS // counts.sum())
             for s in range(0, len(points), size):
                 chunk = points[s:s + size]
-                _solve_stack(system, rho[chunk], counts,
-                             lambda i, sol: keep(chunk[i], sol))
+                for i, sol in _solve_stack(system, rho[chunk], tuple(counts.tolist())):
+                    out[chunk[i]] = pick(sol)
+    return out
 
 
 def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
-    """Solve the factored fundamental-system equations at one rho.
-
-    The fixed-point iteration z <- I + V z is stopped at relative change
-    TOL; if the measured contraction stalls or MAX_ITER runs out, the
-    discretized linear system is solved by GMRES instead
-    (NonContractionError when that fails too).
-    """
-    out = []
-    _factored_solves(system, np.array([complex(rho)]),
-                     lambda i, sol: out.append(sol))
-    return out[0]
+    """Solve the factored fundamental-system equations at one rho: the
+    stacked solve of one point (NonContractionError when the fixed-point
+    iteration and GMRES both fail)."""
+    return _factored_solves(system, np.array([complex(rho)]), lambda sol: sol)[0]
 
 
 def fss_ends(system: ConjugatedSystem, rho):
-    """(z(0), z(1)), each of shape (m, n, n), of the factored solve at
-    every point of rho (m,): one stacked solve per panel layout (and per
-    CHUNK_PANELS pairs), bit for bit the solve birkhoff_fss makes at each
-    point."""
-    rho = np.asarray(rho, dtype=complex)
-    z0 = np.empty((len(rho), system.n, system.n), dtype=complex)
-    z1 = np.empty_like(z0)
-
-    def keep(i, sol):
-        z0[i], z1[i] = sol.z[:, :, 0, 0], sol.z[:, :, -1, -1]
-
-    _factored_solves(system, rho, keep)
-    return z0, z1
+    """[(z(0), z(1))] of the factored solve at each point of rho (m,),
+    bit for bit those of birkhoff_fss, from one stacked solve per panel
+    layout (and per CHUNK_PANELS pairs)."""
+    return _factored_solves(system, np.asarray(rho, dtype=complex),
+                            lambda sol: (sol.z_at_zero, sol.z_at_one))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .asymptotics import AsymptoticModel, asymptotic_model
-from .birkhoff import birkhoff_fss, fss_ends  # noqa: F401 (birkhoff_fss: bench/tracer.py)
+from .birkhoff import birkhoff_fss, fss_ends  # noqa: F401 (bench/tracer.py)
 from .errors import (
     ConfigurationError,
     ContourError,
@@ -410,7 +410,8 @@ class DeterminantEvaluator:
         With c = omega_(r-1), exp(-rho c) leaves every x = 1 row and
         exp(-rho (omega_k - c)) every column k >= r: by the sector
         ordering, the exponents left have non-positive real part up to
-        the strip slack. z takes one factored solve per point not cached.
+        the strip slack. z(0) and z(1) come from one fss_ends call for the
+        points not cached: one stacked factored solve per panel layout.
 
         The factored value is the exact one times det z(0), which is 1:
         the pairs integrated from x = 0 start from the identity, so z(0)
@@ -432,8 +433,8 @@ class DeterminantEvaluator:
                 left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps],
                                                  -2, -3))
                 return np.sum(signs * left * q, axis=-1).reshape(shape)
-        z0, z1 = map(np.array, zip(*self._memo("z", rho, lambda idx: zip(
-            *fss_ends(self.system, rho[idx])))))
+        z0, z1 = map(np.array, zip(*self._memo("z", rho, lambda idx: fss_ends(
+            self.system, rho[idx]))))
         upper = np.arange(self.n) >= r
         g = np.exp(np.where(upper, -rho[:, None], rho[:, None])
                    * (om - om[r - 1]))
