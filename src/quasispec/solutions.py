@@ -7,13 +7,15 @@ its compiled piece table. Every piece uses the sixth-order three-node
 Magnus scheme; on a constant piece the three nodes agree, the scheme
 reduces to exp(h M) exactly, and one step spans the piece.
 
-The stepper works in batches, its step counts checked against the
-budget before any step is taken. All one-step intervals share one
-stacked scipy `expm`. A longer interval's steps run in chunks of at most
-CHUNK_STEPS: one piece-table read at all Gauss nodes of the chunk, the
-Omegas stacked and balanced by diag(r^j), r = max(1, |rho|), one stacked
-[13/13] Pade approximant, and a pairwise product tree, later step on the
-left. A chunk with a slice past the approximant's 1-norm bound theta_13,
+The stepper takes one lambda or an array of them and works in batches,
+every lambda's step counts checked against the budget before any step
+is taken. The one-step intervals of all the lambdas share one stacked
+scipy `expm`, each lambda's product then taken in grid order. A longer
+interval's steps run per lambda in chunks of at most CHUNK_STEPS: one
+piece-table read at all Gauss nodes of the chunk, the Omegas stacked and
+balanced by diag(r^j), r = max(1, |rho|), one stacked [13/13] Pade
+approximant, and a pairwise product tree, later step on the left. A
+chunk with a slice past the approximant's 1-norm bound theta_13,
 or not finite, goes to scipy's `expm` instead.
 
 Large |rho| work is *not* done here; the exponentially factored
@@ -59,11 +61,12 @@ _THETA13 = 5.371920351148152
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    """C(x, lambda) sampled on a grid, columns C_k, rows quasi-derivatives."""
+    """C(x, lambda) sampled on a grid, columns C_k, rows quasi-derivatives;
+    for an array of lambda, one such sample per lambda."""
 
-    lam: complex
+    lam: complex | np.ndarray
     grid: np.ndarray
-    values: np.ndarray  # (len(grid), n, n)
+    values: np.ndarray  # lam's shape + (len(grid), n, n)
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -71,7 +74,7 @@ class FundamentalMatrix:
 
     @property
     def at_one(self):
-        return self.values[-1]
+        return self.values[..., -1, :, :]
 
     def det_deviation(self):
         """max |det C(x) - 1| over the grid (Liouville: trace(F+Lambda)=0)."""
@@ -80,8 +83,9 @@ class FundamentalMatrix:
 
 
 def _lambda_matrix(n, lam):
-    L = np.zeros((n, n), dtype=complex)
-    L[n - 1, 0] = lam
+    """Lambda, zero but for lambda in its corner, per lambda of lam."""
+    L = np.zeros(np.shape(lam) + (n, n), dtype=complex)
+    L[..., n - 1, 0] = lam
     return L
 
 
@@ -204,7 +208,9 @@ def _step_counts(table, grid, rho_scale):
 
 
 def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
-    """Fundamental matrix C(x, lambda) with C(0) = I on the requested grid.
+    """Fundamental matrix C(x, lambda) with C(0) = I on the requested grid,
+    for one lambda or for each of an array of them (values of shape
+    lam's shape + (len(grid), n, n)).
 
     Step points always include every coefficient breakpoint. Each piece
     takes sixth-order Magnus steps, STEPS_PER_SCALE per unit of (sL)^(7/6)
@@ -212,14 +218,19 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     sup|F|); a piece on which F is constant takes one step, the exact
     exp(M (b - a)). The step counts of all intervals are checked against
     MAX_STEPS before any step is taken; the steps then run in batches (see
-    the module docstring).
+    the module docstring). The one-step intervals of every lambda share one
+    stacked expm, and each lambda's values are those of its lone call.
+    IntegrationError names the first lambda past LAMBDA_MAX or past the
+    step budget.
     """
-    lam = complex(lam)
+    lams = np.asarray(lam, dtype=complex)
+    flat = lams.ravel()
     n = F.n
-    if abs(lam) > LAMBDA_MAX:
-        raise IntegrationError(
-            f"|lambda|={abs(lam):.3g} beyond direct-integration cap "
-            f"{LAMBDA_MAX:.3g}; use the large-rho solver")
+    for x in flat:
+        if abs(x) > LAMBDA_MAX:
+            raise IntegrationError(
+                f"|lambda|={abs(x):.3g} beyond direct-integration cap "
+                f"{LAMBDA_MAX:.3g}; use the large-rho solver")
     table = F.table
     bp = table.breakpoints
     if grid is None:
@@ -227,38 +238,44 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     grid = np.union1d(np.asarray(grid, dtype=float), bp)
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValidationError("grid", "grid must span [0, 1]")
-    lam_mat = _lambda_matrix(n, lam)
-    r = abs(lam) ** (1.0 / n)
-    counts = _step_counts(table, grid, r)
-    over = np.flatnonzero(np.cumsum(counts) > MAX_STEPS)
-    if over.size:
-        raise IntegrationError("step budget exhausted", x=grid[over[0]])
+    lam_mat = _lambda_matrix(n, flat)
+    r = [abs(x) ** (1.0 / n) for x in flat]
+    counts = _step_counts(table, grid, np.array(r)[:, None])
+    over = np.cumsum(counts, axis=1) > MAX_STEPS
+    if over.any():
+        raise IntegrationError("step budget exhausted",
+                               x=grid[np.argmax(over[np.argmax(over.any(1))])])
     counts = counts.astype(int)
 
-    values = np.zeros((len(grid), n, n), dtype=complex)
-    C = np.eye(n, dtype=complex)
-    values[0] = C
+    values = np.zeros((len(flat), len(grid), n, n), dtype=complex)
+    values[:, 0] = np.eye(n)
     # coefficients near the float limit overflow to inf or nan, which
     # the determinant's finiteness checks report as a typed failure
     with np.errstate(over="ignore", invalid="ignore"):
-        # the one-step intervals, every constant piece among them, by one
-        # stacked scaling-and-squaring expm: their Omegas can be large
+        # the one-step intervals of every lambda, each constant piece among
+        # them, by one stacked scaling-and-squaring expm: their Omegas can
+        # be large
         one = counts == 1
+        E = np.empty(one.shape + (n, n), dtype=complex)
         if one.any():
-            h = np.diff(grid)[one][:, None, None]
-            ts = grid[:-1][one][:, None] + h[:, 0] * _GL3
-            single = iter(expm(_magnus6_omegas(table, lam_mat, ts, h)))
-        for gi, nsteps in enumerate(counts):
-            if nsteps == 1:
-                C = next(single) @ C
-            else:
-                h = (grid[gi + 1] - grid[gi]) / nsteps
+            li, gi = np.nonzero(one)
+            h = np.diff(grid)[gi][:, None, None]
+            ts = grid[gi][:, None] + h[:, 0] * _GL3
+            E[li, gi] = expm(_magnus6_omegas(table, lam_mat[li], ts, h))
+        C = values[:, 0].copy()
+        for gi, nsteps in enumerate(counts.T):
+            single = nsteps == 1
+            C[single] = E[single, gi] @ C[single]
+            for i in np.flatnonzero(~single):
+                h = (grid[gi + 1] - grid[gi]) / nsteps[i]
                 # steps run balanced: Omega * W = diag(r^-j) Omega diag(r^j)
-                W = max(1.0, r) ** (np.arange(n) - np.arange(n)[:, None])
-                for q0 in range(0, nsteps, CHUNK_STEPS):
-                    q = np.arange(q0, min(q0 + CHUNK_STEPS, nsteps))
+                W = max(1.0, r[i]) ** (np.arange(n) - np.arange(n)[:, None])
+                for q0 in range(0, nsteps[i], CHUNK_STEPS):
+                    q = np.arange(q0, min(q0 + CHUNK_STEPS, nsteps[i]))
                     ts = (grid[gi] + q * h)[:, None] + h * _GL3
-                    E = _expm(_magnus6_omegas(table, lam_mat, ts, h) * W)
-                    C = (_ordered_product(E) / W) @ C
-            values[gi + 1] = C
-    return FundamentalMatrix(lam=lam, grid=grid, values=values)
+                    E_q = _expm(_magnus6_omegas(table, lam_mat[i], ts, h) * W)
+                    C[i] = (_ordered_product(E_q) / W) @ C[i]
+            values[:, gi + 1] = C
+    return FundamentalMatrix(
+        lam=lams if lams.ndim else complex(lams), grid=grid,
+        values=values.reshape(lams.shape + values.shape[1:]))

@@ -23,7 +23,9 @@ integer so the counts line up, and every further index gets its own
 strip box centered on the calibrated prediction. Every counted contour,
 circle or box, gives its zeros from the contour moments of the values
 its count made, and one loop numbers them in order, each zero taking as
-many indices as its multiplicity.
+many indices as its multiplicity. The boxes, and the weight circles,
+are generators of point requests run in lockstep: each round, the
+points all of them ask of one evaluator function go to it in one call.
 """
 
 from __future__ import annotations
@@ -212,6 +214,9 @@ DERIVATIVE_START_NODES = 16
 # exact route accepts (the benchmark problems stay below 1.02 for |rho|
 # from 11 to 420)
 EIGVEC_COND_MAX = 1e6
+# most compounds (point x piece x subset pair) one exact-route carry
+# takes; bounds the memory of the minors it gathers
+CARRY_COMPOUNDS = 1024
 # points of the lambda-circle each weight number is read from
 RESIDUE_POINTS = 32
 # agreement a weight number's ratio and contour residue must reach
@@ -305,12 +310,13 @@ class DeterminantEvaluator:
 
     def delta(self, lam, bullet=False):
         """det[U_s(C_k)] at an array of lambda, in its shape; rows at x = 0
-        come from C(0) = I exactly, C(1) from one solve per uncached lambda."""
+        come from C(0) = I exactly, C(1) of the uncached lambdas from one
+        integrate_fundamental call."""
         flat = np.ravel(lam)
         C1 = np.array(self._memo("C1", flat, lambda idx: [
-            closed_form_zero_coeff(self.n, flat[i], 1.0)[0] if self.zero_coeff
-            else integrate_fundamental(self.problem.F, flat[i]).at_one
-            for i in idx]))
+            closed_form_zero_coeff(self.n, flat[i], 1.0)[0] for i in idx]
+            if self.zero_coeff
+            else integrate_fundamental(self.problem.F, flat[idx]).at_one))
         ends = (np.broadcast_to(np.eye(self.n), C1.shape), C1)
         return self._boundary_det(ends, bullet).reshape(np.shape(lam))
 
@@ -345,6 +351,8 @@ class DeterminantEvaluator:
     def _carry(self, rho, right):
         """The compounds q_S = det right[:, :, S] of a batch's x = 1 rows
         (m, n - r, n), carried back to x = 0, the last piece first.
+        d_norm hands it at most CARRY_COMPOUNDS compounds (point x piece x
+        subset pair) at a time, which bounds the gathered minors.
 
         On a piece of width h, rho B + A = X diag(mu) X^-1 and the
         propagator's compound is C(X) diag(exp(h sum_S mu)) C(X^-1), with
@@ -400,9 +408,10 @@ class DeterminantEvaluator:
         Exact route, when every coefficient piece is constant: the rows
         act on V w(x) for the solutions w of w' = (rho B + A) w with
         w(0) = I, so d_norm = Delta det V rho^(-P) exp(-rho omega*). The
-        x = 1 rows' compound is carried to x = 0 (_carry, one call for the
-        points not cached) and met by the x = 0 rows in a Laplace sum over
-        the column subsets S: sum_S sign_S det(L[:, S^c]) q_S.
+        x = 1 rows' compound is carried to x = 0 (_carry, one call per
+        chunk of the points not cached) and met by the x = 0 rows in a
+        Laplace sum over the column subsets S: sum_S sign_S det(L[:, S^c])
+        q_S.
 
         Factored route otherwise: the rows act on V z(x), the
         quasi-derivatives of w = z exp(rho B x) without exponentials, so
@@ -426,10 +435,13 @@ class DeterminantEvaluator:
         with np.errstate(all="ignore"):
             V = (rho[:, None, None] * om) ** np.arange(self.n)[:, None]
             if self.exact:
-                _, _, _, comps, signs = self._pieces
+                widths, _, subsets, comps, signs = self._pieces
                 rows = self._boundary_rows((V, V), bullet, rho)
-                q = np.array(self._memo("q", rho, lambda idx: self._carry(
-                    rho[idx], rows[idx, r:])))
+                step = max(1, CARRY_COMPOUNDS
+                           // (len(widths) * len(subsets) ** 2))
+                q = np.array(self._memo("q", rho, lambda idx: np.concatenate([
+                    self._carry(rho[idx[i:i + step]], rows[idx[i:i + step], r:])
+                    for i in range(0, len(idx), step)])))
                 left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps],
                                                  -2, -3))
                 return np.sum(signs * left * q, axis=-1).reshape(shape)
@@ -454,10 +466,9 @@ class DeterminantEvaluator:
         on one route (mixing them mid-contour would fake a discontinuity):
         the plain determinant by the route rule, unless the problem is
         coefficient-free (d_norm is then exact at every rho)."""
-        model = self.model
         if self.zero_coeff or not self.is_direct(outer_radius):
             return self.d_norm
-        return lambda rc: self.delta(model.sign * np.asarray(rc) ** self.n)
+        return self._delta_in_rho
 
     def lambda_function(self, outer_radius):
         """Evaluator f(lams, bullet=False) -> values in lambda for one
@@ -466,9 +477,16 @@ class DeterminantEvaluator:
         canonical root otherwise."""
         if self.is_direct(outer_radius):
             return self.delta
-        rho_of_lambda = self.model.rho_of_lambda
-        return lambda lam, bullet=False: self.d_norm(rho_of_lambda(lam),
-                                                     bullet=bullet)
+        return self._d_norm_in_lambda
+
+    # every box, or circle, of one route gets the same function, so that
+    # _lockstep merges their points into one call per round
+
+    def _delta_in_rho(self, rho_check):
+        return self.delta(self.model.sign * np.asarray(rho_check) ** self.n)
+
+    def _d_norm_in_lambda(self, lam, bullet=False):
+        return self.d_norm(self.model.rho_of_lambda(lam), bullet=bullet)
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +512,67 @@ def rect_contour(x0, x1, y0, y1, m=16):
     return pts
 
 
-def _contour_values(f, pts):
-    """(values, phase steps) of f on the closed polyline pts: f at each
-    point and the change of arg f from each point to the next.
+def _lockstep(works):
+    """Run works side by side; the return value of each, or the
+    ContourError or RootSearchError it raised, in order.
 
-    f maps an array of points to their values: one call takes all of pts,
-    and one more each refinement round. Segments whose phase step exceeds
-    1 radian are refined by their midpoints and the step is summed over
-    the refined pieces, so no step jumps a branch. A value tiny against
-    the contour median trips ContourError (zero too close), and so does a
-    value, or a ratio of neighbouring values, that is not finite.
+    A work is a generator that yields (f, points) or (f, points, True)
+    and is sent f's values at those points (f(points, bullet=True) for
+    the latter) until it returns. Each round, every distinct request
+    function takes the points of all the works asking for it in one
+    call, so the calls made grow with the rounds, not with the works.
+    An error raised by such a call ends the run.
+    """
+    out = [None] * len(works)
+    asks = {}
+
+    def advance(i, vals):
+        try:
+            asks[i] = works[i].send(vals)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (ContourError, RootSearchError) as exc:
+            out[i] = exc
+
+    for i in range(len(works)):
+        advance(i, None)
+    while asks:
+        groups, asked, asks = {}, asks, {}
+        for i, (f, _, *bullet) in asked.items():
+            groups.setdefault((f, *bullet), []).append(i)
+        for (f, *bullet), ids in groups.items():
+            pts = [np.asarray(asked[i][1]) for i in ids]
+            vals = np.asarray(f(np.concatenate(pts), **(
+                {"bullet": True} if bullet else {})))
+            ends = np.cumsum([len(p) for p in pts])
+            for i, v in zip(ids, np.split(vals, ends[:-1])):
+                advance(i, v)
+    return out
+
+
+def _run(work):
+    """The return value of one work (see _lockstep), or its error raised."""
+    out, = _lockstep([work])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _contour_values(f, pts):
+    """Work (see _lockstep) giving (values, phase steps) of f on the
+    closed polyline pts: f at each point and the change of arg f from
+    each point to the next.
+
+    It asks f for all of pts, then once more each refinement round.
+    Segments whose phase step exceeds 1 radian are refined by their
+    midpoints and the step is summed over the refined pieces, so no step
+    jumps a branch. A value tiny against the contour median trips
+    ContourError (zero too close), and so does a value, or a ratio of
+    neighbouring values, that is not finite.
     """
     pts = np.asarray(pts, dtype=complex)
     given = np.ones(len(pts), dtype=bool)
-    vals = np.asarray(f(pts), dtype=complex)
+    vals = np.asarray((yield f, pts), dtype=complex)
     scale = np.median(np.abs(vals))
     if scale == 0:
         raise ContourError("determinant vanishes on the contour")
@@ -533,30 +598,37 @@ def _contour_values(f, pts):
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         pts = np.insert(pts, bad + 1, mids)
         given = np.insert(given, bad + 1, False)
-        vals = np.insert(vals, bad + 1, f(mids))
+        vals = np.insert(vals, bad + 1, (yield f, mids))
     raise ContourError("winding did not stabilize", contact=True)
 
 
-def count_zeros(f, contour_pts):
-    """Argument-principle zero count of f, which maps an array of points
-    to their values, inside a closed contour.
-
-    On contact with a zero the contour is dilated about its centroid by
-    3 percent and retried; other contour failures are raised at once.
-    """
+def _counted(f, contour_pts):
+    """Work (see _lockstep) of count_zeros: (count, contour, (values,
+    phase steps) of f on that contour)."""
     pts = np.asarray(contour_pts, dtype=complex)
     centroid = np.mean(pts[:-1])
     for attempt in range(CONTOUR_RETRIES + 1):
         try:
-            w = float(np.sum(_contour_values(f, pts)[1])) / (2 * np.pi)
+            values = yield from _contour_values(f, pts)
+            w = float(np.sum(values[1])) / (2 * np.pi)
             if abs(w - round(w)) > INTEGER_ATOL:
                 raise ContourError(f"winding {w:.6f} not integer-consistent",
                                    contact=True)
-            return int(round(w)), pts
+            return int(round(w)), pts, values
         except ContourError as exc:
             if not exc.contact or attempt == CONTOUR_RETRIES:
                 raise
             pts = centroid + (pts - centroid) * 1.03
+
+
+def count_zeros(f, contour_pts):
+    """Argument-principle zero count of f, which maps an array of points
+    to their values, inside a closed contour: (count, contour counted on).
+
+    On contact with a zero the contour is dilated about its centroid by
+    3 percent and retried; other contour failures are raised at once.
+    """
+    return _run(_counted(f, contour_pts))[:2]
 
 
 def delta_derivative(f, lam0, radius):
@@ -582,13 +654,14 @@ def delta_derivative(f, lam0, radius):
 
 
 def _newton(f, z0):
-    """A zero of f polished from z0 by Newton steps on a central
-    difference: one call of f on (z, z + h, z - h) per step, none after
-    the last, which is the first step below NEWTON_RTOL of max(1, |z|)."""
+    """Work (see _lockstep) polishing a zero of f from z0 by Newton steps
+    on a central difference: one request of (z, z + h, z - h) per step,
+    none after the last, which is the first step below NEWTON_RTOL of
+    max(1, |z|)."""
     z = complex(z0)
     for _ in range(NEWTON_MAX_ITER):
         h = 1e-7 * max(1.0, abs(z))
-        fz, fp, fm = map(complex, f(np.array([z, z + h, z - h])))
+        fz, fp, fm = map(complex, (yield f, np.array([z, z + h, z - h])))
         der = (fp - fm) / (2 * h)
         if der == 0:
             raise RootSearchError(f"flat derivative near {z}")
@@ -614,9 +687,10 @@ class SpectrumResult:
 
 
 def _strip_box_zeros(ev, model, l, chi_cal, hy):
-    """Count the first strip box about index l's prediction that holds a
-    zero, and locate its zeros from the count's contour values: a list
-    of (rho, multiplicity) sorted by real part."""
+    """Work (see _lockstep) counting the first strip box about index l's
+    prediction that holds a zero, and locating its zeros from the
+    count's contour values: a list of (rho, multiplicity) sorted by real
+    part. A failure is raised as RootSearchError naming index l."""
     growth = model.growth
     pred = growth * (l + chi_cal)
     cx, cy = pred.real, pred.imag
@@ -626,8 +700,8 @@ def _strip_box_zeros(ev, model, l, chi_cal, hy):
         pts = rect_contour(cx - half, cx + half, cy - hy * (2 ** attempt),
                            cy + hy * (2 ** attempt), m=CONTOUR_POINTS)
         try:
-            cnt, pts = count_zeros(fstrip, pts)
-            found = _contour_zeros(fstrip, pts, cnt)
+            cnt, pts, values = yield from _counted(fstrip, pts)
+            found = yield from _contour_zeros(fstrip, pts, cnt, values)
         except (ContourError, RootSearchError) as exc:
             raise RootSearchError(f"index {l}: {exc}") from exc
         if found:
@@ -641,14 +715,15 @@ def _same_root(z, w):
     return abs(z - w) <= DEDUPE_TOL * max(1.0, abs(w))
 
 
-def _contour_zeros(f, pts, expected):
-    """All zeros of f inside the closed polyline pts, a contour
-    count_zeros verified with count `expected` = N, as a list of
-    (root, multiplicity).
+def _contour_zeros(f, pts, expected, values=None):
+    """Work (see _lockstep) giving all zeros of f inside the closed
+    polyline pts, a contour count_zeros verified with count `expected` =
+    N, as a list of (root, multiplicity).
 
-    The values are the count's own (a caching f gives them again without
-    solves), with each phase step summed over the count's refinement so
-    no step jumps a branch. The nodes are the points of pts alone: where
+    The values are the count's own: `values`, its (values, phase steps),
+    or else read again from f (a caching f gives them without solves),
+    with each phase step summed over the count's refinement so no step
+    jumps a branch. The nodes are the points of pts alone: where
     refinement changes the step, the trapezoid rule's h^2 error terms
     stop cancelling. With w = (z - c) / R (c the centroid of pts, R the
     largest |z - c|) the Delves-Lyness moments s_k = sum_i w_i^k are
@@ -659,13 +734,16 @@ def _contour_zeros(f, pts, expected):
     H_0 = [s_(i+j)] counts the distinct zeros and the pencil (H_1, H_0)
     gives them. At rank N all are simple; below it a Vandermonde fit to
     s_0..s_(N-1) must give integer multiplicities. Simple zeros are
-    polished by Newton. Every root must wind once inside pts and no two
-    may meet; otherwise the zeros could not be separated.
+    polished by Newton, one after another. Every root must wind once
+    inside pts and no two may meet; otherwise the zeros could not be
+    separated.
     """
     if expected == 0:
         return []
     pts = np.asarray(pts, dtype=complex)
-    vals, dphi = _contour_values(f, pts)
+    if values is None:
+        values = yield from _contour_values(f, pts)
+    vals, dphi = values
     c = np.mean(pts[:-1])
     R = np.max(np.abs(pts - c))
     w = (pts - c) / R
@@ -703,7 +781,7 @@ def _contour_zeros(f, pts, expected):
     for wr, mu in zip(roots, mult_int):
         root = c + R * complex(wr)
         if mu == 1:
-            root = _newton(f, root)
+            root = yield from _newton(f, root)
         with np.errstate(invalid="ignore", divide="ignore"):
             turns = np.sum(np.angle((pts[1:] - root) / (pts[:-1] - root)))
         if (not abs(turns / (2 * np.pi) - 1) < 0.5
@@ -720,12 +798,15 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
 
     Stage 1 counts every zero inside a circle whose radius sits midway
     between model rings (plain determinant); the count pins the integer
-    part of chi. Stage 2 counts one strip box per further index by
-    winding. Both stages locate their zeros from the contour moments of
-    the values their count made. One loop numbers the zeros in order,
-    each advancing the index by its multiplicity, and records the
-    remainder against the calibrated model. kappa picks the model's
-    sector (see asymptotic_model).
+    part of chi. Stage 2 counts one strip box per further index up to
+    l_max by winding. Both stages locate their zeros from the contour
+    moments of the values their count made. The circle's zeros and all
+    boxes run in lockstep (_lockstep), so each round of contour passes
+    and Newton steps makes one call per evaluator function. One loop then
+    numbers the zeros in order, each advancing the index by its
+    multiplicity, and records the remainder against the calibrated
+    model; a box's failure is raised only if the numbering reaches its
+    index. kappa picks the model's sector (see asymptotic_model).
     """
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list, kappa=kappa)
@@ -741,25 +822,33 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     T_A = growth * (L_A + chi_re + 0.5)
     lam_radius = T_A ** n
 
-    f_lam = ev.delta
-    n_low, circle = count_zeros(f_lam, disk_contour(0.0, lam_radius,
-                                                     m=max(64, 16 * L_A)))
-    # sorted by |lambda| then arg, with canonical normalized roots
-    low = sorted(_contour_zeros(f_lam, circle, n_low),
-                 key=lambda t: (abs(t[0]), np.angle(t[0])))
-    pending = [(lam, model.rho_of_lambda(lam) if lam != 0 else 0.0, mult)
-               for lam, mult in low]
+    n_low, circle = count_zeros(ev.delta, disk_contour(
+        0.0, lam_radius, m=max(64, 16 * L_A)))
     chi_cal = model.chi + (L_A - n_low)
 
     # stage 2: one strip box per remaining index on the calibrated
-    # predictions, taken as the numbering reaches it
+    # predictions; the low zeros take indices 1..n_low
     hy = BOX_HALF_HEIGHT_FACTOR * growth
+    first = n_low + 1
+    low, *boxes = _lockstep(
+        [_contour_zeros(ev.delta, circle, n_low)]
+        + [_strip_box_zeros(ev, model, l, chi_cal, hy)
+           for l in range(first, l_max + 1)])
+    if isinstance(low, Exception):
+        raise low
+    # sorted by |lambda| then arg, with canonical normalized roots
+    pending = [(lam, model.rho_of_lambda(lam) if lam != 0 else 0.0, mult)
+               for lam, mult in sorted(low, key=lambda t: (abs(t[0]),
+                                                           np.angle(t[0])))]
     data = []
     l = 1
     while pending or l <= l_max:
         if not pending:
-            pending = [(model.sign * rho ** n, rho, mult) for rho, mult
-                       in _strip_box_zeros(ev, model, l, chi_cal, hy)]
+            found = boxes[l - first]
+            if isinstance(found, Exception):
+                raise found
+            pending = [(model.sign * rho ** n, rho, mult)
+                       for rho, mult in found]
         lam, rho, mult = pending.pop(0)
         if any(_same_root(rho, d.rho) for d in data):
             raise RootSearchError(f"index {l}: duplicated root {rho:.9g}")
@@ -792,38 +881,42 @@ def weight_numbers(result: SpectrumResult) -> SpectrumResult:
     (0.25 growth |d lambda / d rho|) and at least 1e-8 max(1, |lambda_l|).
     The ratio Delta_bullet(lambda_l) / Delta'(lambda_l) and the contour
     residue, both from those values, must agree to BETA_CROSS_CHECK_RTOL.
-    Multiple eigenvalues are skipped with their multiplicity left set.
+    All circles run in lockstep (_lockstep): one evaluator call per route
+    takes their plain rows, one more their bullet rows. Multiple
+    eigenvalues are skipped with their multiplicity left set.
     """
     if result.problem.boundary.weight is None:
         raise ConfigurationError("weight numbers need a weight form")
     ev = DeterminantEvaluator(result.problem, result.model)
     n, growth = ev.n, result.model.growth
     lams = np.array([d.lam for d in result.data], dtype=complex)
-    out = []
-    for i, d in enumerate(result.data):
-        if d.multiplicity != 1:
-            out.append(d)
-            continue
+    simple = [i for i, d in enumerate(result.data) if d.multiplicity == 1]
+    circles = []
+    for i in simple:
+        d = result.data[i]
         gap = np.min(np.abs(np.delete(lams, i) - d.lam), initial=np.inf)
         spacing = 0.25 * growth * abs(n * d.rho ** (n - 1))
         radius = max(min(0.3 * gap, spacing), 1e-8 * max(1.0, abs(d.lam)))
         far = (abs(d.lam) + radius) ** (1.0 / n)
-        ratio, res = _ratio_and_residue(ev.lambda_function(far), d.lam, radius)
+        circles.append(_ratio_and_residue(ev.lambda_function(far), d.lam,
+                                          radius))
+    out = list(result.data)
+    for i, (ratio, res) in zip(simple, _lockstep(circles)):
         if abs(res - ratio) > BETA_CROSS_CHECK_RTOL * max(abs(ratio), 1e-300):
             raise RootSearchError(
-                f"index {d.l}: residue cross-check failed "
+                f"index {out[i].l}: residue cross-check failed "
                 f"({res:.9g} vs {ratio:.9g})")
-        out.append(replace(d, beta=-ratio))
+        out[i] = replace(out[i], beta=-ratio)
     return replace(result, data=tuple(out))
 
 
 def _ratio_and_residue(f, lam0, radius):
-    """Delta_bullet(lam0) / Delta'(lam0) and the residue of
-    Delta_bullet / Delta at lam0, from f and f(., bullet=True) on the
-    m = RESIDUE_POINTS points lam0 + radius w_k, w_k = exp(2 pi i k / m).
-    One call of f takes the plain row at all points and one more the
-    bullet row, which finds the plain one's solves in the evaluator's
-    cache.
+    """Work (see _lockstep) giving Delta_bullet(lam0) / Delta'(lam0) and
+    the residue of Delta_bullet / Delta at lam0, from f and
+    f(., bullet=True) on the m = RESIDUE_POINTS points lam0 + radius w_k,
+    w_k = exp(2 pi i k / m). It asks for the plain row at all points,
+    then for the bullet row, which finds the plain one's solves in the
+    evaluator's cache.
 
     By the trapezoid rule on the circle, Delta_bullet(lam0) is the mean
     of the bullet values, Delta'(lam0) the mean of the plain values over
@@ -832,7 +925,8 @@ def _ratio_and_residue(f, lam0, radius):
     """
     w = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
     pts = lam0 + radius * w
-    plain, bullet = f(pts), f(pts, bullet=True)
+    plain = yield f, pts
+    bullet = yield f, pts, True
     der = np.mean(plain / w) / radius
     ratio = np.mean(bullet) / der
     res = radius * np.mean(w * bullet / plain)

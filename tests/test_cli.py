@@ -196,6 +196,24 @@ class TestSpectrumCommand:
         assert proc.stderr == ("numerical failure: determinant is not finite "
                                "on the contour\n")
 
+    def test_failure_in_a_merged_call_is_numerical_failure(self, tmp_path,
+                                                            monkeypatch):
+        # the strip boxes share evaluator calls, so an evaluator failure
+        # at a far box's point ends the run with exit 3 and no rows
+        from quasispec import spectrum
+        from quasispec.errors import IntegrationError
+        carry = spectrum.DeterminantEvaluator._carry
+
+        def refused(self, rho, right):
+            if np.max(np.abs(rho)) > 30:
+                raise IntegrationError("refused")
+            return carry(self, rho, right)
+
+        monkeypatch.setattr(spectrum.DeterminantEvaluator, "_carry", refused)
+        doc = third_order_doc(sigma1=0.7, l_max=12)
+        assert run(["spectrum", write(tmp_path, doc)]) == (
+            3, "", "numerical failure: refused\n")
+
     @pytest.mark.parametrize("slope", [3e6, 1e300])
     def test_step_budget_is_numerical_failure(self, tmp_path, slope):
         # sigma_1 = 0.5 + slope x asks the low-disk circle for more Magnus

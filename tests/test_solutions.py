@@ -182,6 +182,33 @@ class TestIntegrateFundamental:
         F = build_associated_matrix(zero_expression(3))
         with pytest.raises(IntegrationError, match="direct-integration cap"):
             integrate_fundamental(F, 1.0001 * solutions.LAMBDA_MAX * 1j)
+        # an array is refused whole, naming its first lambda past the cap
+        lams = np.array([5.0, 3e12j, 2e12, 7.0]).reshape(2, 2)
+        with pytest.raises(IntegrationError, match=r"^\|lambda\|=3e\+12 "):
+            integrate_fundamental(F, lams)
+
+    @pytest.mark.parametrize("coeffs", [
+        (P.constant(0.4), P.constant(1.1)),
+        (P([0, 0.45, 1], [[0.4], [-0.3]]), P.constant(1.1)),
+        (P([0, 0.3, 0.7, 1], [[0.4], [-0.3], [0.9]]), P.constant(1.1)),
+        (P.constant(0.4), P([0, 0.5, 1], [[1.1], [0.6, 1.0]]))])
+    def test_lambda_batch_equals_lone_calls(self, coeffs):
+        # one to three constant pieces, whose one-step intervals share one
+        # stacked expm across all lambdas, and a constant plus a linear
+        # piece, whose Magnus chunks run per lambda after it
+        F = build(3, (1, 0), coeffs)
+        lams = np.array([[3.0 + 0.2j, -40.0 + 7j, 3.0 + 0.2j],
+                         [2.5e3j, 1e4 * np.exp(0.3j), 0.5]])
+        grid = np.linspace(0.0, 1.0, 5)
+        fm = integrate_fundamental(F, lams, grid=grid)
+        lone = [integrate_fundamental(F, lam, grid=grid) for lam in lams.ravel()]
+        assert fm.values.shape == lams.shape + lone[0].values.shape
+        assert np.array_equal(fm.values.reshape(-1, *lone[0].values.shape),
+                              np.array([f.values for f in lone]))
+        assert np.array_equal(integrate_fundamental(F, lams).at_one,
+                              np.array([integrate_fundamental(F, lam).at_one
+                                        for lam in lams.ravel()]).reshape(
+                                  lams.shape + (3, 3)))
 
     def test_breakpoints_in_grid(self):
         s0 = P([0, 0.37, 1], [[1.0], [2.0]])

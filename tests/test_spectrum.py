@@ -518,13 +518,15 @@ class TestWeights:
                            expression=ExpressionSpec(4, (0, 0, 0), coeffs))
         res = locate_eigenvalues(prob, l_max=4)
         model = res.model
-        from quasispec.spectrum import _ratio_and_residue
+        from quasispec.spectrum import _ratio_and_residue, _run
         ev = DeterminantEvaluator(prob, model)
         d = res.data[1]
         assert abs(d.rho) < ev.direct_limit
         radius = 0.1 * model.growth * abs(4 * d.rho ** 3)
-        b1, r1 = _ratio_and_residue(ev.lambda_function(0.0), d.lam, radius)
-        b2, r2 = _ratio_and_residue(ev.lambda_function(np.inf), d.lam, radius)
+        b1, r1 = _run(_ratio_and_residue(ev.lambda_function(0.0), d.lam,
+                                         radius))
+        b2, r2 = _run(_ratio_and_residue(ev.lambda_function(np.inf), d.lam,
+                                         radius))
         assert abs(b1 - b2) < 1e-7 * abs(b1)
         assert abs(r1 - b1) < 1e-8 * abs(b1)
         assert abs(r2 - b2) < 1e-8 * abs(b2)
@@ -542,9 +544,9 @@ class TestWeights:
 
     def test_one_circle_of_solves_per_weight(self, monkeypatch):
         # a weight costs its circle's RESIDUE_POINTS solves, shared by the
-        # plain and bullet rows, on either route: a direct integration per
-        # point, or a point of an exact-route carry (constant coefficients),
-        # which takes a batch of rho per call
+        # plain and bullet rows, on either route: a lambda of a direct
+        # integration, or a point of an exact-route carry (constant
+        # coefficients); each call takes a batch of lambda or rho
         from quasispec import spectrum
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
@@ -570,10 +572,8 @@ class TestWeights:
                             counted(DeterminantEvaluator._carry))
         out = weight_numbers(res)
         assert all(d.beta is not None for d in out.data)
-        carried = [len(a[1]) for a in calls
-                   if isinstance(a[0], DeterminantEvaluator)]
-        points = len(calls) - len(carried) + sum(carried)
-        assert carried
+        assert any(isinstance(a[0], DeterminantEvaluator) for a in calls)
+        points = sum(np.size(a[1]) for a in calls)
         assert points <= spectrum.RESIDUE_POINTS * len(out.data)
 
     def test_constant_pieces_need_no_factored_solve(self, monkeypatch):
@@ -602,7 +602,7 @@ class TestWeights:
     def test_weight_circle_routed_by_its_far_side(self, monkeypatch):
         # l = 3 lies inside direct_limit, but its weight circle reaches
         # past it, so the whole circle takes the factored route
-        from quasispec.spectrum import _ratio_and_residue
+        from quasispec.spectrum import _ratio_and_residue, _run
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
             boundary=BoundarySpec(1, forms, BoundaryForm(0, 1)),
@@ -626,7 +626,8 @@ class TestWeights:
         monkeypatch.setattr(DeterminantEvaluator, "delta", recorded)
         out = weight_numbers(res)
         assert plain and not any(abs(lam - d.lam) < 2 * radius for lam in plain)
-        ratio, _ = _ratio_and_residue(ev.lambda_function(np.inf), d.lam, radius)
+        ratio, _ = _run(_ratio_and_residue(ev.lambda_function(np.inf), d.lam,
+                                           radius))
         assert abs(out.data[2].beta + ratio) < 1e-9 * abs(ratio)
 
 
@@ -662,9 +663,16 @@ class TestBatches:
         assert batch.shape == rcs.shape
         assert np.array_equal(batch.ravel(), np.array(points))
 
+    @pytest.mark.parametrize("coeff", [
+        P.constant(1.1), P([0.0, 0.45, 1.0], [[1.1], [0.7]]),
+        P([0.0, 0.3, 0.7, 1.0], [[1.1], [0.7], [1.3]]),
+        P([0.0, 1.0], [[1.1, 0.6]]), P([0.0, 0.5, 1.0], [[1.1], [0.7, 0.6]])])
     @pytest.mark.parametrize("bullet", [False, True])
-    def test_delta_batch_equals_its_points(self, bullet):
-        prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
+    def test_delta_batch_equals_its_points(self, coeff, bullet):
+        # one to three constant pieces (one stacked expm for every lambda),
+        # a linear piece and a constant plus a linear one (Magnus chunks
+        # per lambda after the stacked one-step intervals)
+        prob, model = self.weighted(coeff)
         lams = model.sign * np.array([3.0 + 0.2j, 5.0 - 0.1j, 3.0 + 0.2j,
                                       7.5]) ** 3
         batch = DeterminantEvaluator(prob, model).delta(lams, bullet=bullet)
@@ -720,22 +728,52 @@ class TestBatches:
             seen = np.concatenate([seen, z])
 
     def test_one_call_per_weight_row(self):
-        from quasispec.spectrum import RESIDUE_POINTS, _ratio_and_residue
+        from quasispec.spectrum import RESIDUE_POINTS, _ratio_and_residue, _run
         prob, model = self.weighted(P.constant(1.1))
         ev = DeterminantEvaluator(prob, model)
         calls = []
         f = self.counted(ev.lambda_function(np.inf), calls)
-        _ratio_and_residue(f, model.sign * 20.0 ** 3, 50.0)
+        _run(_ratio_and_residue(f, model.sign * 20.0 ** 3, 50.0))
         assert [len(z) for z, _ in calls] == [RESIDUE_POINTS] * 2
         assert [kw.get("bullet", False) for _, kw in calls] == [False, True]
+
+    def test_calls_grow_with_rounds_not_boxes(self, monkeypatch):
+        # n = 4 with coefficients that jump at x = 0.45: twice the strip
+        # boxes take the same evaluator calls, and the weight circles, on
+        # both routes, one plain and one bullet call per route
+        forms = (BoundaryForm(0, 1), BoundaryForm(1, 0), BoundaryForm(1, 2),
+                 BoundaryForm(1, 3))
+        coeffs = tuple(P([0.0, 0.45, 1.0], [[a], [b]])
+                       for a, b in ((0.3, -0.7), (-0.7, 0.3), (0.3, 0.7)))
+        prob = ProblemSpec(
+            boundary=BoundarySpec(1, forms, BoundaryForm(0, 0)),
+            expression=ExpressionSpec(4, (0, 0, 0), coeffs))
+        calls = []
+        for name in ("delta", "d_norm"):
+            def recorded(self, z, bullet=False, name=name,
+                         method=getattr(DeterminantEvaluator, name)):
+                calls.append((name, bullet))
+                return method(self, z, bullet=bullet)
+            monkeypatch.setattr(DeterminantEvaluator, name, recorded)
+        counts = []
+        for l_max in (12, 24):
+            calls.clear()
+            res = locate_eigenvalues(prob, l_max=l_max)
+            counts.append(len(calls))
+        assert len(res.data) == 24 and counts[0] == counts[1]
+        calls.clear()
+        weight_numbers(res)
+        assert {name for name, _ in calls} == {"delta", "d_norm"}
+        for name in ("delta", "d_norm"):
+            assert sum(c == name for c, _ in calls) <= 2
 
     def test_one_call_per_newton_step(self):
         # each call takes (z, z + h, z - h); the root is the step from the
         # last call's values, taken with no evaluation after it
-        from quasispec.spectrum import _newton
+        from quasispec.spectrum import _newton, _run
         calls = []
         f = self.counted(lambda z: (z - 1.0) * (z + 2.0), calls)
-        root = _newton(f, 1.1)
+        root = _run(_newton(f, 1.1))
         assert abs(root - 1.0) < 1e-12 and len(calls) >= 2
         z = 1.1
         for pts, _ in calls:
@@ -748,18 +786,18 @@ class TestBatches:
 
 class TestClusterHandling:
     def test_double_zero_reported_with_multiplicity(self):
-        from quasispec.spectrum import _contour_zeros
+        from quasispec.spectrum import _contour_zeros, _run
         f = lambda z: (z - 0.4 - 0.1j) ** 2 * (z + 1.2)
-        out = _contour_zeros(f, disk_contour(0.0, 2.0), expected=3)
+        out = _run(_contour_zeros(f, disk_contour(0.0, 2.0), expected=3))
         out.sort(key=lambda t: t[0].real)
         assert out[0][1] == 1 and abs(out[0][0] + 1.2) < 1e-8
         assert out[1][1] == 2 and abs(out[1][0] - (0.4 + 0.1j)) < 1e-5
 
     def test_simple_zeros_all_refined(self):
-        from quasispec.spectrum import _contour_zeros
+        from quasispec.spectrum import _contour_zeros, _run
         roots = [0.3, -0.5 + 0.4j, 0.9j]
         f = lambda z: np.prod([z - r for r in roots], axis=0)
-        out = _contour_zeros(f, disk_contour(0.0, 1.5), expected=3)
+        out = _run(_contour_zeros(f, disk_contour(0.0, 1.5), expected=3))
         assert len(out) == 3
         for r, m in out:
             assert m == 1
@@ -767,10 +805,10 @@ class TestClusterHandling:
 
     def test_near_coalescing_pair_stays_two_simple_zeros(self):
         # a pair 1e-2 apart: two simple zeros, not one double one
-        from quasispec.spectrum import _contour_zeros
+        from quasispec.spectrum import _contour_zeros, _run
         roots = [0.3, 0.31, -0.5j]
         f = lambda z: np.prod([z - r for r in roots], axis=0)
-        out = _contour_zeros(f, disk_contour(0.0, 1.5), expected=3)
+        out = _run(_contour_zeros(f, disk_contour(0.0, 1.5), expected=3))
         assert sorted(m for _, m in out) == [1, 1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
@@ -778,20 +816,21 @@ class TestClusterHandling:
     def test_zero_on_the_counting_circle(self):
         # the count dilates its circle off the zero at z = 1; the dilated
         # circle it returns yields both zeros
-        from quasispec.spectrum import _contour_zeros
+        from quasispec.spectrum import _contour_zeros, _run
         roots = [1.0, -0.3 + 0.2j]
         f = lambda z: (z - roots[0]) * (z - roots[1])
         given = disk_contour(0.0, 1.0)
         cnt, pts = count_zeros(f, given)
         assert cnt == 2 and not np.array_equal(pts, given)
-        out = _contour_zeros(f, pts, cnt)
+        out = _run(_contour_zeros(f, pts, cnt))
         assert sorted(m for _, m in out) == [1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
 
     def test_disk_sweep_reuses_the_circle(self, monkeypatch):
         # n = 3 with a quadratic sigma_1: every low-disk zero costs the
-        # circle's integrations plus a few Newton evaluations
+        # circle's integrations plus a few Newton evaluations, counted by
+        # the lambdas each batched integration takes
         from quasispec import spectrum
         s1 = P([0.0, 1.0], [[0.48, 0.33, -0.054]])
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
@@ -801,7 +840,7 @@ class TestClusterHandling:
         integrate, count = spectrum.integrate_fundamental, spectrum.count_zeros
 
         def counted_integrate(*args, **kwargs):
-            calls.append(args[1])
+            calls.extend(np.ravel(args[1]))
             return integrate(*args, **kwargs)
 
         def counted_count(f, pts):
@@ -858,7 +897,7 @@ class TestClusterHandling:
         # the zero sits 1e-3 spacings inside the right edge, so two
         # neighbouring box points are more than pi apart in phase: the
         # phase of the unrefined values closes at 0 turns, not 1
-        from quasispec.spectrum import CONTOUR_POINTS, _strip_box_zeros
+        from quasispec.spectrum import CONTOUR_POINTS, _run, _strip_box_zeros
         model = asymptotic_model(2, 1, (0, 0))
         growth = model.growth
         pred = growth * (5 + model.chi)
@@ -873,6 +912,6 @@ class TestClusterHandling:
             def box_function(self, outer_radius):
                 return f
 
-        out = _strip_box_zeros(Box(), model, 5, model.chi, 0.4 * growth)
+        out = _run(_strip_box_zeros(Box(), model, 5, model.chi, 0.4 * growth))
         assert len(out) == 1 and out[0][1] == 1
         assert abs(out[0][0] - zero) < 1e-9
