@@ -663,16 +663,9 @@ class TestBatches:
         assert batch.shape == rcs.shape
         assert np.array_equal(batch.ravel(), np.array(points))
 
-    @pytest.mark.parametrize("coeff", [
-        P.constant(1.1), P([0.0, 0.45, 1.0], [[1.1], [0.7]]),
-        P([0.0, 0.3, 0.7, 1.0], [[1.1], [0.7], [1.3]]),
-        P([0.0, 1.0], [[1.1, 0.6]]), P([0.0, 0.5, 1.0], [[1.1], [0.7, 0.6]])])
     @pytest.mark.parametrize("bullet", [False, True])
-    def test_delta_batch_equals_its_points(self, coeff, bullet):
-        # one to three constant pieces (one stacked expm for every lambda),
-        # a linear piece and a constant plus a linear one (Magnus chunks
-        # per lambda after the stacked one-step intervals)
-        prob, model = self.weighted(coeff)
+    def test_delta_batch_equals_its_points(self, bullet):
+        prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
         lams = model.sign * np.array([3.0 + 0.2j, 5.0 - 0.1j, 3.0 + 0.2j,
                                       7.5]) ** 3
         batch = DeterminantEvaluator(prob, model).delta(lams, bullet=bullet)
@@ -681,6 +674,36 @@ class TestBatches:
         assert all(isinstance(v, np.ndarray) and v.shape == () for v in points)
         assert batch.shape == lams.shape
         assert np.array_equal(batch, np.array(points))
+
+    @pytest.mark.parametrize("coeff", [
+        P.constant(1.1), P([0.0, 0.45, 1.0], [[1.1], [0.7]]),
+        P([0.0, 0.3, 0.7, 1.0], [[1.1], [0.7], [1.3]]),
+        P([0.0, 0.5, 1.0], [[1.1], [0.7, 0.6]])])
+    def test_delta_integrates_a_call_at_once(self, monkeypatch, coeff):
+        # one to three constant pieces (one stacked expm over every
+        # lambda), and a constant plus a linear one (Magnus chunks per
+        # lambda after it): one integration takes a call's new lambdas,
+        # and the values are those of the lambdas taken one at a time
+        from quasispec import spectrum
+        prob, model = self.weighted(coeff)
+        lams = model.sign * np.array([3.0 + 0.2j, 5.0 - 0.1j, 3.0 + 0.2j,
+                                      7.5, 1.5j]) ** 3
+        single = DeterminantEvaluator(prob, model)
+        points = [single.delta(lam) for lam in lams]
+        taken, integrate = [], spectrum.integrate_fundamental
+
+        def recorded(F, lam):
+            taken.append(np.array(lam))
+            return integrate(F, lam)
+
+        monkeypatch.setattr(spectrum, "integrate_fundamental", recorded)
+        ev = DeterminantEvaluator(prob, model)
+        assert np.array_equal(ev.delta(lams), np.array(points))
+        assert np.array_equal(ev.delta(lams[:2], bullet=True),
+                              [single.delta(lam, bullet=True)
+                               for lam in lams[:2]])
+        assert len(taken) == 1 and np.array_equal(taken[0],
+                                                  np.delete(lams, 2))
 
     def test_batch_fails_typed_at_its_first_bad_point(self):
         # the n = 2 problem of test_exact_route_fails_typed: a defective
