@@ -27,7 +27,7 @@ from .birkhoff import (  # noqa: F401
 )
 from .spectrum import (  # noqa: F401
     BoundaryForm, BoundarySpec, ProblemSpec, SpectralDatum, SpectrumResult,
-    boundary_form, delta_derivative, count_zeros, disk_contour, rect_contour,
+    boundary_form, count_zeros, disk_contour, rect_contour,
     locate_eigenvalues, weight_numbers,
 )
 from .asymptotics import (  # noqa: F401

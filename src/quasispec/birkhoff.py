@@ -136,8 +136,8 @@ class BirkhoffSolution:
 
     @property
     def z_at_zero(self):
-        """z(0), a copy: a view would keep all of z alive in callers'
-        caches."""
+        """z(0), a copy: fss_ends holds the ends of a call's finished
+        points until its last finishes, and a view would keep all of z."""
         return self.z[:, :, 0, 0].copy()
 
     @property

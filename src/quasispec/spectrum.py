@@ -5,16 +5,16 @@ on two routes. For moderate |rho| the fundamental matrix is integrated
 directly and the determinant formed as written. Beyond a cancellation
 budget (the plain determinant loses eps * exp(spread * |rho|) of
 relative accuracy) the normalized determinant d_norm takes over, in
-which no exponential with a positive real part is ever taken. Where
-every coefficient piece is constant it is exact: the (n - r)-th compound
-of the x = 1 rows is carried to x = 0 through one eigendecomposition per
-piece and met by the x = 0 rows in a Laplace sum (the compound-matrix
-method). Otherwise the boundary matrix is assembled from the
-integral-equation solution z of the Birkhoff factored solve, its
-columns scaled so that every exponential left decays, and one
-determinant follows. All routes share the same zeros, and on each the
-bullet determinant carries the plain one's normalization, so weight
-numbers read the same ratio Delta_bullet / Delta off any route.
+which no exponential with a positive real part is ever taken. It has
+one formula, the compound-matrix method: the (n - r)-th compound of the
+x = 1 rows is carried to x = 0 across segments of [0, 1] and met by the
+x = 0 rows in a Laplace sum. Where every coefficient piece is constant
+the segments are the pieces, each crossed exactly through one
+eigendecomposition; otherwise the one segment [0, 1] is crossed by the
+integral-equation solution z of the Birkhoff factored solve. All routes
+share the same zeros, and on each the bullet determinant carries the
+plain one's normalization, so weight numbers read the same ratio
+Delta_bullet / Delta off any route.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
@@ -60,7 +60,6 @@ __all__ = [
     "SpectralDatum",
     "SpectrumResult",
     "boundary_form",
-    "delta_derivative",
     "count_zeros",
     "disk_contour",
     "rect_contour",
@@ -300,25 +299,21 @@ class DeterminantEvaluator:
             M *= rho[:, None, None] ** -np.array(ps)[:, None]
         return M
 
-    def _boundary_det(self, ends, bullet, rho=None):
-        """det of each matrix of _boundary_rows(ends, bullet, rho)."""
-        M = self._boundary_rows(ends, bullet, rho)
-        # overflow to inf or nan is reported by count_zeros' finiteness
-        # checks as a typed failure, not as a numpy warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.linalg.det(M)
-
     def delta(self, lam, bullet=False):
         """det[U_s(C_k)] at an array of lambda, in its shape; rows at x = 0
         come from C(0) = I exactly, C(1) of the uncached lambdas from one
-        integrate_fundamental call."""
+        integrate_fundamental call, and one stacked det takes them all."""
         flat = np.ravel(lam)
         C1 = np.array(self._memo("C1", flat, lambda idx: [
             closed_form_zero_coeff(self.n, flat[i], 1.0)[0] for i in idx]
             if self.zero_coeff
             else integrate_fundamental(self.problem.F, flat[idx]).at_one))
-        ends = (np.broadcast_to(np.eye(self.n), C1.shape), C1)
-        return self._boundary_det(ends, bullet).reshape(np.shape(lam))
+        M = self._boundary_rows((np.broadcast_to(np.eye(self.n), C1.shape), C1),
+                                bullet)
+        # overflow to inf or nan is reported by count_zeros' finiteness
+        # checks as a typed failure, not as a numpy warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.linalg.det(M).reshape(np.shape(lam))
 
     # -- factored route ----------------------------------------------------
 
@@ -334,125 +329,122 @@ class DeterminantEvaluator:
         return bool(self.system.table.constant.all())
 
     @cached_property
-    def _pieces(self):
-        """The exact route's fixed data: piece widths, A_k at the piece
-        midpoints (shape (n, pieces, n, n)), the column subsets S of size
-        n - r, their complements and the Laplace signs
-        (-1)^(sum of the x = 1 rows + sum S), both counted from 0."""
+    def _laplace(self):
+        """The column subsets S of size n - r, their complements and the
+        Laplace signs (-1)^(sum of the x = 1 rows + sum S), both counted
+        from 0."""
         n, r = self.n, self.model.r
-        bp = self.system.breakpoints()
-        Ak = self.system.evaluate_Ak(0.5 * (bp[:-1] + bp[1:]))
         subsets = np.array(list(combinations(range(n), n - r)))
         comps = np.array([[j for j in range(n) if j not in S]
                           for S in subsets])
         signs = (-1.0) ** (subsets.sum(axis=1) + (n - r) * (n + r - 1) // 2)
-        return np.diff(bp), Ak, subsets, comps, signs
+        return subsets, comps, signs
+
+    def _segments(self, rho):
+        """The segments of [0, 1] the carry crosses at the points rho (m,),
+        in batches of at most CARRY_COMPOUNDS compounds (point x segment x
+        subset pair), which bounds the minors _carry gathers: yields
+        (b, h, X, nu, Y), a slice b of rho, the widths h (K,) and (len(b),
+        K) stacks, such that the solutions of w' = (rho B + A) w cross
+        segment k by X_k diag(exp(h_k nu_k)) Y_k.
+
+        Exact route, a segment per piece: rho B + A = X diag(nu) X^-1, A
+        at the piece midpoint, by one eig and inv per batch; IntegrationError
+        names the first rho at which rho B + A is not finite or X is
+        ill-conditioned (coalescing nu). Factored route, the segment
+        [0, 1]: w = z(x) exp(rho B x) gives (z(1), rho omega, z(0)^-1), z
+        of every point from one fss_ends call. Runs under d_norm's errstate.
+        """
+        n, om = self.n, self.model.frame.omegas
+        if self.exact:
+            bp = self.system.breakpoints()
+            widths = np.diff(bp)
+            Ak = self.system.evaluate_Ak(0.5 * (bp[:-1] + bp[1:]))
+        else:
+            widths = np.ones(1)
+            z0, z1 = map(np.array, zip(*fss_ends(self.system, rho)))
+            segment = (z1[:, None], rho[:, None, None] * om,
+                       np.linalg.inv(z0)[:, None])
+        step = max(1, CARRY_COMPOUNDS // (len(widths) * len(self._laplace[0]) ** 2))
+        for i in range(0, len(rho), step):
+            b = slice(i, i + step)
+            if not self.exact:
+                yield (b, widths) + tuple(a[b] for a in segment)
+                continue
+            M = (np.tensordot(rho[b, None] ** -np.arange(n), Ak, axes=1)
+                 + (rho[b, None] * om)[:, None, None, :] * np.eye(n))
+            finite = np.all(np.isfinite(M), axis=(1, 2, 3))
+            M[~finite] = 0.0
+            nu, X = np.linalg.eig(M)
+            try:
+                Xinv = np.linalg.inv(X)
+                cond = (np.max(np.sum(np.abs(X), axis=-2), axis=-1)
+                        * np.max(np.sum(np.abs(Xinv), axis=-2), axis=-1))
+            except np.linalg.LinAlgError:
+                cond = np.linalg.cond(X, 1)     # inf where X is singular
+            ok = finite & np.all(cond <= EIGVEC_COND_MAX, axis=-1)
+            if not ok.all():
+                j = np.argmin(ok)
+                if not finite[j]:
+                    raise IntegrationError(
+                        f"rho B + A is not finite at rho = {rho[i + j]:.6g}")
+                raise IntegrationError(
+                    f"rho B + A at rho = {rho[i + j]:.6g} is nearly defective: "
+                    f"its eigenvectors have condition number "
+                    f"{np.max(cond[j]):.3g}, more than {EIGVEC_COND_MAX:.3g}")
+            yield b, widths, X, nu, Xinv
 
     def _carry(self, rho, right):
-        """The compounds q_S = det right[:, :, S] of a batch's x = 1 rows
-        (m, n - r, n), carried back to x = 0, the last piece first.
-        d_norm hands it at most CARRY_COMPOUNDS compounds (point x piece x
-        subset pair) at a time, which bounds the gathered minors.
-
-        On a piece of width h, rho B + A = X diag(mu) X^-1 and the
-        propagator's compound is C(X) diag(exp(h sum_S mu)) C(X^-1), with
-        C(Y)[S, T] = det Y[S, T]; each piece also takes exp(-h rho
-        omega*), so no exponent has a real part above O(h). One eig, inv
-        and det serve all points and pieces. IntegrationError names the
-        first rho at which rho B + A is not finite or X is ill-conditioned
-        (coalescing mu). Runs under d_norm's errstate.
-        """
-        widths, Ak, subsets, _, _ = self._pieces
-        n, om = self.n, self.model.frame.omegas
-        M = (np.tensordot(rho[:, None] ** -np.arange(n), Ak, axes=1)
-             + (rho[:, None] * om)[:, None, None, :] * np.eye(n))
-        finite = np.all(np.isfinite(M), axis=(1, 2, 3))
-        M[~finite] = 0.0
-        mu, X = np.linalg.eig(M)
-        try:
-            Xinv = np.linalg.inv(X)
-            cond = (np.max(np.sum(np.abs(X), axis=-2), axis=-1)
-                    * np.max(np.sum(np.abs(Xinv), axis=-2), axis=-1))
-        except np.linalg.LinAlgError:
-            cond = np.linalg.cond(X, 1)     # inf where X is singular
-        ok = finite & np.all(cond <= EIGVEC_COND_MAX, axis=-1)
-        if not ok.all():
-            i = np.argmin(ok)
-            if not finite[i]:
-                raise IntegrationError(
-                    f"rho B + A is not finite at rho = {rho[i]:.6g}")
-            raise IntegrationError(
-                f"rho B + A at rho = {rho[i]:.6g} is nearly defective: its "
-                f"eigenvectors have condition number {np.max(cond[i]):.3g}, "
-                f"more than {EIGVEC_COND_MAX:.3g}")
-        CX, CXinv = np.linalg.det(np.stack([X, Xinv])[
-            ..., subsets[:, None, :, None], subsets[None, :, None, :]])
-        wstar = np.sum(om[self.model.r:])
-        decay = np.exp(widths[:, None] * (
-            np.sum(mu[..., subsets], axis=-1)
-            - _unfused_product(rho, wstar)[:, None, None]))
-        q = np.linalg.det(np.moveaxis(right[..., subsets], -2, -3))[:, None]
-        for k in reversed(range(len(widths))):
-            q = (q @ CX[:, k]) * decay[:, k, None] @ CXinv[:, k]
-        return q[:, 0]
+        """The compounds q_S = det right[:, :, S] of the x = 1 rows
+        (m, n - r, n), carried to x = 0 across _segments(rho), the last
+        first: a segment's compound is C(X) diag(exp(h sum_S nu)) C(Y),
+        C(Y)[S, T] = det Y[S, T], times exp(-h rho omega*), so no exponent
+        has a real part above O(h). Runs under d_norm's errstate."""
+        subsets = self._laplace[0]
+        wstar = np.sum(self.model.frame.omegas[self.model.r:])
+        out = []
+        for b, widths, X, nu, Y in self._segments(rho):
+            CX, CY = np.linalg.det(np.stack([X, Y])[
+                ..., subsets[:, None, :, None], subsets[None, :, None, :]])
+            decay = np.exp(widths[:, None] * (
+                np.sum(nu[..., subsets], axis=-1)
+                - _unfused_product(rho[b], wstar)[:, None, None]))
+            q = np.linalg.det(np.moveaxis(right[b][..., subsets], -2, -3))[:, None]
+            for k in reversed(range(len(widths))):
+                q = (q @ CX[:, k]) * decay[:, k, None] @ CY[:, k]
+            out.append(q[:, 0])
+        return np.concatenate(out)
 
     def d_norm(self, rho_check, bullet=False):
         """Normalized determinant in the strip variable at each rho_check
-        of an array, in its shape, built on one of two routes.
+        of an array, in its shape: Delta det V rho^(-P) exp(-rho omega*).
 
-        Let rho = rho_check * e_dir, V[j, k] = (rho omega_k)^j, P the sum
-        of the plain rows' orders (for the bullet rows too, so that the
-        ratio of the two d_norm is Delta_bullet / Delta) and omega* the
-        sum of the top n - r ordered roots. Each row is scaled by rho^(-p).
-
-        Exact route, when every coefficient piece is constant: the rows
-        act on V w(x) for the solutions w of w' = (rho B + A) w with
-        w(0) = I, so d_norm = Delta det V rho^(-P) exp(-rho omega*). The
-        x = 1 rows' compound is carried to x = 0 (_carry, one call per
-        chunk of the points not cached) and met by the x = 0 rows in a
-        Laplace sum over the column subsets S: sum_S sign_S det(L[:, S^c])
-        q_S.
-
-        Factored route otherwise: the rows act on V z(x), the
-        quasi-derivatives of w = z exp(rho B x) without exponentials, so
-        det[U rows] = Delta det(V z(0)) = rho^P exp(rho omega*) d_norm.
-        With c = omega_(r-1), exp(-rho c) leaves every x = 1 row and
-        exp(-rho (omega_k - c)) every column k >= r: by the sector
-        ordering, the exponents left have non-positive real part up to
-        the strip slack. z(0) and z(1) come from one fss_ends call for the
-        points not cached: one stacked factored solve per panel layout.
-
-        The factored value is the exact one times det z(0), which is 1:
-        the pairs integrated from x = 0 start from the identity, so z(0)
-        is unit lower triangular. Both routes thus give one function, up
-        to the factored solve's accuracy.
+        Here rho = rho_check * e_dir, V[j, k] = (rho omega_k)^j, P is the
+        sum of the plain rows' orders (for the bullet rows too, so that
+        the ratio of the two d_norm is Delta_bullet / Delta) and omega*
+        the sum of the top n - r ordered roots. Each row is scaled by
+        rho^(-p) and acts on V w(x) for the solutions w of
+        w' = (rho B + A) w with w(0) = I. The x = 1 rows' compound is
+        carried to x = 0 (_carry, one call for the points not cached, on
+        the segments of either route) and met by the x = 0 rows in a
+        Laplace sum over the column subsets S:
+        sum_S sign_S det(L[:, S^c]) q_S. The bullet rows differ from the
+        plain ones at x = 0 only, so they reuse the plain rows' q.
         """
         model, shape = self.model, np.shape(rho_check)
         rho = _unfused_product(rho_check, model.e_dir)
-        om, r = model.frame.omegas, model.r
-        # no numpy warnings: _carry fails typed on a non-finite system,
+        r, om = model.r, model.frame.omegas
+        _, comps, signs = self._laplace
+        # no numpy warnings: _segments fails typed on a non-finite system,
         # and count_zeros reports a non-finite value
         with np.errstate(all="ignore"):
             V = (rho[:, None, None] * om) ** np.arange(self.n)[:, None]
-            if self.exact:
-                widths, _, subsets, comps, signs = self._pieces
-                rows = self._boundary_rows((V, V), bullet, rho)
-                step = max(1, CARRY_COMPOUNDS
-                           // (len(widths) * len(subsets) ** 2))
-                q = np.array(self._memo("q", rho, lambda idx: np.concatenate([
-                    self._carry(rho[idx[i:i + step]], rows[idx[i:i + step], r:])
-                    for i in range(0, len(idx), step)])))
-                left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps],
-                                                 -2, -3))
-                return np.sum(signs * left * q, axis=-1).reshape(shape)
-        z0, z1 = map(np.array, zip(*self._memo("z", rho, lambda idx: fss_ends(
-            self.system, rho[idx]))))
-        upper = np.arange(self.n) >= r
-        g = np.exp(np.where(upper, -rho[:, None], rho[:, None])
-                   * (om - om[r - 1]))
-        ends = (V @ z0 * np.where(upper, g, 1.0)[:, None],
-                V @ z1 * np.where(upper, 1.0, g)[:, None])
-        return self._boundary_det(ends, bullet, rho).reshape(shape)
+            rows = self._boundary_rows((V, V), bullet, rho)
+            del V   # not held through the carry's solves and minors
+            q = np.array(self._memo("q", rho, lambda idx: self._carry(
+                rho[idx], rows[idx, r:])))
+            left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps], -2, -3))
+            return np.sum(signs * left * q, axis=-1).reshape(shape)
 
     # -- region dispatch ---------------------------------------------------
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from quasispec.birkhoff import birkhoff_fss
 from quasispec.errors import (
     ConfigurationError,
     ContourError,
@@ -138,10 +137,9 @@ class TestCharDelta:
             char_delta(dirichlet2(), 1.0, bullet=True)
 
     def test_factored_route_matches_direct(self):
-        # exact identity: Delta * det Y(0) = rho^P exp(rho w*) d_norm,
-        # with P the plain rows' orders (for the bullet rows too) and
-        # Y(0) = diag(rho^j) Omega on the exact route (constant pieces),
-        # diag(rho^j) Omega z(0) on the factored solve (polynomial pieces)
+        # one identity on both routes: Delta * det Y(0) = rho^P exp(rho w*)
+        # d_norm, with P the plain rows' orders (for the bullet rows too)
+        # and Y(0) = diag(rho^j) Omega
         jump = lambda a, c: P([0.0, 0.45, 1.0], [[a], [c]])
         # r = 2, jump coefficients, u-terms on both sides: 6 column pairs
         fourth = ProblemSpec(
@@ -175,12 +173,11 @@ class TestCharDelta:
                 direct = ev.delta(model.sign * rc ** n, bullet=bullet)
                 detY0 = (np.prod([rho ** j for j in range(n)])
                          * np.linalg.det(model.frame.Omega))
-                if not exact:
-                    detY0 *= np.linalg.det(
-                        birkhoff_fss(ev.system, rho).z_at_zero)
                 lhs = direct * detY0
                 rhs = (rho ** sum(model.p_list) * np.exp(rho * wstar)
                        * ev.d_norm(rc, bullet=bullet))
+                # the plain determinant cancels: the sides are 4e-10 apart
+                # at rc = 11 on `linear`
                 assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), abs(rhs))
 
     def test_exact_route_fails_typed(self):
@@ -542,39 +539,49 @@ class TestWeights:
         assert abs(d.lam) < 1e-8
         assert abs(d.beta + 2.0) < 1e-9
 
-    def test_one_circle_of_solves_per_weight(self, monkeypatch):
+    @pytest.mark.parametrize("coeff, factored_circles", [
+        (P.constant(1.1), 0), (P([0.0, 1.0], [[1.1, 0.6]]), 6)],
+        ids=["constant", "linear"])
+    def test_one_circle_of_solves_per_weight(self, monkeypatch, coeff,
+                                             factored_circles):
         # a weight costs its circle's RESIDUE_POINTS solves, shared by the
-        # plain and bullet rows, on either route: a lambda of a direct
-        # integration, or a point of an exact-route carry (constant
-        # coefficients); each call takes a batch of lambda or rho
+        # plain and bullet rows, on any route: a lambda of a direct
+        # integration, a point of an exact-route carry (constant
+        # coefficients) or of a factored solve (a linear one), whose carry
+        # then solves nothing more; each call takes a batch of lambda or rho
         from quasispec import spectrum
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
             boundary=BoundarySpec(1, forms, BoundaryForm(0, 1)),
-            expression=ExpressionSpec(3, (1, 0), (P.constant(0.4),
-                                                  P.constant(1.1))))
+            expression=ExpressionSpec(3, (1, 0), (P.constant(0.4), coeff)))
         res = locate_eigenvalues(prob, l_max=8)
         ev = DeterminantEvaluator(prob, res.model)
         assert any(abs(d.rho) <= ev.direct_limit for d in res.data)
         assert any(abs(d.rho) > ev.direct_limit for d in res.data)
-        calls = []
+        points = {}
 
-        def counted(solve):
+        def counted(name, solve):
             def call(*args, **kwargs):
-                calls.append(args)
+                points[name] = points.get(name, 0) + np.size(args[1])
                 return solve(*args, **kwargs)
             return call
 
-        for name in ("integrate_fundamental", "birkhoff_fss",
+        for name in ("integrate_fundamental", "fss_ends",
                      "closed_form_zero_coeff"):
-            monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name)))
+            monkeypatch.setattr(spectrum, name,
+                                counted(name, getattr(spectrum, name)))
         monkeypatch.setattr(DeterminantEvaluator, "_carry",
-                            counted(DeterminantEvaluator._carry))
+                            counted("_carry", DeterminantEvaluator._carry))
         out = weight_numbers(res)
         assert all(d.beta is not None for d in out.data)
-        assert any(isinstance(a[0], DeterminantEvaluator) for a in calls)
-        points = sum(np.size(a[1]) for a in calls)
-        assert points <= spectrum.RESIDUE_POINTS * len(out.data)
+        factored = factored_circles * spectrum.RESIDUE_POINTS
+        assert points.get("fss_ends", 0) == factored
+        if factored:
+            assert points["_carry"] == factored
+        direct = (points.get("integrate_fundamental", 0)
+                  + points.get("closed_form_zero_coeff", 0))
+        assert direct + points["_carry"] == (
+            spectrum.RESIDUE_POINTS * len(out.data))
 
     def test_constant_pieces_need_no_factored_solve(self, monkeypatch):
         # past direct_limit, constant coefficients take the exact route;
@@ -662,6 +669,26 @@ class TestBatches:
         assert all(isinstance(v, np.ndarray) and v.shape == () for v in points)
         assert batch.shape == rcs.shape
         assert np.array_equal(batch.ravel(), np.array(points))
+
+    def test_factored_d_norm_solves_a_call_at_once(self, monkeypatch):
+        # the carry takes a call's points in chunks of CARRY_COMPOUNDS
+        # compounds, but one fss_ends call solves them all, so the
+        # factored solve stacks the whole call; the bullet rows reuse it
+        from quasispec import spectrum
+        prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
+        ev = DeterminantEvaluator(prob, model)
+        rcs = np.linspace(8.0, 20.0, 120) + 0.1j
+        assert len(rcs) * len(ev._laplace[0]) ** 2 > spectrum.CARRY_COMPOUNDS
+        taken, solve = [], spectrum.fss_ends
+
+        def recorded(system, rho):
+            taken.append(len(rho))
+            return solve(system, rho)
+
+        monkeypatch.setattr(spectrum, "fss_ends", recorded)
+        ev.d_norm(rcs)
+        ev.d_norm(rcs, bullet=True)
+        assert taken == [len(rcs)]
 
     @pytest.mark.parametrize("bullet", [False, True])
     def test_delta_batch_equals_its_points(self, bullet):
