@@ -492,8 +492,8 @@ def upsilon(system: ConjugatedSystem, rho):
     """
     rho = complex(rho)
     tg = np.union1d(np.linspace(0.0, 1.0, UPSILON_POINTS), system.breakpoints())
-    return max((_kernel_max(system.A[0][j][l], j, l, range(system.n), rho,
-                            system.frame, tg, np.arange(len(tg)))
+    return max((_kernel_max(system.table.entry((0, j, l)), j, l, range(system.n),
+                            rho, system.frame, tg, np.arange(len(tg)))
                 for j, l in zip(*np.nonzero(system.table.nonzero[0]))),
                default=0.0)
 

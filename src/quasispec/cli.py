@@ -350,7 +350,8 @@ def cmd_birkhoff(problem, settings, args, out, err):
         nu + i for nu, (i, sig) in enumerate(zip(expr.indices, expr.coefficients))
         if not sig.is_zero()]
     d_eff = max(problem.n - 1 - max(levels), 1) if levels else 1
-    Ad = system.A[d_eff]
+    Ad = [[system.table.entry((d_eff, j, k)) for k in range(problem.n)]
+          for j in range(problem.n)]
     lines = ["re_rho,im_rho,upsilon,upsilon_d,max_E,residual"]
     for rho in rhos:
         sol = birkhoff_fss(system, rho)

@@ -243,22 +243,55 @@ class PieceTable:
 
     def __init__(self, polys, shape):
         polys = list(polys)
-        self.breakpoints = merge_breakpoints(*(p.breakpoints for p in polys))
-        self.nonzero = np.array([not p.is_zero() for p in polys]).reshape(shape)
-        self._rows = np.flatnonzero(self.nonzero)
-        live = [polys[r] for r in self._rows]
-        mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
-        deg = max((p.degree for p in live), default=0)
+        bp = merge_breakpoints(*(p.breakpoints for p in polys))
+        mids = 0.5 * (bp[:-1] + bp[1:])
+        deg = max((p.degree for p in polys), default=0)
         # coefficient k of entry e on merged piece j, and that piece's origin
-        self._coef = np.zeros((deg + 1, len(live), len(mids)), dtype=complex)
-        self._origin = np.zeros((len(live), len(mids)))
-        for e, p in enumerate(live):
+        coef = np.zeros((deg + 1, len(polys), len(mids)), dtype=complex)
+        origin = np.zeros((len(polys), len(mids)))
+        for e, p in enumerate(polys):
             idx = p.piece_index(mids)
-            self._origin[e] = p.breakpoints[idx]
+            origin[e] = p.breakpoints[idx]
             for j, i in enumerate(idx):
-                self._coef[: len(p.coeffs[i]), e, j] = p.coeffs[i]
+                coef[: len(p.coeffs[i]), e, j] = p.coeffs[i]
+        self._keep(bp, coef, origin, shape)
+
+    def _keep(self, breakpoints, coef, origin, shape):
+        """Keep the non-zero entries of coef (degree, entry, piece) and of
+        origin (entry, piece), and the per-piece summaries."""
+        self.breakpoints = breakpoints
+        self.nonzero = np.any(coef != 0, axis=(0, 2)).reshape(shape)
+        self._rows = np.flatnonzero(self.nonzero)
+        self._coef, self._origin = coef[:, self._rows], origin[self._rows]
         self.constant = ~np.any(self._coef[1:], axis=(0, 1))
         self.scale = np.max(np.abs(self._coef), axis=(0, 1), initial=0.0)
+
+    def combine(self, weights, shape):
+        """The table of `shape` whose flat entry r is sum_e weights[r, e] *
+        (flat entry e of this table), terms of zero weight left out. On each
+        merged piece the entries are re-expanded about the piece start, the
+        new table's origin there, and summed in the order of e."""
+        start = self.breakpoints[:-1]
+        coef = self._coef.copy()
+        for e, j in zip(*np.nonzero(self._origin != start)):
+            coef[:, e, j] = _shift_coeffs(coef[:, e, j], start[j] - self._origin[e, j])
+        out = np.zeros((len(coef), len(weights), len(start)), dtype=complex)
+        for e, w in enumerate(np.asarray(weights)[:, self._rows].T):
+            r = np.flatnonzero(w)
+            out[:, r] += w[r, None] * coef[:, None, e]
+        table = object.__new__(PieceTable)
+        table._keep(self.breakpoints, out, np.broadcast_to(start, out.shape[1:]), shape)
+        return table
+
+    def entry(self, index):
+        """The entry at `index` (a tuple into the shape) as a PiecewisePoly
+        with one piece per distinct origin."""
+        flat = np.ravel_multi_index(index, self.nonzero.shape)
+        if not self.nonzero.flat[flat]:
+            return PiecewisePoly.zero()
+        e = np.searchsorted(self._rows, flat)
+        origins, first = np.unique(self._origin[e], return_index=True)
+        return PiecewisePoly(np.append(origins, 1.0), list(self._coef[:, e, first].T))
 
     def __call__(self, x, at=None):
         """Values at x, an array of shape `shape + x.shape`.

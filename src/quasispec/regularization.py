@@ -10,7 +10,9 @@ the original equation, and all spectral computations flow through F.
 This module builds F, conjugates each of its lower diagonals into the
 root-of-unity frame of a sector, and evaluates the integer combination
 coefficients that govern the first differing diagonal of a pair of
-expressions.
+expressions. The conjugates A_k are one linear map of the coefficients
+of F's piece table, applied piece by piece; no entry of A_k is ever a
+PiecewisePoly sum.
 """
 
 from __future__ import annotations
@@ -184,10 +186,7 @@ class AssociatedMatrix:
         return self.table.breakpoints
 
     def trace(self):
-        t = PiecewisePoly.zero()
-        for a in range(self.n):
-            t = t + self.entries[a][a]
-        return t
+        return self.diagonal_sum(0)
 
     def diagonal_sum(self, d):
         """Sum of the entries on the lower diagonal of index d (row-col = d)."""
@@ -287,20 +286,16 @@ class ConjugatedSystem:
     """The split system rotated into the root-of-unity frame of a sector.
 
     w' = rho B w + A(x, rho) w with A(x, rho) = A_0(x) + sum_k rho^-k A_k(x),
-    A_k = Omega^{-1} F_k Omega. diag(A_0) vanishes identically.
+    A_k = Omega^{-1} F_k Omega. diag(A_0) vanishes identically. `table`
+    holds every A_k, entry [k, i, l], on the merged pieces of F;
+    `table.entry((k, i, l))` gives one entry as a PiecewisePoly.
     """
 
     n: int
     frame: SectorFrame
-    A: tuple  # A[k][i][l] PiecewisePoly, k = 0..n-1
+    table: PieceTable  # shape (n, n, n), [k][i][l]
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-
-    @cached_property
-    def table(self):
-        """A compiled once for evaluation (shape (n, n, n), [k][i][l])."""
-        return PieceTable((e for Ak in self.A for row in Ak for e in row),
-                          (self.n, self.n, self.n))
 
     def evaluate_Ak(self, x, at=None):
         """All A_k at points x: array of shape (n,) + x.shape + (n, n);
@@ -333,30 +328,22 @@ def conjugate_system(F: AssociatedMatrix, frame: SectorFrame) -> ConjugatedSyste
 
     An entry of A_k is the scalar combination
         (1/n) sum_{a-b=k} omega_i^{-a} f_{a+1,b+1} omega_l^{b}
-    (0-based a, b). diag(A_0) = trace(F)/n = 0 is re-checked numerically.
+    (0-based a, b), so the A_k are one linear map of F's coefficients:
+    `F.table.combine` applies it on each merged piece of F, summing in
+    the order of a. diag(A_0) = trace(F)/n = 0 is re-checked numerically.
     """
     n = F.n
     om = frame.omegas
-    A = []
-    for k in range(n):
-        Ak = [[PiecewisePoly.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for l in range(n):
-                acc = PiecewisePoly.zero()
-                for a in range(k, n):
-                    b = a - k
-                    if F.table.nonzero[a, b]:
-                        scale = (om[i] ** (-a)) * (om[l] ** b) / n
-                        acc = acc + F.entries[a][b] * scale
-                Ak[i][l] = acc
-        A.append(tuple(tuple(r) for r in Ak))
-    sys = ConjugatedSystem(n=n, frame=frame, A=tuple(A))
+    weights = np.zeros((n, n, n, n, n), dtype=complex)  # [k, i, l, a, b]
+    for i, l, a, b in np.ndindex(n, n, n, n):
+        if a >= b:
+            weights[a - b, i, l, a, b] = (om[i] ** (-a)) * (om[l] ** b) / n
+    sys = ConjugatedSystem(n=n, frame=frame, table=F.table.combine(
+        weights.reshape(n ** 3, n ** 2), (n, n, n)))
     # internal consistency: the main-diagonal conjugate has zero diagonal
-    x = np.union1d(np.linspace(0.0, 1.0, 101), F.breakpoints())
-    a0 = sys.evaluate_Ak(x)[0]
-    dmax = float(np.max(np.abs(np.diagonal(a0, axis1=-2, axis2=-1))))
-    scale = 1.0 + float(np.max(np.abs(a0)))
-    if dmax > 1e-12 * scale:
+    a0 = sys.table(np.union1d(np.linspace(0.0, 1.0, 101), F.breakpoints()))[0]
+    dmax = float(np.max(np.abs(np.diagonal(a0))))
+    if dmax > 1e-12 * (1.0 + float(np.max(np.abs(a0)))):
         raise ConsistencyError(
             f"diag(A_0) deviates from zero by {dmax:.3e}; builder bug upstream")
     return sys

@@ -13,7 +13,7 @@ from quasispec.birkhoff import (
     upsilon_d,
 )
 from quasispec.errors import NonContractionError
-from quasispec.piecewise import PiecewisePoly as P
+from quasispec.piecewise import PiecewisePoly as P, PieceTable
 from quasispec.regularization import (
     ConjugatedSystem,
     ExpressionSpec,
@@ -329,11 +329,10 @@ class TestUpsilon:
         n = 2
         frame = sector_frame(2, 1)
         c = 0.7
-        A0 = [[P.zero(), P.zero()], [P.zero(), P.zero()]]
-        A0[0][0] = P.constant(c)
-        A = (tuple(tuple(r) for r in A0),
-             tuple(tuple(P.zero() for _ in range(n)) for _ in range(n)))
-        sys = ConjugatedSystem(n=n, frame=frame, A=A)
+        entries = [P.zero() for _ in range(n ** 3)]  # [k][j][l] flat
+        entries[0] = P.constant(c)
+        sys = ConjugatedSystem(n=n, frame=frame,
+                               table=PieceTable(entries, (n, n, n)))
         got = upsilon(sys, 25.0 * np.exp(1j * np.pi / 4))
         assert got == pytest.approx(c, rel=1e-10)
 

@@ -104,6 +104,25 @@ def test_table_left_limit():
     assert table.nonzero.tolist() == [True, False]
 
 
+def test_table_entry_and_combine():
+    # entries with their own breakpoints: `entry` gives each back, and a
+    # combination is re-expanded about the merged piece starts
+    f = P([0, 0.5, 1], [[1.0, 2.0], [5.0, -1.0, 3.0]])
+    g = P([0, 0.25, 1], [[10.0], [20.0, 4.0]])
+    table = PieceTable([f, g, P.zero()], (3,))
+    for e, p in enumerate([f, g, P.zero()]):
+        back = table.entry((e,))
+        np.testing.assert_array_equal(back.breakpoints, p.breakpoints)
+        assert back.equals(p)
+    both = table.combine([[2.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]], (3,))
+    np.testing.assert_array_equal(both.breakpoints, [0.0, 0.25, 0.5, 1.0])
+    assert both.nonzero.tolist() == [True, True, False]
+    x = np.linspace(0.0, 1.0, 41)
+    np.testing.assert_allclose(both(x), [2.0 * f(x), f(x) - g(x), 0.0 * x],
+                               rtol=1e-15, atol=1e-15)
+    assert (f - g).equals(both.entry((1,)))
+
+
 class TestAlgebra:
     def test_add_refines(self):
         f = P([0, 0.5, 1], [[1.0], [2.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasispec.errors import ValidationError
-from quasispec.piecewise import PiecewisePoly as P
+from quasispec.piecewise import PiecewisePoly as P, PieceTable
 from quasispec.regularization import (
     AssociatedMatrix,
     build_associated_matrix,
@@ -186,6 +186,61 @@ class TestConjugation:
             a0 = sys.evaluate_Ak(x)[0]
             diag = np.abs(np.diagonal(a0, axis1=1, axis2=2))
             assert np.max(diag) < 1e-12 * (1 + np.max(np.abs(a0)))
+
+
+def reference_conjugate(F, frame):
+    """Every A_k entry, flat in [k][i][l] order, as the per-entry sum
+    (1/n) sum_a omega_i^{-a} omega_l^{a-k} F[a][a-k] of PiecewisePoly."""
+    n, om = F.n, frame.omegas
+    out = []
+    for k in range(n):
+        for i in range(n):
+            for l in range(n):
+                acc = P.zero()
+                for a in range(k, n):
+                    b = a - k
+                    acc = acc + F.entries[a][b] * ((om[i] ** (-a)) * (om[l] ** b) / n)
+                out.append(acc)
+    return out
+
+
+def random_coefficient(rng):
+    """Up to three random cuts, pieces of degree 0-2 with complex values."""
+    cuts = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 4))))
+    pieces = [rng.normal(size=int(rng.integers(1, 4)))
+              + 1j * rng.normal(size=1) for _ in range(len(cuts) + 1)]
+    return P(np.concatenate([[0.0], cuts, [1.0]]), pieces)
+
+
+class TestConjugationMap:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_table_matches_per_entry_sums(self, n):
+        """The table conjugate_system builds from F's coefficients agrees
+        with the per-entry sums: values to 1e-13 of the largest A_k value
+        on a grid plus every breakpoint, the same non-zero mask, the same
+        breakpoints and the same constant pieces; each entry read out as a
+        PiecewisePoly evaluates as the table does."""
+        rng = np.random.default_rng(100 + n)
+        m = n // 2
+        for _ in range(3):
+            idx = [int(rng.integers(0, m - nu // 2 - nu % 2 + 1))
+                   for nu in range(n - 1)]
+            coeffs = [random_coefficient(rng) for _ in range(n - 1)]
+            F = build_associated_matrix(ExpressionSpec(n, tuple(idx), tuple(coeffs)))
+            frame = sector_frame(n, int(rng.integers(1, 2 * n + 1)))
+            table = conjugate_system(F, frame).table
+            ref = reference_conjugate(F, frame)
+            ref_table = PieceTable(ref, (n, n, n))
+            x = np.union1d(np.linspace(0.0, 1.0, 201),
+                           np.concatenate([c.breakpoints for c in coeffs]))
+            want = np.array([p(x) for p in ref]).reshape((n, n, n, len(x)))
+            np.testing.assert_allclose(table(x), want, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            np.testing.assert_array_equal(table.nonzero, ref_table.nonzero)
+            np.testing.assert_array_equal(table.breakpoints, ref_table.breakpoints)
+            np.testing.assert_array_equal(table.constant, ref_table.constant)
+            for index in np.ndindex(n, n, n):
+                np.testing.assert_array_equal(table.entry(index)(x), table(x)[index])
 
 
 class TestSCoefficient:
