@@ -283,6 +283,24 @@ class PieceTable:
         table._keep(self.breakpoints, out, np.broadcast_to(start, out.shape[1:]), shape)
         return table
 
+    def surrogate(self, pieces):
+        """The table, constant everywhere, that splits each non-constant
+        piece into `pieces` equal ones holding the entries' values at their
+        midpoints (Pruess, SIAM J. Numer. Anal. 10, 1973) and keeps the
+        constant pieces' coefficients bit for bit."""
+        bp, split = self.breakpoints, np.where(self.constant, 1, pieces)
+        starts = np.concatenate([np.linspace(a, b, k, endpoint=False)
+                                 for a, b, k in zip(bp[:-1], bp[1:], split)])
+        j, new_bp = np.repeat(np.arange(len(split)), split), np.append(starts, 1.0)
+        mids = 0.5 * (new_bp[:-1] + new_bp[1:])
+        coef = np.zeros((1, self.nonzero.size, len(starts)), dtype=complex)
+        coef[0, self._rows] = np.where(self.constant[j], self._coef[0][:, j],
+                                       self(mids).reshape(-1, len(mids))[self._rows])
+        table = object.__new__(PieceTable)
+        table._keep(new_bp, coef, np.broadcast_to(starts, coef.shape[1:]),
+                    self.nonzero.shape)
+        return table
+
     def entry(self, index):
         """The entry at `index` (a tuple into the shape) as a PiecewisePoly
         with one piece per distinct origin."""

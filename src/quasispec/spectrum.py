@@ -23,7 +23,10 @@ integer so the counts line up, and every further index gets its own
 strip box centered on the calibrated prediction. Every counted contour,
 circle or box, gives its zeros from the contour moments of the values
 its count made, and one loop numbers them in order, each zero taking as
-many indices as its multiplicity. The boxes, and the weight circles,
+many indices as its multiplicity. Where F has a non-constant piece, a
+contour is counted and seeded on a piecewise-constant surrogate of F,
+certified against a coarser one (Rouche), and Newton polishes on F; if
+that pass fails, it is counted on F. The boxes, and the weight circles,
 are generators of point requests run in lockstep: each round, the
 points all of them ask of one evaluator function go to it in one call.
 """
@@ -211,7 +214,7 @@ DERIVATIVE_RTOL = 1e-9
 DERIVATIVE_START_NODES = 16
 # largest 1-norm condition number of a piece's eigenvector matrix the
 # exact route accepts (the benchmark problems stay below 1.02 for |rho|
-# from 11 to 420)
+# from 11 to 420, and their surrogates from |rho| = 6.05 up)
 EIGVEC_COND_MAX = 1e6
 # most compounds (point x piece x subset pair) one exact-route carry
 # takes; bounds the memory of the minors it gathers
@@ -220,6 +223,9 @@ CARRY_COMPOUNDS = 1024
 RESIDUE_POINTS = 32
 # agreement a weight number's ratio and contour residue must reach
 BETA_CROSS_CHECK_RTOL = 1e-8
+# sub-pieces per non-constant piece of F in the surrogate that counts and
+# seeds (the certificate compares it with half as many)
+SURROGATE_PIECES = 8
 # most Newton steps of one root refinement
 NEWTON_MAX_ITER = 50
 # Newton stops once a step is below this share of max(1, |z|). That is
@@ -257,6 +263,7 @@ class DeterminantEvaluator:
     def __init__(self, problem: ProblemSpec, model: AsymptoticModel):
         self.problem = problem
         self.model = model
+        self.F = problem.F
         self.n = problem.n
         self.zero_coeff = problem.is_zero_coefficient()
         self._cache = {}
@@ -307,7 +314,7 @@ class DeterminantEvaluator:
         C1 = np.array(self._memo("C1", flat, lambda idx: [
             closed_form_zero_coeff(self.n, flat[i], 1.0)[0] for i in idx]
             if self.zero_coeff
-            else integrate_fundamental(self.problem.F, flat[idx]).at_one))
+            else integrate_fundamental(self.F, flat[idx]).at_one))
         M = self._boundary_rows((np.broadcast_to(np.eye(self.n), C1.shape), C1),
                                 bullet)
         # overflow to inf or nan is reported by count_zeros' finiteness
@@ -320,7 +327,7 @@ class DeterminantEvaluator:
     @cached_property
     def system(self):
         """The conjugated system of the factored route, built on first use."""
-        return conjugate_system(self.problem.F, self.model.frame)
+        return conjugate_system(self.F, self.model.frame)
 
     @cached_property
     def exact(self):
@@ -481,6 +488,40 @@ class DeterminantEvaluator:
         return self.d_norm(self.model.rho_of_lambda(lam), bullet=bullet)
 
 
+class _Surrogate(DeterminantEvaluator):
+    """The determinants with F replaced by F.table.surrogate(pieces), by
+    the same model and route rule: one expm step per piece on the plain
+    route, the exact carry for d_norm. A call that raises IntegrationError
+    gives NaN at all its points: its contours fall back to F."""
+
+    def __init__(self, problem, model, pieces):
+        super().__init__(problem, model)
+        # derived data: no entries kept, nothing re-validated
+        self.F = AssociatedMatrix(self.n, ())
+        object.__setattr__(self.F, "table", problem.F.table.surrogate(pieces))
+
+    def delta(self, lam):
+        return self._or_nan(super().delta, lam)
+
+    def d_norm(self, rho_check):
+        return self._or_nan(super().d_norm, rho_check)
+
+    @staticmethod
+    def _or_nan(evaluate, z):
+        try:
+            return evaluate(z)
+        except IntegrationError:
+            return np.full(np.shape(z), np.nan, dtype=complex)
+
+
+def _surrogates(problem, model):
+    """The counting evaluators (g, g_half) on SURROGATE_PIECES and half as
+    many sub-pieces; none where every piece of F is constant."""
+    return () if problem.F.table.constant.all() else tuple(
+        _Surrogate(problem, model, k)
+        for k in (SURROGATE_PIECES, SURROGATE_PIECES // 2))
+
+
 # ---------------------------------------------------------------------------
 # contours, winding numbers, derivatives
 # ---------------------------------------------------------------------------
@@ -550,7 +591,7 @@ def _run(work):
     return out
 
 
-def _contour_values(f, pts):
+def _contour_values(f, pts, check=None):
     """Work (see _lockstep) giving (values, phase steps) of f on the
     closed polyline pts: f at each point and the change of arg f from
     each point to the next.
@@ -560,7 +601,8 @@ def _contour_values(f, pts):
     midpoints and the step is summed over the refined pieces, so no step
     jumps a branch. A value tiny against the contour median trips
     ContourError (zero too close), and so does a value, or a ratio of
-    neighbouring values, that is not finite.
+    neighbouring values, that is not finite. With check, the values stand
+    only if |f - check| < |f| at every point used (else ContourError).
     """
     pts = np.asarray(pts, dtype=complex)
     given = np.ones(len(pts), dtype=bool)
@@ -581,6 +623,9 @@ def _contour_values(f, pts):
         dphi = np.angle(ratios)
         bad = np.nonzero(np.abs(dphi) > 1.0)[0]
         if len(bad) == 0:
+            if check is not None and not np.all(
+                    np.abs(vals - (yield check, pts)) < mags):
+                raise ContourError("surrogate count not certified")
             keep = np.nonzero(given)[0]
             phase = np.concatenate([[0.0], np.cumsum(dphi)])
             return vals[keep], np.diff(phase[keep])
@@ -594,14 +639,14 @@ def _contour_values(f, pts):
     raise ContourError("winding did not stabilize", contact=True)
 
 
-def _counted(f, contour_pts):
+def _counted(f, contour_pts, check=None):
     """Work (see _lockstep) of count_zeros: (count, contour, (values,
     phase steps) of f on that contour)."""
     pts = np.asarray(contour_pts, dtype=complex)
     centroid = np.mean(pts[:-1])
     for attempt in range(CONTOUR_RETRIES + 1):
         try:
-            values = yield from _contour_values(f, pts)
+            values = yield from _contour_values(f, pts, check)
             w = float(np.sum(values[1])) / (2 * np.pi)
             if abs(w - round(w)) > INTEGER_ATOL:
                 raise ContourError(f"winding {w:.6f} not integer-consistent",
@@ -613,14 +658,16 @@ def _counted(f, contour_pts):
             pts = centroid + (pts - centroid) * 1.03
 
 
-def count_zeros(f, contour_pts):
+def count_zeros(f, contour_pts, check=None):
     """Argument-principle zero count of f, which maps an array of points
     to their values, inside a closed contour: (count, contour counted on).
 
     On contact with a zero the contour is dilated about its centroid by
     3 percent and retried; other contour failures are raised at once.
+    With check, the count stands only if |f - check| < |f| at every
+    point it used (see _contour_values).
     """
-    return _run(_counted(f, contour_pts))[:2]
+    return _run(_counted(f, contour_pts, check))[:2]
 
 
 def delta_derivative(f, lam0, radius):
@@ -645,18 +692,23 @@ def delta_derivative(f, lam0, radius):
         "non-analytic point or another zero")
 
 
-def _newton(f, z0):
-    """Work (see _lockstep) polishing a zero of f from z0 by Newton steps
-    on a central difference: one request of (z, z + h, z - h) per step,
-    none after the last, which is the first step below NEWTON_RTOL of
-    max(1, |z|)."""
+def _newton(f, z0, g=None):
+    """Work (see _lockstep) polishing a zero of f from z0 by Newton steps,
+    the slope a central difference of g (f itself by default): per step,
+    one request of (z, z + h, z - h) of f, or with g one of z of f and one
+    of (z + h, z - h) of g; none after the last step, the first below
+    NEWTON_RTOL of max(1, |z|)."""
     z = complex(z0)
     for _ in range(NEWTON_MAX_ITER):
         h = 1e-7 * max(1.0, abs(z))
-        fz, fp, fm = map(complex, (yield f, np.array([z, z + h, z - h])))
+        if g is None:
+            fz, fp, fm = map(complex, (yield f, np.array([z, z + h, z - h])))
+        else:
+            fz = complex((yield f, np.array([z]))[0])
+            fp, fm = map(complex, (yield g, np.array([z + h, z - h])))
         der = (fp - fm) / (2 * h)
-        if der == 0:
-            raise RootSearchError(f"flat derivative near {z}")
+        if der == 0 or not np.isfinite(der):
+            raise RootSearchError(f"flat or non-finite derivative near {z}")
         step = fz / der
         z = z - step
         if abs(step) <= NEWTON_RTOL * max(1.0, abs(z)):
@@ -678,22 +730,39 @@ class SpectrumResult:
     problem: ProblemSpec = field(compare=False, repr=False)
 
 
-def _strip_box_zeros(ev, model, l, chi_cal, hy):
+def _zeros_inside(f, pts, counters=()):
+    """Work (see _lockstep) giving the zeros of f inside the closed
+    polyline pts, counted (_counted) and located (_contour_zeros). With
+    counters = (g, g_half), g counts, certified by g_half, and seeds, and
+    f only polishes; if that pass fails, pts is counted on f."""
+    if counters:
+        g, g_half = counters
+        try:
+            cnt, cpts, values = yield from _counted(g, pts, g_half)
+            return (yield from _contour_zeros(f, cpts, cnt, values, g))
+        except (ContourError, RootSearchError):
+            pass
+    cnt, pts, values = yield from _counted(f, pts)
+    return (yield from _contour_zeros(f, pts, cnt, values))
+
+
+def _strip_box_zeros(ev, model, l, chi_cal, hy, surrogates=()):
     """Work (see _lockstep) counting the first strip box about index l's
     prediction that holds a zero, and locating its zeros from the
     count's contour values: a list of (rho, multiplicity) sorted by real
-    part. A failure is raised as RootSearchError naming index l."""
+    part, counted on surrogates first if given (_zeros_inside). A failure
+    is raised as RootSearchError naming index l."""
     growth = model.growth
     pred = growth * (l + chi_cal)
     cx, cy = pred.real, pred.imag
     half = 0.5 * growth
-    fstrip = ev.box_function(abs(pred) + half + hy * 4)
+    outer = abs(pred) + half + hy * 4
+    fstrip, *counters = (e.box_function(outer) for e in (ev, *surrogates))
     for attempt in range(3):
         pts = rect_contour(cx - half, cx + half, cy - hy * (2 ** attempt),
                            cy + hy * (2 ** attempt), m=CONTOUR_POINTS)
         try:
-            cnt, pts, values = yield from _counted(fstrip, pts)
-            found = yield from _contour_zeros(fstrip, pts, cnt, values)
+            found = yield from _zeros_inside(fstrip, pts, counters)
         except (ContourError, RootSearchError) as exc:
             raise RootSearchError(f"index {l}: {exc}") from exc
         if found:
@@ -707,13 +776,16 @@ def _same_root(z, w):
     return abs(z - w) <= DEDUPE_TOL * max(1.0, abs(w))
 
 
-def _contour_zeros(f, pts, expected, values=None):
+def _contour_zeros(f, pts, expected, values=None, surrogate=None):
     """Work (see _lockstep) giving all zeros of f inside the closed
     polyline pts, a contour count_zeros verified with count `expected` =
-    N, as a list of (root, multiplicity).
+    N, as a list of (root, multiplicity). With `surrogate`, which counted
+    in f's place, the moments and slopes are its own, f only polishes
+    (_newton) and a multiple zero, which is not polished, is refused.
 
     The values are the count's own: `values`, its (values, phase steps),
-    or else read again from f (a caching f gives them without solves),
+    or else read again from the counting function (a caching one gives
+    them without solves),
     with each phase step summed over the count's refinement so no step
     jumps a branch. The nodes are the points of pts alone: where
     refinement changes the step, the trapezoid rule's h^2 error terms
@@ -734,7 +806,7 @@ def _contour_zeros(f, pts, expected, values=None):
         return []
     pts = np.asarray(pts, dtype=complex)
     if values is None:
-        values = yield from _contour_values(f, pts)
+        values = yield from _contour_values(surrogate or f, pts)
     vals, dphi = values
     c = np.mean(pts[:-1])
     R = np.max(np.abs(pts - c))
@@ -773,7 +845,9 @@ def _contour_zeros(f, pts, expected, values=None):
     for wr, mu in zip(roots, mult_int):
         root = c + R * complex(wr)
         if mu == 1:
-            root = yield from _newton(f, root)
+            root = yield from _newton(f, root, surrogate)
+        elif surrogate is not None:
+            raise RootSearchError("a multiple zero is located on F itself")
         with np.errstate(invalid="ignore", divide="ignore"):
             turns = np.sum(np.angle((pts[1:] - root) / (pts[:-1] - root)))
         if (not abs(turns / (2 * np.pi) - 1) < 0.5
@@ -792,9 +866,10 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     between model rings (plain determinant); the count pins the integer
     part of chi. Stage 2 counts one strip box per further index up to
     l_max by winding. Both stages locate their zeros from the contour
-    moments of the values their count made. The circle's zeros and all
-    boxes run in lockstep (_lockstep), so each round of contour passes
-    and Newton steps makes one call per evaluator function. One loop then
+    moments of the values their count made, on F's surrogates where they
+    exist (_zeros_inside). All boxes run in lockstep (_lockstep), so each
+    round of contour passes and Newton steps makes one call per
+    evaluator function. One loop then
     numbers the zeros in order, each advancing the index by its
     multiplicity, and records the remainder against the calibrated
     model; a box's failure is raised only if the numbering reaches its
@@ -814,20 +889,26 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     T_A = growth * (L_A + chi_re + 0.5)
     lam_radius = T_A ** n
 
-    n_low, circle = count_zeros(ev.delta, disk_contour(
-        0.0, lam_radius, m=max(64, 16 * L_A)))
+    disk = disk_contour(0.0, lam_radius, m=max(64, 16 * L_A))
+    surrogates, low = _surrogates(problem, model), None
+    if surrogates:
+        g, g_half = (s.delta for s in surrogates)
+        try:
+            n_low, circle = count_zeros(g, disk, g_half)
+            low = _run(_contour_zeros(ev.delta, circle, n_low, surrogate=g))
+        except (ContourError, RootSearchError):
+            pass
+    if low is None:     # no surrogate, or its pass failed: count on F
+        n_low, circle = count_zeros(ev.delta, disk)
+        low = _run(_contour_zeros(ev.delta, circle, n_low))
     chi_cal = model.chi + (L_A - n_low)
 
     # stage 2: one strip box per remaining index on the calibrated
     # predictions; the low zeros take indices 1..n_low
     hy = BOX_HALF_HEIGHT_FACTOR * growth
     first = n_low + 1
-    low, *boxes = _lockstep(
-        [_contour_zeros(ev.delta, circle, n_low)]
-        + [_strip_box_zeros(ev, model, l, chi_cal, hy)
-           for l in range(first, l_max + 1)])
-    if isinstance(low, Exception):
-        raise low
+    boxes = _lockstep([_strip_box_zeros(ev, model, l, chi_cal, hy, surrogates)
+                       for l in range(first, l_max + 1)])
     # sorted by |lambda| then arg, with canonical normalized roots
     pending = [(lam, model.rho_of_lambda(lam) if lam != 0 else 0.0, mult)
                for lam, mult in sorted(low, key=lambda t: (abs(t[0]),

@@ -332,6 +332,27 @@ class TestDirectRouteOracle:
                 mp.mpc(d.rho), tol=mp.mpf(10) ** -25, verify=False))
         assert abs(d.rho - root) < 1e-12 * abs(root)
 
+    def test_surrogate_counted_roots_against_mpmath(self):
+        # the l = 2, 3, 4 strip boxes lie past direct_limit: each is
+        # counted and seeded on the surrogate of F, and its root polished
+        # by the factored solve
+        from quasispec.spectrum import BOX_HALF_HEIGHT_FACTOR
+        mp = pytest.importorskip("mpmath")
+        prob = self.problem()
+        res = locate_eigenvalues(prob, l_min=2, l_max=4)
+        ev = DeterminantEvaluator(prob, res.model)
+        growth, e_dir = res.model.growth, res.model.e_dir
+        assert [d.l for d in res.data] == [2, 3, 4] and res.n_low == 1
+        for d in res.data:
+            outer = (abs(growth * (d.l + res.chi_cal))
+                     + (0.5 + 4 * BOX_HALF_HEIGHT_FACTOR) * growth)
+            assert not ev.is_direct(outer)
+            with mp.workdps(30):
+                root = complex(mp.findroot(
+                    lambda rc: self.delta(mp, prob, rc * e_dir),
+                    mp.mpc(d.rho), tol=mp.mpf(10) ** -25, verify=False))
+            assert abs(d.rho - root) < 1e-11 * abs(root)
+
 
 class TestContours:
     def test_disk_counts(self):
@@ -878,9 +899,10 @@ class TestClusterHandling:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
 
     def test_disk_sweep_reuses_the_circle(self, monkeypatch):
-        # n = 3 with a quadratic sigma_1: every low-disk zero costs the
-        # circle's integrations plus a few Newton evaluations, counted by
-        # the lambdas each batched integration takes
+        # n = 3 with a quadratic sigma_1: the circle is counted once, on
+        # the surrogate of F, and every low-disk zero costs the true
+        # problem only its Newton evaluations, counted by the lambdas each
+        # batched integration of F takes
         from quasispec import spectrum
         s1 = P([0.0, 1.0], [[0.48, 0.33, -0.054]])
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
@@ -889,19 +911,22 @@ class TestClusterHandling:
         calls, circle = [], []
         integrate, count = spectrum.integrate_fundamental, spectrum.count_zeros
 
-        def counted_integrate(*args, **kwargs):
-            calls.extend(np.ravel(args[1]))
-            return integrate(*args, **kwargs)
+        def counted_integrate(F, lam, *args, **kwargs):
+            if F is prob.F:
+                calls.extend(np.ravel(lam))
+            return integrate(F, lam, *args, **kwargs)
 
-        def counted_count(f, pts):
-            circle.append(len(pts) - 1)
-            return count(f, pts)
+        def counted_count(f, pts, *check):
+            circle.append(f.__self__)
+            return count(f, pts, *check)
 
         monkeypatch.setattr(spectrum, "integrate_fundamental", counted_integrate)
         monkeypatch.setattr(spectrum, "count_zeros", counted_count)
         res = locate_eigenvalues(prob, l_max=1)
         assert res.n_low >= 1 and len(circle) == 1
-        assert len(calls) <= circle[0] + 4 * res.n_low
+        assert isinstance(circle[0], spectrum._Surrogate)
+        assert circle[0].F is not prob.F
+        assert 0 < len(calls) <= 4 * res.n_low
 
     @staticmethod
     def strip_zeros(monkeypatch, cluster):
@@ -965,3 +990,132 @@ class TestClusterHandling:
         out = _run(_strip_box_zeros(Box(), model, 5, model.chi, 0.4 * growth))
         assert len(out) == 1 and out[0][1] == 1
         assert abs(out[0][0] - zero) < 1e-9
+
+
+class TestSurrogate:
+    """Counting and seeding on the piecewise-constant surrogate of F, the
+    roots polished on F itself, and the fallback to counting on F."""
+
+    problem = staticmethod(TestDirectRouteOracle.problem)
+
+    @staticmethod
+    def located(prob, l_max=10):
+        res = locate_eigenvalues(prob, l_max=l_max)
+        return res.data, res.chi_cal, res.n_low
+
+    def test_constant_pieces_build_no_surrogate(self, monkeypatch):
+        from quasispec import spectrum
+
+        def refused(*args):
+            raise AssertionError("surrogate built")
+
+        monkeypatch.setattr(spectrum._Surrogate, "__init__", refused)
+        for prob in (TestExactRouteOracle.problem(), third_order(),
+                     third_order(c1=1.1)):
+            b = prob.boundary
+            model = asymptotic_model(prob.n, b.r, b.p_list)
+            assert spectrum._surrogates(prob, model) == ()
+            assert len(locate_eigenvalues(prob, l_max=6).data) == 6
+        with pytest.raises(AssertionError, match="surrogate built"):
+            locate_eigenvalues(self.problem(), l_max=6)
+
+    def test_uncertified_counts_fall_back(self, monkeypatch):
+        # a coarse surrogate that certifies nothing: every contour is
+        # counted on F, which gives exactly the run without a surrogate
+        from quasispec import spectrum
+        build, checks = spectrum._surrogates, []
+
+        def opposed(prob, model):
+            g, g_half = build(prob, model)
+            for name in ("delta", "d_norm"):
+                def negated(z, method=getattr(g, name)):
+                    checks.append(np.size(z))
+                    return -method(z)
+                setattr(g_half, name, negated)
+            return g, g_half
+
+        monkeypatch.setattr(spectrum, "_surrogates", opposed)
+        got = self.located(self.problem())
+        assert len(checks) >= 2
+        monkeypatch.setattr(spectrum, "_surrogates", lambda prob, model: ())
+        assert got == self.located(self.problem())
+
+    def test_failed_surrogate_evaluations_fall_back(self, monkeypatch):
+        # an IntegrationError of the surrogate, on either route, gives NaN
+        # at every point of its call; the run goes on, on F alone
+        from quasispec import spectrum
+        integrate, raised = spectrum.integrate_fundamental, []
+
+        def refused(*args):
+            raised.append(args[0])
+            raise IntegrationError("refused")
+
+        def integrate_F(F, lam):
+            return (integrate(F, lam) if F is prob.F else refused(F))
+
+        prob = self.problem()
+        monkeypatch.setattr(spectrum, "integrate_fundamental", integrate_F)
+        monkeypatch.setattr(spectrum._Surrogate, "_carry", refused)
+        got = self.located(prob)
+        assert any(isinstance(a, spectrum._Surrogate) for a in raised)
+        assert any(a is not prob.F and not isinstance(a, spectrum._Surrogate)
+                   for a in raised)
+        monkeypatch.undo()
+        monkeypatch.setattr(spectrum, "_surrogates", lambda prob, model: ())
+        assert got == self.located(prob)
+
+    def test_factored_solves_per_strip_index(self, monkeypatch):
+        # the boxes' counts, refinements and seeds solve nothing: the
+        # factored solve only polishes, a few points per root
+        from quasispec import spectrum
+        solve, points = spectrum.fss_ends, []
+
+        def counted(system, rho):
+            points.append(len(rho))
+            return solve(system, rho)
+
+        monkeypatch.setattr(spectrum, "fss_ends", counted)
+        data, _, n_low = self.located(self.problem())
+        assert len(data) == 10 and points
+        assert sum(points) <= 4 * (10 - n_low)
+
+    @staticmethod
+    def recorded(h, name, asked):
+        def call(z):
+            asked.append((name, len(z)))
+            return h(z)
+        return call
+
+    def test_polish_on_F_with_the_surrogate_slope(self):
+        # the surrogate's zeros sit ~1e-6 off f's: it counts and seeds
+        # (65 circle points and g_half's certificate), f is asked only for
+        # single points, each Newton step's slope from g at z +- h
+        from quasispec.spectrum import _run, _zeros_inside
+        roots = [0.3, -0.5 + 0.4j, 0.9j]
+        f = lambda z: np.prod([z - r for r in roots], axis=0)
+        asked = []
+        out = _run(_zeros_inside(
+            self.recorded(f, "f", asked), disk_contour(0.0, 1.5),
+            (self.recorded(lambda z: f(z) + 1e-6, "g", asked),
+             self.recorded(lambda z: f(z) + 4e-6, "g_half", asked))))
+        assert sorted(m for _, m in out) == [1, 1, 1]
+        for rr in roots:
+            assert min(abs(r - rr) for r, _ in out) < 1e-12
+        assert asked[:2] == [("g", 65), ("g_half", 65)]
+        assert {n for name, n in asked if name == "f"} == {1}
+        assert {n for name, n in asked[2:] if name != "f"} == {2}
+
+    def test_multiple_zero_comes_from_F(self):
+        # a double zero is not polished, so a surrogate count holding one
+        # falls back: f is counted and its own moments give multiplicity 2
+        from quasispec.spectrum import _run, _zeros_inside
+        f = lambda z: (z - 0.4 - 0.1j) ** 2 * (z + 1.2)
+        asked = []
+        out = _run(_zeros_inside(
+            self.recorded(f, "f", asked), disk_contour(0.0, 2.0),
+            (self.recorded(lambda z: f(z) * (1 + 1e-9 * z), "g", asked),
+             self.recorded(lambda z: f(z) * (1 + 4e-9 * z), "g_half", asked))))
+        out.sort(key=lambda t: t[0].real)
+        assert out[0][1] == 1 and abs(out[0][0] + 1.2) < 1e-8
+        assert out[1][1] == 2 and abs(out[1][0] - (0.4 + 0.1j)) < 1e-5
+        assert ("f", 65) in asked
