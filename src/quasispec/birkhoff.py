@@ -25,8 +25,8 @@ a solve costs:
 
 - one collocation solve per pair (j, k) and distinct panel width;
 - A = A_0 + sum_k rho^-k A_k at the nodes from node values of the A_k,
-  which depend on the layout alone and which the system keeps for its
-  last few layouts (`ConjugatedSystem.cached`);
+  which depend on the layout alone: they are read once per layout group
+  of a call and shared by all its stacks;
 - per kernel application, the panels' local integrals I_p plus carries.
   For a pair integrated from x = 0 the carry at panel start e_p is
       C_p = sum_{q < p} exp(mu (e_p - e_{q+1})) I_q(e_{q+1}),
@@ -168,6 +168,19 @@ class BirkhoffSolution:
         return float(np.max(np.abs(dz - mus[:, :, None, None] * self.z - Az)))
 
 
+def _panel_nodes(bounds, counts):
+    """(nodes (panels, DEGREE + 1), piece per panel, panel width per piece)
+    of the layout counts, uniform panels inside each piece of bounds."""
+    ends = np.cumsum(counts)
+    seg = np.repeat(np.arange(len(counts)), counts)    # segment per panel
+    lengths = np.diff(bounds)
+    local = np.arange(ends[-1]) - (ends - counts)[seg]
+    starts = bounds[:-1][seg] + lengths[seg] * local / counts[seg]
+    hs = lengths / counts
+    xs = starts[:, None] + (_XHAT[None, :] + 1.0) * 0.5 * hs[seg][:, None]
+    return xs, seg, hs
+
+
 def _node_Ak(system, xs):
     """A_k at the panel nodes xs, as an array of shape (k, j, l) + xs.shape.
 
@@ -195,15 +208,10 @@ class _KernelBank:
         q = DEGREE
         grow = frame.grow_mask
         mus = rho[:, None, None] * (om[:, None] - om[None, :])   # (m, n, n)
-        ends = np.cumsum(counts)
-        seg = np.repeat(np.arange(len(counts)), counts)    # segment per panel
-        lengths = np.diff(bounds)
-        local = np.arange(ends[-1]) - (ends - counts)[seg]
-        starts = bounds[:-1][seg] + lengths[seg] * local / counts[seg]
-        hs = lengths / counts
-        self.xs = starts[:, None] + (_XHAT[None, :] + 1.0) * 0.5 * hs[seg][:, None]
+        self.xs, seg, hs = _panel_nodes(bounds, counts)
         widths, wid = np.unique(hs, return_inverse=True)
-        self.segments = [(slice(e - m, e), w) for e, m, w in zip(ends, counts, wid)]
+        self.segments = [(slice(e - m, e), w)
+                         for e, m, w in zip(np.cumsum(counts), counts, wid)]
         # collocation solves over the (point, j, k, distinct width) tuples only
         nus = mus[..., None] * widths / 2.0    # (m, n, n, W)
         eye = np.eye(q + 1)
@@ -277,15 +285,14 @@ def _gmres(bank, V, rho):
     return sol.reshape(V.shape[1:])
 
 
-def _solve_stack(system, rho, counts):
-    """Factored solves at the points rho (m,) of one layout, stacked on a
-    leading point axis: yields (i, solution) as point i finishes, and a
-    finished point leaves the stack. Each point stops the fixed-point
-    iteration z <- I + V z at relative change TOL; once its contraction
-    stalls or MAX_ITER runs out, GMRES solves its discretized system."""
+def _solve_stack(system, rho, counts, Ak):
+    """Factored solves at the points rho (m,) of the layout counts, whose
+    _node_Ak is Ak, stacked on a leading point axis: yields (i, solution)
+    as point i finishes, and a finished point leaves the stack. Each point
+    stops the fixed-point iteration z <- I + V z at relative change TOL;
+    once its contraction stalls or MAX_ITER runs out, GMRES solves it."""
     n = system.n
-    bank = _KernelBank(system.frame, rho, system.breakpoints(), np.array(counts))
-    Ak = system.cached(counts, lambda: _node_Ak(system, bank.xs))
+    bank = _KernelBank(system.frame, rho, system.breakpoints(), counts)
     # one vector-matrix product per point, the arithmetic of a lone solve
     V = (rho[:, None, None] ** -np.arange(n) @ Ak.reshape(n, -1)).reshape(
         (len(rho),) + Ak.shape[1:])                       # (m, j, l, P, q+1)
@@ -335,9 +342,10 @@ def _factored_solves(system, rho, pick):
         for g, counts in enumerate(layouts):
             points = np.flatnonzero(group.ravel() == g)
             size = max(1, CHUNK_PANELS // counts.sum())
+            Ak = _node_Ak(system, _panel_nodes(breakpoints, counts)[0])
             for s in range(0, len(points), size):
                 chunk = points[s:s + size]
-                for i, sol in _solve_stack(system, rho[chunk], tuple(counts.tolist())):
+                for i, sol in _solve_stack(system, rho[chunk], counts, Ak):
                     out[chunk[i]] = pick(sol)
     return out
 

@@ -18,7 +18,7 @@ PiecewisePoly sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -276,11 +276,6 @@ def build_associated_matrix(spec: ExpressionSpec) -> AssociatedMatrix:
 # conjugation into a sector frame
 # ---------------------------------------------------------------------------
 
-# entries ConjugatedSystem.cached keeps; the solves of one strip box or
-# residue circle touch a few panel layouts
-CACHE_SIZE = 4
-
-
 @dataclass(frozen=True)
 class ConjugatedSystem:
     """The split system rotated into the root-of-unity frame of a sector.
@@ -294,27 +289,11 @@ class ConjugatedSystem:
     n: int
     frame: SectorFrame
     table: PieceTable  # shape (n, n, n), [k][i][l]
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def evaluate_Ak(self, x, at=None):
         """All A_k at points x: array of shape (n,) + x.shape + (n, n);
         `at` picks the coefficient pieces as in PieceTable.__call__."""
         return np.moveaxis(self.table(x, at), (1, 2), (-2, -1))
-
-    def cached(self, key, compute):
-        """compute(), kept under key for the CACHE_SIZE most recently used
-        keys. The factored solve keeps its A_k node values here, one key
-        per panel layout."""
-        cache = self._cache
-        if key in cache:
-            value = cache.pop(key)
-        else:
-            value = compute()
-            if len(cache) >= CACHE_SIZE:
-                del cache[next(iter(cache))]
-        cache[key] = value
-        return value
 
     def breakpoints(self):
         return self.table.breakpoints

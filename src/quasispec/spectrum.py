@@ -21,14 +21,14 @@ zeros are counted by the argument principle on a circle whose radius
 sits midway between model rings, the model offset chi is shifted by an
 integer so the counts line up, and every further index gets its own
 strip box centered on the calibrated prediction. Every counted contour,
-circle or box, gives its zeros from the contour moments of the values
-its count made, and one loop numbers them in order, each zero taking as
-many indices as its multiplicity. Where F has a non-constant piece, a
-contour is counted and seeded on a piecewise-constant surrogate of F,
-certified against a coarser one (Rouche), and Newton polishes on F; if
-that pass fails, it is counted on F. The boxes, and the weight circles,
-are generators of point requests run in lockstep: each round, the
-points all of them ask of one evaluator function go to it in one call.
+circle or box, is one _zeros_inside work: its zeros come from the
+contour moments of the values its count made, and one loop numbers them
+in order, each zero taking as many indices as its multiplicity. Where F
+has a non-constant piece, a contour is counted and seeded on a
+piecewise-constant surrogate of F, certified against a coarser one
+(Rouche), and Newton polishes on F; if that pass fails, it is counted on
+F. Works are generators of point requests run in lockstep: each round,
+the points all of them ask of one evaluator function go to it in one call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .asymptotics import AsymptoticModel, asymptotic_model
+from .asymptotics import ROUNDOFF_RTOL, AsymptoticModel, asymptotic_model
 from .birkhoff import birkhoff_fss, fss_ends  # noqa: F401 (bench/tracer.py)
 from .errors import (
     ConfigurationError,
@@ -206,7 +206,7 @@ INTEGER_ATOL = 1e-3
 ZERO_CONTACT_RTOL = 5e-13
 # most points a winding contour may be refined to
 MAX_CONTOUR_POINTS = 20000
-# 3% dilations count_zeros tries after a zero contact
+# 3% dilations _counted tries after a zero contact
 CONTOUR_RETRIES = 3
 # agreement between successive Cauchy derivative estimates
 DERIVATIVE_RTOL = 1e-9
@@ -317,7 +317,7 @@ class DeterminantEvaluator:
             else integrate_fundamental(self.F, flat[idx]).at_one))
         M = self._boundary_rows((np.broadcast_to(np.eye(self.n), C1.shape), C1),
                                 bullet)
-        # overflow to inf or nan is reported by count_zeros' finiteness
+        # overflow to inf or nan is reported by _contour_values' finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
             return np.linalg.det(M).reshape(np.shape(lam))
@@ -443,7 +443,7 @@ class DeterminantEvaluator:
         r, om = model.r, model.frame.omegas
         _, comps, signs = self._laplace
         # no numpy warnings: _segments fails typed on a non-finite system,
-        # and count_zeros reports a non-finite value
+        # and _contour_values reports a non-finite value
         with np.errstate(all="ignore"):
             V = (rho[:, None, None] * om) ** np.arange(self.n)[:, None]
             rows = self._boundary_rows((V, V), bullet, rho)
@@ -640,8 +640,9 @@ def _contour_values(f, pts, check=None):
 
 
 def _counted(f, contour_pts, check=None):
-    """Work (see _lockstep) of count_zeros: (count, contour, (values,
-    phase steps) of f on that contour)."""
+    """Work (see _lockstep) of count_zeros and _zeros_inside: (count,
+    contour, (values, phase steps) of f on that contour). With check, the
+    count stands only if |f - check| < |f| at every point it used."""
     pts = np.asarray(contour_pts, dtype=complex)
     centroid = np.mean(pts[:-1])
     for attempt in range(CONTOUR_RETRIES + 1):
@@ -658,16 +659,14 @@ def _counted(f, contour_pts, check=None):
             pts = centroid + (pts - centroid) * 1.03
 
 
-def count_zeros(f, contour_pts, check=None):
+def count_zeros(f, contour_pts):
     """Argument-principle zero count of f, which maps an array of points
     to their values, inside a closed contour: (count, contour counted on).
 
     On contact with a zero the contour is dilated about its centroid by
     3 percent and retried; other contour failures are raised at once.
-    With check, the count stands only if |f - check| < |f| at every
-    point it used (see _contour_values).
     """
-    return _run(_counted(f, contour_pts, check))[:2]
+    return _run(_counted(f, contour_pts))[:2]
 
 
 def delta_derivative(f, lam0, radius):
@@ -776,16 +775,14 @@ def _same_root(z, w):
     return abs(z - w) <= DEDUPE_TOL * max(1.0, abs(w))
 
 
-def _contour_zeros(f, pts, expected, values=None, surrogate=None):
+def _contour_zeros(f, pts, expected, values, surrogate=None):
     """Work (see _lockstep) giving all zeros of f inside the closed
-    polyline pts, a contour count_zeros verified with count `expected` =
+    polyline pts, a contour _counted verified with count `expected` =
     N, as a list of (root, multiplicity). With `surrogate`, which counted
     in f's place, the moments and slopes are its own, f only polishes
     (_newton) and a multiple zero, which is not polished, is refused.
 
     The values are the count's own: `values`, its (values, phase steps),
-    or else read again from the counting function (a caching one gives
-    them without solves),
     with each phase step summed over the count's refinement so no step
     jumps a branch. The nodes are the points of pts alone: where
     refinement changes the step, the trapezoid rule's h^2 error terms
@@ -805,8 +802,6 @@ def _contour_zeros(f, pts, expected, values=None, surrogate=None):
     if expected == 0:
         return []
     pts = np.asarray(pts, dtype=complex)
-    if values is None:
-        values = yield from _contour_values(surrogate or f, pts)
     vals, dphi = values
     c = np.mean(pts[:-1])
     R = np.max(np.abs(pts - c))
@@ -858,6 +853,15 @@ def _contour_zeros(f, pts, expected, values=None, surrogate=None):
     return found
 
 
+def _low_rho(model, lam):
+    """model.rho_of_lambda(lam), but the root at arg pi / n where sign lam
+    is negative real up to a relative imaginary part of ROUNDOFF_RTOL."""
+    z = model.sign * complex(lam)
+    if z.real < 0 and abs(z.imag) <= ROUNDOFF_RTOL * -z.real:
+        return (-z.real) ** (1.0 / model.n) * np.exp(1j * np.pi / model.n)
+    return model.rho_of_lambda(lam) if z != 0 else 0.0
+
+
 def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
                        kappa=None) -> SpectrumResult:
     """Eigenvalues with global numbering, indices l_min..l_max.
@@ -865,15 +869,14 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     Stage 1 counts every zero inside a circle whose radius sits midway
     between model rings (plain determinant); the count pins the integer
     part of chi. Stage 2 counts one strip box per further index up to
-    l_max by winding. Both stages locate their zeros from the contour
-    moments of the values their count made, on F's surrogates where they
-    exist (_zeros_inside). All boxes run in lockstep (_lockstep), so each
-    round of contour passes and Newton steps makes one call per
-    evaluator function. One loop then
-    numbers the zeros in order, each advancing the index by its
-    multiplicity, and records the remainder against the calibrated
-    model; a box's failure is raised only if the numbering reaches its
-    index. kappa picks the model's sector (see asymptotic_model).
+    l_max by winding. Each contour is one _zeros_inside work, its zeros
+    from the contour moments of its count's values, on F's surrogates
+    where they exist. All boxes run in lockstep (_lockstep), so each round
+    of contour passes and Newton steps makes one call per evaluator
+    function. One loop then numbers the zeros in order, each advancing
+    the index by its multiplicity, and records the remainder against the
+    calibrated model; a box's failure is raised only if the numbering
+    reaches its index. kappa picks the model's sector (asymptotic_model).
     """
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list, kappa=kappa)
@@ -890,17 +893,9 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     lam_radius = T_A ** n
 
     disk = disk_contour(0.0, lam_radius, m=max(64, 16 * L_A))
-    surrogates, low = _surrogates(problem, model), None
-    if surrogates:
-        g, g_half = (s.delta for s in surrogates)
-        try:
-            n_low, circle = count_zeros(g, disk, g_half)
-            low = _run(_contour_zeros(ev.delta, circle, n_low, surrogate=g))
-        except (ContourError, RootSearchError):
-            pass
-    if low is None:     # no surrogate, or its pass failed: count on F
-        n_low, circle = count_zeros(ev.delta, disk)
-        low = _run(_contour_zeros(ev.delta, circle, n_low))
+    surrogates = _surrogates(problem, model)
+    low = _run(_zeros_inside(ev.delta, disk, tuple(s.delta for s in surrogates)))
+    n_low = sum(mult for _, mult in low)
     chi_cal = model.chi + (L_A - n_low)
 
     # stage 2: one strip box per remaining index on the calibrated
@@ -910,7 +905,7 @@ def locate_eigenvalues(problem: ProblemSpec, l_max, l_min=1,
     boxes = _lockstep([_strip_box_zeros(ev, model, l, chi_cal, hy, surrogates)
                        for l in range(first, l_max + 1)])
     # sorted by |lambda| then arg, with canonical normalized roots
-    pending = [(lam, model.rho_of_lambda(lam) if lam != 0 else 0.0, mult)
+    pending = [(lam, _low_rho(model, lam), mult)
                for lam, mult in sorted(low, key=lambda t: (abs(t[0]),
                                                            np.angle(t[0])))]
     data = []

@@ -128,19 +128,30 @@ class TestSolverPaths:
 
 class TestWorkCounts:
     def test_one_layout_evaluates_A_once(self, monkeypatch):
-        # five points of one |rho| circle share the panel layout
+        # eight points of one |rho| circle share a panel layout and fill
+        # more than one stack of CHUNK_PANELS pairs: one call reads A_k at
+        # their nodes once, and once more for a second layout
         sys = conjugate_system(three_piece_matrix(), sector_frame(3, 1))
-        calls = []
+        calls, stacks = [], []
         evaluate = ConjugatedSystem.evaluate_Ak
+        solve_stack = birkhoff._solve_stack
 
         def counted(self, *args, **kwargs):
             calls.append(args)
             return evaluate(self, *args, **kwargs)
 
+        def recorded(system, rho, counts, Ak):
+            stacks.append(len(rho))
+            return solve_stack(system, rho, counts, Ak)
+
         monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", counted)
-        for theta in np.linspace(0.1, 0.9, 5) * np.pi / 3:
-            birkhoff_fss(sys, 90.0 * np.exp(1j * theta))
-        assert len(calls) == 1
+        monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
+        circle = np.exp(1j * np.linspace(0.1, 0.9, 8) * np.pi / 3)
+        birkhoff.fss_ends(sys, 90.0 * circle)
+        assert len(stacks) > 1 and sum(stacks) == 8 and len(calls) == 1
+        calls.clear()
+        birkhoff.fss_ends(sys, np.concatenate([90.0 * circle, 20.0 * circle]))
+        assert len(calls) == 2
 
     def test_no_breakpoint_merge_per_solve(self, monkeypatch):
         # the coefficients are compiled once; solves and integrations
@@ -191,9 +202,9 @@ class TestStacks:
         stacks = []
         solve_stack = birkhoff._solve_stack
 
-        def recorded(system, rho, counts):
-            stacks.append((len(rho), counts))
-            return solve_stack(system, rho, counts)
+        def recorded(system, rho, counts, Ak):
+            stacks.append((len(rho), tuple(counts)))
+            return solve_stack(system, rho, counts, Ak)
 
         monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
         return birkhoff._factored_solves(sys, rho, lambda sol: sol), stacks

@@ -456,6 +456,25 @@ class TestLocate:
             if d.l >= 4:
                 assert abs(d.rho - growth * (d.l + 1.0 / 6.0)) < 1e-6
 
+    @pytest.mark.parametrize("n, r, p_list", [(3, 1, (0, 0, 1)),
+                                              (4, 1, (1, 0, 2, 3))])
+    def test_low_root_on_the_negative_axis(self, n, r, p_list):
+        # sign lambda negative real up to roundoff: the root at arg pi / n,
+        # whatever the sign of the roundoff or of a zero imaginary part
+        from quasispec.spectrum import _low_rho
+        model = asymptotic_model(n, r, p_list)
+        lam = -model.sign * 0.82523
+        rhos = {_low_rho(model, lam * w)
+                for w in (1 + 1e-28j, 1 - 1e-28j, complex(1, 0.0),
+                          complex(1, -0.0), 1 + 8e-13j)}
+        (rho,) = rhos
+        assert abs(np.angle(rho) - np.pi / n) < 1e-15
+        assert abs(model.sign * rho ** n - lam) < 1e-15
+        # off that axis, and at 0, rho_of_lambda's root
+        for lam in (0.0, model.sign * 0.82523, lam * (1 + 1e-6j)):
+            want = model.rho_of_lambda(lam) if lam != 0 else 0.0
+            assert _low_rho(model, lam) == want
+
     def test_no_evaluator_outlives_its_stage(self, monkeypatch):
         # the result carries data and the problem, not the solver state
         # (determinant caches, conjugated system) of locating or weights
@@ -838,6 +857,29 @@ class TestBatches:
         for name in ("delta", "d_norm"):
             assert sum(c == name for c, _ in calls) <= 2
 
+    @pytest.mark.parametrize("problem, evaluators", [
+        (TestExactRouteOracle.problem, 1), (TestDirectRouteOracle.problem, 3)],
+        ids=["constant", "quadratic"])
+    def test_no_point_asked_in_two_calls(self, monkeypatch, problem,
+                                         evaluators):
+        # constant jumps (no surrogate) and a quadratic sigma_1 (counted
+        # on both surrogates, polished on F): across the calls of one
+        # locate, each evaluator is asked for each point once at most
+        calls = []
+        for name in ("delta", "d_norm"):
+            def recorded(self, z, bullet=False, name=name,
+                         method=getattr(DeterminantEvaluator, name)):
+                calls.append((self, name, set(np.ravel(z).tolist())))
+                return method(self, z, bullet=bullet)
+            monkeypatch.setattr(DeterminantEvaluator, name, recorded)
+        locate_eigenvalues(problem(), l_max=10)
+        assert len({ev for ev, _, _ in calls}) == evaluators
+        seen = {}
+        for ev, name, pts in calls:
+            asked = seen.setdefault((ev, name), set())
+            assert not asked & pts
+            asked |= pts
+
     def test_one_call_per_newton_step(self):
         # each call takes (z, z + h, z - h); the root is the step from the
         # last call's values, taken with no evaluation after it
@@ -857,18 +899,18 @@ class TestBatches:
 
 class TestClusterHandling:
     def test_double_zero_reported_with_multiplicity(self):
-        from quasispec.spectrum import _contour_zeros, _run
+        from quasispec.spectrum import _run, _zeros_inside
         f = lambda z: (z - 0.4 - 0.1j) ** 2 * (z + 1.2)
-        out = _run(_contour_zeros(f, disk_contour(0.0, 2.0), expected=3))
+        out = _run(_zeros_inside(f, disk_contour(0.0, 2.0)))
         out.sort(key=lambda t: t[0].real)
         assert out[0][1] == 1 and abs(out[0][0] + 1.2) < 1e-8
         assert out[1][1] == 2 and abs(out[1][0] - (0.4 + 0.1j)) < 1e-5
 
     def test_simple_zeros_all_refined(self):
-        from quasispec.spectrum import _contour_zeros, _run
+        from quasispec.spectrum import _run, _zeros_inside
         roots = [0.3, -0.5 + 0.4j, 0.9j]
         f = lambda z: np.prod([z - r for r in roots], axis=0)
-        out = _run(_contour_zeros(f, disk_contour(0.0, 1.5), expected=3))
+        out = _run(_zeros_inside(f, disk_contour(0.0, 1.5)))
         assert len(out) == 3
         for r, m in out:
             assert m == 1
@@ -876,24 +918,24 @@ class TestClusterHandling:
 
     def test_near_coalescing_pair_stays_two_simple_zeros(self):
         # a pair 1e-2 apart: two simple zeros, not one double one
-        from quasispec.spectrum import _contour_zeros, _run
+        from quasispec.spectrum import _run, _zeros_inside
         roots = [0.3, 0.31, -0.5j]
         f = lambda z: np.prod([z - r for r in roots], axis=0)
-        out = _run(_contour_zeros(f, disk_contour(0.0, 1.5), expected=3))
+        out = _run(_zeros_inside(f, disk_contour(0.0, 1.5)))
         assert sorted(m for _, m in out) == [1, 1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
 
     def test_zero_on_the_counting_circle(self):
         # the count dilates its circle off the zero at z = 1; the dilated
-        # circle it returns yields both zeros
-        from quasispec.spectrum import _contour_zeros, _run
+        # circle's own values yield both zeros
+        from quasispec.spectrum import _run, _zeros_inside
         roots = [1.0, -0.3 + 0.2j]
         f = lambda z: (z - roots[0]) * (z - roots[1])
         given = disk_contour(0.0, 1.0)
         cnt, pts = count_zeros(f, given)
         assert cnt == 2 and not np.array_equal(pts, given)
-        out = _run(_contour_zeros(f, pts, cnt))
+        out = _run(_zeros_inside(f, given))
         assert sorted(m for _, m in out) == [1, 1]
         for rr in roots:
             assert min(abs(r - rr) for r, _ in out) < 1e-9
@@ -909,7 +951,7 @@ class TestClusterHandling:
         prob = ProblemSpec(boundary=BoundarySpec(1, forms),
                            expression=ExpressionSpec(3, (1, 0), (P.zero(), s1)))
         calls, circle = [], []
-        integrate, count = spectrum.integrate_fundamental, spectrum.count_zeros
+        integrate, count = spectrum.integrate_fundamental, spectrum._counted
 
         def counted_integrate(F, lam, *args, **kwargs):
             if F is prob.F:
@@ -918,10 +960,10 @@ class TestClusterHandling:
 
         def counted_count(f, pts, *check):
             circle.append(f.__self__)
-            return count(f, pts, *check)
+            return (yield from count(f, pts, *check))
 
         monkeypatch.setattr(spectrum, "integrate_fundamental", counted_integrate)
-        monkeypatch.setattr(spectrum, "count_zeros", counted_count)
+        monkeypatch.setattr(spectrum, "_counted", counted_count)
         res = locate_eigenvalues(prob, l_max=1)
         assert res.n_low >= 1 and len(circle) == 1
         assert isinstance(circle[0], spectrum._Surrogate)
