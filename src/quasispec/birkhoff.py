@@ -24,9 +24,9 @@ is solved as one stack with the point axis first (at most CHUNK_PANELS
 a solve costs:
 
 - one collocation solve per pair (j, k) and distinct panel width;
-- A = A_0 + sum_k rho^-k A_k at the nodes from node values of the A_k,
-  which depend on the layout alone: they are read once per layout group
-  of a call and shared by all its stacks;
+- A = A_0 + sum_k rho^-k A_k at the nodes from node values of the A_k;
+  the nodes and those values depend on the layout alone, so they are
+  computed once per layout group of a call and shared by all its stacks;
 - per kernel application, the panels' local integrals I_p plus carries.
   For a pair integrated from x = 0 the carry at panel start e_p is
       C_p = sum_{q < p} exp(mu (e_p - e_{q+1})) I_q(e_{q+1}),
@@ -203,12 +203,12 @@ class _KernelBank:
     which is reversed for the pairs integrated from x = 1.
     """
 
-    def __init__(self, frame, rho, bounds, counts):
+    def __init__(self, frame, rho, counts, nodes):
         om = frame.omegas
         q = DEGREE
         grow = frame.grow_mask
         mus = rho[:, None, None] * (om[:, None] - om[None, :])   # (m, n, n)
-        self.xs, seg, hs = _panel_nodes(bounds, counts)
+        self.xs, seg, hs = nodes
         widths, wid = np.unique(hs, return_inverse=True)
         self.segments = [(slice(e - m, e), w)
                          for e, m, w in zip(np.cumsum(counts), counts, wid)]
@@ -285,14 +285,16 @@ def _gmres(bank, V, rho):
     return sol.reshape(V.shape[1:])
 
 
-def _solve_stack(system, rho, counts, Ak):
-    """Factored solves at the points rho (m,) of the layout counts, whose
-    _node_Ak is Ak, stacked on a leading point axis: yields (i, solution)
-    as point i finishes, and a finished point leaves the stack. Each point
+def _solve_stack(system, rho, counts, shared):
+    """Factored solves at the points rho (m,) of the layout counts, shared
+    holding the layout's _panel_nodes and their _node_Ak, stacked on a
+    leading point axis: yields (i, solution) as point i finishes, and a
+    finished point leaves the stack. Each point
     stops the fixed-point iteration z <- I + V z at relative change TOL;
     once its contraction stalls or MAX_ITER runs out, GMRES solves it."""
     n = system.n
-    bank = _KernelBank(system.frame, rho, system.breakpoints(), counts)
+    nodes, Ak = shared
+    bank = _KernelBank(system.frame, rho, counts, nodes)
     # one vector-matrix product per point, the arithmetic of a lone solve
     V = (rho[:, None, None] ** -np.arange(n) @ Ak.reshape(n, -1)).reshape(
         (len(rho),) + Ak.shape[1:])                       # (m, j, l, P, q+1)
@@ -342,10 +344,11 @@ def _factored_solves(system, rho, pick):
         for g, counts in enumerate(layouts):
             points = np.flatnonzero(group.ravel() == g)
             size = max(1, CHUNK_PANELS // counts.sum())
-            Ak = _node_Ak(system, _panel_nodes(breakpoints, counts)[0])
+            nodes = _panel_nodes(breakpoints, counts)
+            shared = (nodes, _node_Ak(system, nodes[0]))
             for s in range(0, len(points), size):
                 chunk = points[s:s + size]
-                for i, sol in _solve_stack(system, rho[chunk], counts, Ak):
+                for i, sol in _solve_stack(system, rho[chunk], counts, shared):
                     out[chunk[i]] = pick(sol)
     return out
 

@@ -32,8 +32,8 @@ class ConsistencyError(QuasispecError):
 class IntegrationError(QuasispecError):
     """Raised when an ODE integrator cannot reach its accuracy target
     within its budget: the Magnus steps of the direct route, the panels
-    of the factored solve, or the eigenvector conditioning of the exact
-    route on constant pieces.
+    of the factored solve, or a non-finite rho B + A on the exact
+    route's constant pieces.
 
     Attributes:
         x: position in [0, 1] where the failure occurred (may be None).

@@ -9,14 +9,14 @@ reduces to exp(h M) exactly, and one step spans the piece.
 
 The stepper takes one lambda or an array of them and works in batches,
 every lambda's step counts checked against the budget before any step
-is taken. The one-step intervals of all the lambdas share one stacked
-scipy `expm`, each lambda's product then taken in grid order. A longer
-interval's steps run per lambda in chunks of at most CHUNK_STEPS: one
-piece-table read at all Gauss nodes of the chunk, the Omegas stacked and
-balanced by diag(r^j), r = max(1, |rho|), one stacked [13/13] Pade
-approximant, and a pairwise product tree, later step on the left. A
-chunk with a slice past the approximant's 1-norm bound theta_13,
-or not finite, goes to scipy's `expm` instead.
+is taken. Every exponential is one kernel, _expm: scaling and squaring
+over the [13/13] Pade approximant, each slice of a stack on its own, of
+Omegas balanced by diag(r^j), r = max(1, |rho|). The one-step intervals
+of all the lambdas share one stacked _expm, each lambda's product then
+taken in grid order. A longer interval's steps run per lambda in chunks
+of at most CHUNK_STEPS: one piece-table read at all Gauss nodes of the
+chunk, one stacked _expm of the chunk's Omegas, and a pairwise product
+tree, later step on the left.
 
 Large |rho| work is *not* done here; the exponentially factored
 integral-equation solver in `birkhoff` owns that regime.
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import IntegrationError, ValidationError
 from .regularization import AssociatedMatrix
@@ -162,11 +161,20 @@ def _magnus6_omegas(table, lam_mat, ts, h):
 
 
 def _expm(A):
-    """exp of each slice of a (k, n, n) stack: by _pade13 if every 1-norm
-    is at most _THETA13, else (a large or non-finite slice) by scipy."""
-    if np.abs(A).sum(axis=1).max() <= _THETA13:
-        return _pade13(A)
-    return expm(A)
+    """exp of each slice of a (k, n, n) stack by scaling and squaring over
+    _pade13, slice k scaled by 2^-s_k into the 1-norm bound theta_13 (s_k
+    the least such s >= 0) and squared s_k times. A non-finite slice takes
+    s = 0 and gives NaN, the other slices unaffected."""
+    norms = np.abs(A).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norms)
+    with np.errstate(divide="ignore"):      # a zero slice: log2(0)
+        s = np.ceil(np.log2(norms / _THETA13))
+    s = np.where(finite & (s > 0), s, 0).astype(int)
+    E = _pade13(np.where(finite[:, None, None], A, 0.0) * 2.0 ** -s[:, None, None])
+    E[~finite] = np.nan
+    for i in range(s.max(initial=0)):
+        E[s > i] = E[s > i] @ E[s > i]
+    return E
 
 
 def _pade13(A):
@@ -219,7 +227,7 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     exp(M (b - a)). The step counts of all intervals are checked against
     MAX_STEPS before any step is taken; the steps then run in batches (see
     the module docstring). The one-step intervals of every lambda share one
-    stacked expm, and each lambda's values are those of its lone call.
+    stacked _expm, and each lambda's values are those of its lone call.
     IntegrationError names the first lambda past LAMBDA_MAX or past the
     step budget.
     """
@@ -239,8 +247,8 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValidationError("grid", "grid must span [0, 1]")
     lam_mat = _lambda_matrix(n, flat)
-    r = [abs(x) ** (1.0 / n) for x in flat]
-    counts = _step_counts(table, grid, np.array(r)[:, None])
+    r = np.array([abs(x) ** (1.0 / n) for x in flat])
+    counts = _step_counts(table, grid, r[:, None])
     over = np.cumsum(counts, axis=1) > MAX_STEPS
     if over.any():
         raise IntegrationError("step budget exhausted",
@@ -249,32 +257,32 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
 
     values = np.zeros((len(flat), len(grid), n, n), dtype=complex)
     values[:, 0] = np.eye(n)
+    # steps run balanced: Omega * W = diag(r^-j) Omega diag(r^j)
+    W = np.fmax(1.0, r)[:, None, None] ** (np.arange(n) - np.arange(n)[:, None])
     # coefficients near the float limit overflow to inf or nan, which
     # the determinant's finiteness checks report as a typed failure
     with np.errstate(over="ignore", invalid="ignore"):
         # the one-step intervals of every lambda, each constant piece among
-        # them, by one stacked scaling-and-squaring expm: their Omegas can
-        # be large
+        # them, by one stacked _expm: their Omegas can be large
         one = counts == 1
         E = np.empty(one.shape + (n, n), dtype=complex)
         if one.any():
             li, gi = np.nonzero(one)
             h = np.diff(grid)[gi][:, None, None]
             ts = grid[gi][:, None] + h[:, 0] * _GL3
-            E[li, gi] = expm(_magnus6_omegas(table, lam_mat[li], ts, h))
+            E[li, gi] = _expm(
+                _magnus6_omegas(table, lam_mat[li], ts, h) * W[li]) / W[li]
         C = values[:, 0].copy()
         for gi, nsteps in enumerate(counts.T):
             single = nsteps == 1
             C[single] = E[single, gi] @ C[single]
             for i in np.flatnonzero(~single):
                 h = (grid[gi + 1] - grid[gi]) / nsteps[i]
-                # steps run balanced: Omega * W = diag(r^-j) Omega diag(r^j)
-                W = max(1.0, r[i]) ** (np.arange(n) - np.arange(n)[:, None])
                 for q0 in range(0, nsteps[i], CHUNK_STEPS):
                     q = np.arange(q0, min(q0 + CHUNK_STEPS, nsteps[i]))
                     ts = (grid[gi] + q * h)[:, None] + h * _GL3
-                    E_q = _expm(_magnus6_omegas(table, lam_mat[i], ts, h) * W)
-                    C[i] = (_ordered_product(E_q) / W) @ C[i]
+                    E_q = _expm(_magnus6_omegas(table, lam_mat[i], ts, h) * W[i])
+                    C[i] = (_ordered_product(E_q) / W[i]) @ C[i]
             values[:, gi + 1] = C
     return FundamentalMatrix(
         lam=lams if lams.ndim else complex(lams), grid=grid,

@@ -9,9 +9,9 @@ which no exponential with a positive real part is ever taken. It has
 one formula, the compound-matrix method: the (n - r)-th compound of the
 x = 1 rows is carried to x = 0 across segments of [0, 1] and met by the
 x = 0 rows in a Laplace sum. Where every coefficient piece is constant
-the segments are the pieces, each crossed exactly through one
-eigendecomposition; otherwise the one segment [0, 1] is crossed by the
-integral-equation solution z of the Birkhoff factored solve. All routes
+the segments are the pieces, each crossed exactly by the exponential of
+an additive compound matrix; otherwise the one segment [0, 1] is crossed
+by the integral-equation solution z of the Birkhoff factored solve. All routes
 share the same zeros, and on each the bullet determinant carries the
 plain one's normalization, so weight numbers read the same ratio
 Delta_bullet / Delta off any route.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .regularization import (
     build_associated_matrix,
     conjugate_system,
 )
-from .solutions import closed_form_zero_coeff, integrate_fundamental
+from .solutions import _expm, closed_form_zero_coeff, integrate_fundamental
 
 __all__ = [
     "BoundaryForm",
@@ -212,13 +212,10 @@ CONTOUR_RETRIES = 3
 DERIVATIVE_RTOL = 1e-9
 # first node count of the Cauchy derivative circle (doubled up to 5 times)
 DERIVATIVE_START_NODES = 16
-# largest 1-norm condition number of a piece's eigenvector matrix the
-# exact route accepts (the benchmark problems stay below 1.02 for |rho|
-# from 11 to 420, and their surrogates from |rho| = 6.05 up)
-EIGVEC_COND_MAX = 1e6
-# most compounds (point x piece x subset pair) one exact-route carry
-# takes; bounds the memory of the minors it gathers
-CARRY_COMPOUNDS = 1024
+# most transfer-matrix entries (point x segment x subset pair) one batch
+# of the carry takes; bounds the memory of its exponentials and minors
+# (larger batches made the benchmark commands no faster, only bigger)
+CARRY_COMPOUNDS = 2048
 # points of the lambda-circle each weight number is read from
 RESIDUE_POINTS = 32
 # agreement a weight number's ratio and contour residue must reach
@@ -347,78 +344,77 @@ class DeterminantEvaluator:
         signs = (-1.0) ** (subsets.sum(axis=1) + (n - r) * (n + r - 1) // 2)
         return subsets, comps, signs
 
-    def _segments(self, rho):
-        """The segments of [0, 1] the carry crosses at the points rho (m,),
-        in batches of at most CARRY_COMPOUNDS compounds (point x segment x
-        subset pair), which bounds the minors _carry gathers: yields
-        (b, h, X, nu, Y), a slice b of rho, the widths h (K,) and (len(b),
-        K) stacks, such that the solutions of w' = (rho B + A) w cross
-        segment k by X_k diag(exp(h_k nu_k)) Y_k.
+    @cached_property
+    def _compound(self):
+        """The (n, n, S, S) coefficients, 0 or +-1, of the additive compound
+        over the subsets S of _laplace: M^[n-r] = sum_ij M_ij G[i, j], so
+        that exp(h M^[n-r])[S, T] = det exp(h M)[S, T]."""
+        subsets = [tuple(S) for S in self._laplace[0]]
+        G = np.zeros((self.n, self.n) + (len(subsets),) * 2)
+        for (s, S), (t, T) in product(enumerate(subsets), repeat=2):
+            for (a, i), (b, j) in product(enumerate(S), enumerate(T)):
+                if S[:a] + S[a + 1:] == T[:b] + T[b + 1:]:
+                    G[i, j, s, t] = (-1) ** (a + b)
+        return G
 
-        Exact route, a segment per piece: rho B + A = X diag(nu) X^-1, A
-        at the piece midpoint, by one eig and inv per batch; IntegrationError
-        names the first rho at which rho B + A is not finite or X is
-        ill-conditioned (coalescing nu). Factored route, the segment
-        [0, 1]: w = z(x) exp(rho B x) gives (z(1), rho omega, z(0)^-1), z
-        of every point from one fss_ends call. Runs under d_norm's errstate.
+    def _segments(self, rho):
+        """The transfer matrices of the carry at the points rho (m,), in
+        batches of at most CARRY_COMPOUNDS entries (point x segment x
+        subset pair), which bounds the arrays a batch gathers: yields
+        (b, E), a slice b of rho and a (len(b), K, S, S) stack, E_k the
+        compound C(P)[S, T] = det P[S, T] of the solution operator P of
+        w' = (rho B + A) w across segment k (width h_k), times
+        exp(-h_k rho omega*).
+
+        Exact route, a segment per piece, A at its midpoint: E_k =
+        exp(h_k (M^[n-r] - rho omega*)) for the additive compound of
+        M = rho B + A (_compound), by one stacked _expm per batch;
+        IntegrationError names the first rho at which rho B + A is not
+        finite. Factored route, the one segment [0, 1]: w = z(x) exp(rho B x)
+        gives E = C(z(1)) exp(sum_S rho omega - rho omega*) C(z(0)^-1), z of
+        every point from one fss_ends call. Runs under d_norm's errstate.
         """
         n, om = self.n, self.model.frame.omegas
+        subsets = self._laplace[0]
+        wstar = _unfused_product(rho, np.sum(om[self.model.r:]))
         if self.exact:
             bp = self.system.breakpoints()
-            widths = np.diff(bp)
+            h = np.diff(bp)[:, None, None]
             Ak = self.system.evaluate_Ak(0.5 * (bp[:-1] + bp[1:]))
         else:
-            widths = np.ones(1)
+            h = np.ones((1, 1, 1))
             z0, z1 = map(np.array, zip(*fss_ends(self.system, rho)))
-            segment = (z1[:, None], rho[:, None, None] * om,
-                       np.linalg.inv(z0)[:, None])
-        step = max(1, CARRY_COMPOUNDS // (len(widths) * len(self._laplace[0]) ** 2))
+        step = max(1, CARRY_COMPOUNDS // (len(h) * len(subsets) ** 2))
         for i in range(0, len(rho), step):
             b = slice(i, i + step)
             if not self.exact:
-                yield (b, widths) + tuple(a[b] for a in segment)
+                CX, CY = np.linalg.det(np.stack([z1[b], np.linalg.inv(z0[b])])[
+                    ..., subsets[:, None, :, None], subsets[None, :, None, :]])
+                decay = np.exp(np.sum((rho[b, None] * om)[:, subsets], axis=-1)
+                               - wstar[b, None])
+                yield b, ((CX * decay[:, None]) @ CY)[:, None]
                 continue
             M = (np.tensordot(rho[b, None] ** -np.arange(n), Ak, axes=1)
                  + (rho[b, None] * om)[:, None, None, :] * np.eye(n))
             finite = np.all(np.isfinite(M), axis=(1, 2, 3))
-            M[~finite] = 0.0
-            nu, X = np.linalg.eig(M)
-            try:
-                Xinv = np.linalg.inv(X)
-                cond = (np.max(np.sum(np.abs(X), axis=-2), axis=-1)
-                        * np.max(np.sum(np.abs(Xinv), axis=-2), axis=-1))
-            except np.linalg.LinAlgError:
-                cond = np.linalg.cond(X, 1)     # inf where X is singular
-            ok = finite & np.all(cond <= EIGVEC_COND_MAX, axis=-1)
-            if not ok.all():
-                j = np.argmin(ok)
-                if not finite[j]:
-                    raise IntegrationError(
-                        f"rho B + A is not finite at rho = {rho[i + j]:.6g}")
-                raise IntegrationError(
-                    f"rho B + A at rho = {rho[i + j]:.6g} is nearly defective: "
-                    f"its eigenvectors have condition number "
-                    f"{np.max(cond[j]):.3g}, more than {EIGVEC_COND_MAX:.3g}")
-            yield b, widths, X, nu, Xinv
+            if not finite.all():
+                raise IntegrationError("rho B + A is not finite at rho = "
+                                       f"{rho[i + np.argmin(finite)]:.6g}")
+            Mk = np.tensordot(M, self._compound, axes=2)
+            Mk -= wstar[b, None, None, None] * np.eye(len(subsets))
+            yield b, _expm((h * Mk).reshape(-1, *Mk.shape[2:])).reshape(Mk.shape)
 
     def _carry(self, rho, right):
         """The compounds q_S = det right[:, :, S] of the x = 1 rows
         (m, n - r, n), carried to x = 0 across _segments(rho), the last
-        first: a segment's compound is C(X) diag(exp(h sum_S nu)) C(Y),
-        C(Y)[S, T] = det Y[S, T], times exp(-h rho omega*), so no exponent
+        first, q <- q E_k; E_k holds exp(-h_k rho omega*), so no exponent
         has a real part above O(h). Runs under d_norm's errstate."""
         subsets = self._laplace[0]
-        wstar = np.sum(self.model.frame.omegas[self.model.r:])
         out = []
-        for b, widths, X, nu, Y in self._segments(rho):
-            CX, CY = np.linalg.det(np.stack([X, Y])[
-                ..., subsets[:, None, :, None], subsets[None, :, None, :]])
-            decay = np.exp(widths[:, None] * (
-                np.sum(nu[..., subsets], axis=-1)
-                - _unfused_product(rho[b], wstar)[:, None, None]))
+        for b, E in self._segments(rho):
             q = np.linalg.det(np.moveaxis(right[b][..., subsets], -2, -3))[:, None]
-            for k in reversed(range(len(widths))):
-                q = (q @ CX[:, k]) * decay[:, k, None] @ CY[:, k]
+            for k in reversed(range(E.shape[1])):
+                q = q @ E[:, k]
             out.append(q[:, 0])
         return np.concatenate(out)
 
@@ -490,7 +486,7 @@ class DeterminantEvaluator:
 
 class _Surrogate(DeterminantEvaluator):
     """The determinants with F replaced by F.table.surrogate(pieces), by
-    the same model and route rule: one expm step per piece on the plain
+    the same model and route rule: one _expm step per piece on the plain
     route, the exact carry for d_norm. A call that raises IntegrationError
     gives NaN at all its points: its contours fall back to F."""
 

@@ -129,29 +129,36 @@ class TestSolverPaths:
 class TestWorkCounts:
     def test_one_layout_evaluates_A_once(self, monkeypatch):
         # eight points of one |rho| circle share a panel layout and fill
-        # more than one stack of CHUNK_PANELS pairs: one call reads A_k at
-        # their nodes once, and once more for a second layout
+        # more than one stack of CHUNK_PANELS pairs: one call places their
+        # nodes and reads A_k at them once, and once more for a second layout
         sys = conjugate_system(three_piece_matrix(), sector_frame(3, 1))
-        calls, stacks = [], []
+        calls, stacks, placed = [], [], []
         evaluate = ConjugatedSystem.evaluate_Ak
         solve_stack = birkhoff._solve_stack
+        panel_nodes = birkhoff._panel_nodes
 
         def counted(self, *args, **kwargs):
             calls.append(args)
             return evaluate(self, *args, **kwargs)
 
-        def recorded(system, rho, counts, Ak):
+        def nodes(bounds, counts):
+            placed.append(tuple(counts))
+            return panel_nodes(bounds, counts)
+
+        def recorded(system, rho, counts, shared):
             stacks.append(len(rho))
-            return solve_stack(system, rho, counts, Ak)
+            return solve_stack(system, rho, counts, shared)
 
         monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", counted)
         monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
+        monkeypatch.setattr(birkhoff, "_panel_nodes", nodes)
         circle = np.exp(1j * np.linspace(0.1, 0.9, 8) * np.pi / 3)
         birkhoff.fss_ends(sys, 90.0 * circle)
         assert len(stacks) > 1 and sum(stacks) == 8 and len(calls) == 1
-        calls.clear()
+        assert len(placed) == 1
+        calls.clear(), placed.clear()
         birkhoff.fss_ends(sys, np.concatenate([90.0 * circle, 20.0 * circle]))
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(set(placed)) == len(placed) == 2
 
     def test_no_breakpoint_merge_per_solve(self, monkeypatch):
         # the coefficients are compiled once; solves and integrations
@@ -202,9 +209,9 @@ class TestStacks:
         stacks = []
         solve_stack = birkhoff._solve_stack
 
-        def recorded(system, rho, counts, Ak):
+        def recorded(system, rho, counts, shared):
             stacks.append((len(rho), tuple(counts)))
-            return solve_stack(system, rho, counts, Ak)
+            return solve_stack(system, rho, counts, shared)
 
         monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
         return birkhoff._factored_solves(sys, rho, lambda sol: sol), stacks

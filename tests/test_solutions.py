@@ -1,10 +1,13 @@
 """Direct integration layer: oracles, Liouville identity, residuals."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from quasispec import solutions
+from quasispec.cli import problem_from_config
 from quasispec.errors import IntegrationError
 from quasispec.piecewise import PiecewisePoly as P
 from quasispec.regularization import ExpressionSpec, build_associated_matrix, zero_expression
@@ -15,6 +18,13 @@ from quasispec.solutions import (
     _step_counts,
     closed_form_zero_coeff,
     integrate_fundamental,
+)
+from quasispec.spectrum import (
+    BoundaryForm,
+    BoundarySpec,
+    ProblemSpec,
+    locate_eigenvalues,
+    weight_numbers,
 )
 
 
@@ -123,32 +133,29 @@ class TestIntegrateFundamental:
 
     def test_stacked_expm_calls(self, monkeypatch):
         # at |lambda| = 1e7 the quadratic piece takes ~6,900 steps: two
-        # stacked exponentials on it, and one scipy expm on the constant
-        # piece's single step
+        # stacked exponentials on it, after one for the constant piece's
+        # single step, all by the one kernel _expm (scipy's expm is gone)
         s1 = P([0, 0.8, 1], [[0.5, 1.0, -2.0], [1.0]])
         F = build(3, (1, 0), (P.zero(), s1))
         lam = 1e7
-        sizes = {"_expm": [], "expm": []}
+        sizes = []
+        kernel = solutions._expm
 
-        def counted(name):
-            f = getattr(solutions, name)
+        def counted(A):
+            sizes.append(len(A))
+            return kernel(A)
 
-            def wrapped(A):
-                sizes[name].append(len(A))
-                return f(A)
-            return wrapped
-
-        for name in sizes:
-            monkeypatch.setattr(solutions, name, counted(name))
+        monkeypatch.setattr(solutions, "_expm", counted)
         fm = integrate_fundamental(F, lam)
         counts = _step_counts(F.table, fm.grid, lam ** (1 / 3)).astype(int)
         chunk = solutions.CHUNK_STEPS
-        expected = []
+        expected = [1]
         for nsteps in counts[counts > 1]:
             full, rest = divmod(int(nsteps), chunk)
             expected += [chunk] * full + [rest] * (rest > 0)
         assert counts[0] > chunk and counts[1] == 1
-        assert sizes == {"_expm": expected, "expm": [1]}
+        assert sizes == expected
+        assert "expm" not in vars(solutions)
 
     def test_step_budget_checked_before_integrating(self, monkeypatch):
         # each piece fits MAX_STEPS alone, the two together do not
@@ -159,7 +166,6 @@ class TestIntegrateFundamental:
             raise AssertionError("expm called before the budget check")
 
         monkeypatch.setattr(solutions, "_expm", no_expm)
-        monkeypatch.setattr(solutions, "expm", no_expm)
         with pytest.raises(IntegrationError) as info:
             integrate_fundamental(F, 10.0)
         assert str(info.value) == "step budget exhausted (at x=0.5)"
@@ -253,39 +259,114 @@ class TestStackedExpm:
         np.geomspace(1e-3, 50.0, 30),            # both sides: mixed
     ])
     def test_route_and_values(self, monkeypatch, norms):
-        # the Pade block runs only when no slice is past theta_13; scipy's
-        # expm takes the whole stack otherwise
+        # one Pade block takes the whole stack, each slice scaled by 2^-s
+        # into the approximant's bound theta_13 (s = 0 up to it) and
+        # squared s times; values per slice against scipy's expm
         A = random_stack(np.random.default_rng(len(norms)), 3, norms)
-        calls = []
+        blocks, pade = [], solutions._pade13
 
-        def via(name, f):
-            def wrapped(B):
-                calls.append((name, len(B)))
-                return f(B)
-            return wrapped
+        def recorded(B):
+            blocks.append(B)
+            return pade(B)
 
-        monkeypatch.setattr(solutions, "_pade13",
-                            via("pade", solutions._pade13))
-        monkeypatch.setattr(solutions, "expm", via("scipy", expm))
+        monkeypatch.setattr(solutions, "_pade13", recorded)
         E = solutions._expm(A)
-        small = bool(np.all(one_norms(A) <= self.THETA))
-        assert calls == [("pade" if small else "scipy", len(A))]
+        s = np.fmax(0.0, np.ceil(np.log2(one_norms(A) / self.THETA)))
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], A * 2.0 ** -s[:, None, None])
+        assert np.all(one_norms(blocks[0]) <= self.THETA)
         for e, a in zip(E, A):
             ref = expm(a)
             assert np.max(np.abs(e - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_non_finite_slice_reaches_fallback(self, monkeypatch):
+    def test_non_finite_slice_stays_in_its_slice(self):
+        # a non-finite slice takes s = 0 and gives a non-finite exponential
+        # with no numpy warning (pytest fails on one); the other slices,
+        # one of them squared, are those of the stack without it
         A = random_stack(np.random.default_rng(3), 3,
-                         np.array([0.5, 1.0, 0.5]))
+                         np.array([0.5, 1.0, 40.0]))
         A[1, 2, 0] = np.inf
+        E = solutions._expm(A)
+        assert not np.isfinite(E[1]).any()
+        assert np.array_equal(E[[0, 2]], solutions._expm(A[[0, 2]]))
 
-        def refused(B):
-            raise AssertionError("Pade block ran on a non-finite slice")
 
-        monkeypatch.setattr(solutions, "_pade13", refused)
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = solutions._expm(A)
-        assert not np.isfinite(E[1]).all()
+class TestExpmOracle:
+    """_expm against 50 digits of mpmath: max |E - exp(A)| at most
+    3e-15 max(10, |A|_1) of the largest entry of exp(A), per slice (the
+    Omegas of the order-six problem, 1-norms near 10, come to 1.2e-14)."""
+
+    @staticmethod
+    def assert_exact(A, E):
+        mp = pytest.importorskip("mpmath")
+        for a, e in zip(A, E):
+            with mp.workdps(50):
+                ref = np.array(mp.expm(mp.matrix(a.tolist())).tolist(),
+                               dtype=complex)
+            bound = 3e-15 * max(10.0, one_norms(a[None])[0])
+            assert np.max(np.abs(e - ref)) <= bound * np.max(np.abs(ref))
+
+    @staticmethod
+    def exponentiated(monkeypatch, run):
+        """Every slice integrate_fundamental exponentiates during run(),
+        and a sample of them: the six largest 1-norms and six spread
+        over the sorted rest."""
+        stacks, kernel = [], solutions._expm
+
+        def recorded(A):
+            stacks.append(A.copy())
+            return kernel(A)
+
+        monkeypatch.setattr(solutions, "_expm", recorded)
+        run()
+        A = np.concatenate(stacks)
+        order = np.argsort(one_norms(A))
+        pick = np.linspace(0, len(A) - 1, 6).astype(int)
+        return A[np.union1d(order[-6:], order[pick])]
+
+    def test_mixed_scaling_and_a_non_finite_slice(self):
+        # 1-norms from 1e-3 to 300 (s from 0 to 6) in one stack, and a
+        # non-finite slice among them that leaves the others exact
+        A = random_stack(np.random.default_rng(7), 4,
+                         np.geomspace(1e-3, 300.0, 12))
+        A[5, 1, 3] = np.nan
+        E = solutions._expm(A)
+        assert not np.isfinite(E[5]).any()
+        keep = np.arange(len(A)) != 5
+        self.assert_exact(A[keep], E[keep])
+
+    @pytest.mark.parametrize("name", ["strip-n4", "weights-n3",
+                                      "lowdisk-poly3"])
+    def test_seed_1_workload_omegas(self, monkeypatch, name):
+        # the balanced Omegas of the benchmark workload's seed-1 command
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        from workloads import WORKLOADS, make_config
+
+        doc = make_config(name, 1)
+        problem = problem_from_config(doc)
+
+        def command():
+            res = locate_eigenvalues(problem, doc["settings"]["l_max"])
+            if WORKLOADS[name].command == "weights":
+                weight_numbers(res)
+
+        A = self.exponentiated(monkeypatch, command)
+        self.assert_exact(A, solutions._expm(A))
+
+    def test_criterion_11_order_six(self, monkeypatch):
+        # the n = 6 problem of acceptance criterion 11, whose weight
+        # cross-check failed on unbalanced scaling and squaring
+        n, r = 6, 3
+        forms = (tuple(BoundaryForm(0, p) for p in range(r))
+                 + tuple(BoundaryForm(1, p) for p in range(n - r)))
+        idx = tuple(min(1, n // 2 - sum(divmod(nu, 2))) for nu in range(n - 1))
+        problem = ProblemSpec(
+            boundary=BoundarySpec(r, forms, weight=BoundaryForm(0, r)),
+            expression=ExpressionSpec(n, idx, tuple(
+                P.constant(0.3 * (nu + 1) / n) for nu in range(n - 1))))
+        A = self.exponentiated(monkeypatch, lambda: weight_numbers(
+            locate_eigenvalues(problem, l_max=4)))
+        self.assert_exact(A, solutions._expm(A))
 
 
 def two_piece_quadratic():

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from quasispec.errors import (
@@ -31,6 +32,7 @@ from quasispec.spectrum import (
     rect_contour,
     weight_numbers,
 )
+from quasispec.solutions import _expm
 
 
 def dirichlet2(weight_p=None):
@@ -60,6 +62,32 @@ def char_delta(problem, lam, bullet=False):
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list)
     return DeterminantEvaluator(problem, model).delta(lam, bullet=bullet)
+
+
+def laplace_gap(ev, rc, bullet=False):
+    """Relative gap of the identity Delta det Y(0) = rho^P exp(rho w*)
+    d_norm at rho_check rc, Y(0) = diag(rho^j) Omega."""
+    model, n = ev.model, ev.n
+    rho = rc * model.e_dir
+    lhs = (ev.delta(model.sign * rc ** n, bullet=bullet)
+           * np.prod([rho ** j for j in range(n)])
+           * np.linalg.det(model.frame.Omega))
+    rhs = (rho ** sum(model.p_list)
+           * np.exp(rho * np.sum(model.frame.omegas[model.r:]))
+           * ev.d_norm(rc, bullet=bullet))
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+def nilpotent_n2():
+    """n = 2, constant sigma, and the rho_check at which rho B + A is a
+    nonzero nilpotent matrix (det(F + Lambda) = 0): defective, so no
+    eigenvector basis crosses the piece."""
+    prob = ProblemSpec(
+        boundary=BoundarySpec(1, (BoundaryForm(0, 0), BoundaryForm(1, 0))),
+        expression=ExpressionSpec(2, (0,), (P.constant(3.0),)))
+    model = asymptotic_model(2, 1, (0, 0))
+    F = prob.F.table(0.5)
+    return prob, model, model.rho_of_lambda(np.linalg.det(F) / F[0, 1])
 
 
 def beam_roots(count):
@@ -181,18 +209,13 @@ class TestCharDelta:
                 assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), abs(rhs))
 
     def test_exact_route_fails_typed(self):
-        # n = 2, constant sigma: rho B + A is a nonzero nilpotent matrix
-        # where det(F + Lambda) = 0, and not finite at a subnormal rho
-        prob = ProblemSpec(
-            boundary=BoundarySpec(1, (BoundaryForm(0, 0), BoundaryForm(1, 0))),
-            expression=ExpressionSpec(2, (0,), (P.constant(3.0),)))
-        model = asymptotic_model(2, 1, (0, 0))
+        # the exponential of the additive compound needs no eigenvectors:
+        # the defective rho B + A evaluates like its neighbours, and only a
+        # non-finite one (at a subnormal rho) fails
+        prob, model, defective = nilpotent_n2()
         ev = DeterminantEvaluator(prob, model)
-        F = prob.F.table(0.5)
-        defective = model.rho_of_lambda(np.linalg.det(F) / F[0, 1])
-        with pytest.raises(IntegrationError, match="nearly defective"):
-            ev.d_norm(defective)
-        assert np.isfinite(ev.d_norm(defective * (1 + 1e-6)))
+        for rc in (defective, defective * (1 + 1e-6)):
+            assert laplace_gap(ev, rc) < 1e-12
         with pytest.raises(IntegrationError, match="not finite"):
             ev.d_norm(1e-310)
 
@@ -212,6 +235,32 @@ class TestCharDelta:
             lhs = direct * detY0
             rhs = rho ** sum(model.p_list) * np.exp(rho * wstar) * ev.d_norm(rc)
             assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))
+
+
+class TestCompound:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exp_of_additive_compound_is_compound_of_exp(self, n):
+        # exp(h M^[n-r]) from the evaluator's coefficient tensor equals the
+        # minors det exp(h M)[S, T] for every r, on a random M and on a
+        # Jordan block, which has no eigenvector basis
+        rng = np.random.default_rng(n)
+        h = 0.7
+        for r in range(1, n):
+            forms = (tuple(BoundaryForm(0, p) for p in range(r))
+                     + tuple(BoundaryForm(1, p) for p in range(n - r)))
+            prob = ProblemSpec(boundary=BoundarySpec(r, forms),
+                               expression=zero_expression(n))
+            ev = DeterminantEvaluator(
+                prob, asymptotic_model(n, r, prob.boundary.p_list))
+            subsets = ev._laplace[0]
+            for M in (rng.standard_normal((n, n))
+                      + 1j * rng.standard_normal((n, n)),
+                      (0.8j - 0.3) * np.eye(n) + np.eye(n, k=1)):
+                E = _expm(h * np.tensordot(M, ev._compound, axes=2)[None])[0]
+                C = np.linalg.det(expm(h * M)[subsets[:, None, :, None],
+                                              subsets[None, :, None, :]])
+                assert E.shape == (len(subsets),) * 2
+                assert np.max(np.abs(E - C)) <= 1e-13 * np.max(np.abs(C))
 
 
 class TestExactRouteOracle:
@@ -715,6 +764,7 @@ class TestBatches:
         # compounds, but one fss_ends call solves them all, so the
         # factored solve stacks the whole call; the bullet rows reuse it
         from quasispec import spectrum
+        monkeypatch.setattr(spectrum, "CARRY_COMPOUNDS", 512)
         prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
         ev = DeterminantEvaluator(prob, model)
         rcs = np.linspace(8.0, 20.0, 120) + 0.1j
@@ -773,27 +823,24 @@ class TestBatches:
                                                   np.delete(lams, 2))
 
     def test_batch_fails_typed_at_its_first_bad_point(self):
-        # the n = 2 problem of test_exact_route_fails_typed: a defective
-        # rho B + A at one rho, a non-finite one at a subnormal rho; the
-        # error names whichever comes first, and the batch caches nothing
-        prob = ProblemSpec(
-            boundary=BoundarySpec(1, (BoundaryForm(0, 0), BoundaryForm(1, 0))),
-            expression=ExpressionSpec(2, (0,), (P.constant(3.0),)))
-        model = asymptotic_model(2, 1, (0, 0))
-        F = prob.F.table(0.5)
-        defective = model.rho_of_lambda(np.linalg.det(F) / F[0, 1])
-        tiny, good = 1e-310, defective * (1 + 1e-6)
+        # the n = 2 problem of test_exact_route_fails_typed: rho B + A is
+        # not finite at two subnormal rho; the error names whichever comes
+        # first, and the batch caches nothing. Its defective rho evaluates
+        prob, model, defective = nilpotent_n2()
+        tiny, tinier, good = 2e-310, 1e-310, defective * (1 + 1e-6)
         name = lambda rc: re.escape(f"{complex(rc) * model.e_dir:.6g}")
-        for batch, match in (
-                ([good, defective, tiny], "^rho B \\+ A at rho = "
-                 f"{name(defective)} is nearly defective"),
-                ([good, tiny, defective],
-                 f"^rho B \\+ A is not finite at rho = {name(tiny)}$")):
+        for batch, first in (([good, defective, tiny, tinier], tiny),
+                             ([good, tinier, defective, tiny], tinier)):
             ev = DeterminantEvaluator(prob, model)
-            with pytest.raises(IntegrationError, match=match):
+            with pytest.raises(IntegrationError, match=(
+                    f"^rho B \\+ A is not finite at rho = {name(first)}$")):
                 ev.d_norm(np.array(batch))
             assert not ev._cache
             assert np.isfinite(ev.d_norm(good))
+        ev, single = (DeterminantEvaluator(prob, model) for _ in range(2))
+        assert np.array_equal(ev.d_norm(np.array([good, defective])),
+                              [single.d_norm(good), single.d_norm(defective)])
+        assert laplace_gap(ev, defective) < 1e-12
 
     @staticmethod
     def counted(f, calls):
