@@ -11,10 +11,12 @@ x = 1 rows is carried to x = 0 across segments of [0, 1] and met by the
 x = 0 rows in a Laplace sum. Where every coefficient piece is constant
 the segments are the pieces, each crossed exactly by the exponential of
 an additive compound matrix; otherwise the one segment [0, 1] is crossed
-by the integral-equation solution z of the Birkhoff factored solve. All routes
-share the same zeros, and on each the bullet determinant carries the
-plain one's normalization, so weight numbers read the same ratio
-Delta_bullet / Delta off any route.
+by the integral-equation solution z of the Birkhoff factored solve. Zero
+coefficients take the same routes: a zero piece is a constant one. All
+routes share the same zeros, and on each the bullet determinant carries
+the plain one's normalization, so weight numbers read the same ratio
+Delta_bullet / Delta off any route; a bullet call gives both side by
+side, from one solve per point. The evaluator keeps no values.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
@@ -28,7 +30,8 @@ has a non-constant piece, a contour is counted and seeded on a
 piecewise-constant surrogate of F, certified against a coarser one
 (Rouche), and Newton polishes on F; if that pass fails, it is counted on
 F. Works are generators of point requests run in lockstep: each round,
-the points all of them ask of one evaluator function go to it in one call.
+the points all of them ask of one evaluator function go to it in one
+call, which computes each distinct point once.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .regularization import (
     build_associated_matrix,
     conjugate_system,
 )
-from .solutions import _expm, closed_form_zero_coeff, integrate_fundamental
+from .solutions import _expm, integrate_fundamental
+from .solutions import closed_form_zero_coeff  # noqa: F401 (bench/tracer.py)
 
 __all__ = [
     "BoundaryForm",
@@ -170,9 +174,6 @@ class ProblemSpec:
         return (self.matrix if self.matrix is not None
                 else build_associated_matrix(self.expression))
 
-    def is_zero_coefficient(self):
-        return not np.tril(self.F.table.nonzero).any()
-
 
 @dataclass(frozen=True)
 class SpectralDatum:
@@ -243,6 +244,14 @@ def _unfused_product(a, b):
     return np.array([complex(x) * b for x in np.ravel(a)], dtype=complex)
 
 
+def _first_occurrences(z):
+    """(distinct, where): the distinct entries of the flat array z in
+    the order they are first met, and the index in distinct of each."""
+    first = {}
+    where = [first.setdefault(complex(w), len(first)) for w in z]
+    return np.array(list(first), dtype=complex), np.array(where, dtype=int)
+
+
 def boundary_form(form: BoundaryForm, values):
     """Apply one form to quasi-derivatives at its endpoint: a column
     gives a number, a matrix (one column per solution) a row."""
@@ -262,62 +271,49 @@ class DeterminantEvaluator:
         self.model = model
         self.F = problem.F
         self.n = problem.n
-        self.zero_coeff = problem.is_zero_coefficient()
-        self._cache = {}
         re_dir = np.real(model.e_dir * model.frame.omegas)
         self.eta = float(np.max(re_dir) - np.min(re_dir))
         self.direct_limit = (np.inf if self.eta < 1e-12
                              else EXPONENT_BUDGET / self.eta)
 
-    def _memo(self, kind, keys, compute):
-        """Values under (kind, key) for a batch of keys; one call
-        compute(positions) gives the uncached ones. Wiped past 4,096."""
-        keys = [(kind, complex(k)) for k in keys]
-        got = {k: self._cache[k] for k in keys if k in self._cache}
-        miss = {k: i for i, k in enumerate(keys) if k not in got}
-        if miss:
-            got.update(zip(miss, compute(list(miss.values()))))
-            if len(self._cache) + len(miss) > 4096:
-                self._cache.clear()
-            self._cache.update((k, got[k]) for k in miss)
-        return [got[k] for k in keys]
-
     # -- direct route -----------------------------------------------------
 
     def _boundary_rows(self, ends, bullet, rho=None):
         """The rows U_f applied to ends[f.side], per matrix of the (m, n, n)
-        stacks; the bullet rows put the weight form in place of row r - 1.
-        With rho (m,) given, each row is scaled by rho^(-p) for the order
-        p of the plain row it stands for."""
+        stacks, as (m, k, n, n) row sets: k = 1, the plain rows, or with
+        bullet k = 2, the plain rows and the bullet rows, which put the
+        weight form in place of row r - 1. With rho (m,) given, each row is
+        scaled by rho^(-p) for the order p of the plain row it stands for."""
         b = self.problem.boundary
-        rows, ps = list(b.forms), list(b.p_list)
+        forms, ps = list(b.forms), list(b.p_list)
+        sets = [list(range(self.n))]
         if bullet:
             if b.weight is None:
                 raise ConfigurationError("weight form required for the "
                                          "bullet determinant")
-            rows = [b.weight] + rows[:b.r - 1] + rows[b.r:]
-            ps = [ps[b.r - 1]] + ps[:b.r - 1] + ps[b.r:]
+            forms.append(b.weight)
+            ps.append(ps[b.r - 1])
+            sets.append([self.n] + sets[0][:b.r - 1] + sets[0][b.r:])
         sides = [np.moveaxis(end, -2, 0) for end in ends]
-        M = np.stack([boundary_form(f, sides[f.side]) for f in rows], axis=-2)
+        M = np.stack([boundary_form(f, sides[f.side]) for f in forms], axis=-2)
         if rho is not None:
             M *= rho[:, None, None] ** -np.array(ps)[:, None]
-        return M
+        return M[:, sets]
 
     def delta(self, lam, bullet=False):
-        """det[U_s(C_k)] at an array of lambda, in its shape; rows at x = 0
-        come from C(0) = I exactly, C(1) of the uncached lambdas from one
-        integrate_fundamental call, and one stacked det takes them all."""
-        flat = np.ravel(lam)
-        C1 = np.array(self._memo("C1", flat, lambda idx: [
-            closed_form_zero_coeff(self.n, flat[i], 1.0)[0] for i in idx]
-            if self.zero_coeff
-            else integrate_fundamental(self.F, flat[idx]).at_one))
+        """det[U_s(C_k)] at an array of lambda, in its shape, or with bullet
+        the plain and the bullet determinant side by side (a last axis of
+        2). Rows at x = 0 come from C(0) = I exactly, C(1) of the distinct
+        lambdas from one integrate_fundamental call; one stacked det."""
+        lam_u, where = _first_occurrences(np.ravel(lam))
+        C1 = integrate_fundamental(self.F, lam_u).at_one
         M = self._boundary_rows((np.broadcast_to(np.eye(self.n), C1.shape), C1),
                                 bullet)
         # overflow to inf or nan is reported by _contour_values' finiteness
         # checks as a typed failure, not as a numpy warning
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.linalg.det(M).reshape(np.shape(lam))
+            return np.linalg.det(M)[where].reshape(
+                np.shape(lam) + (2,) * bullet)
 
     # -- factored route ----------------------------------------------------
 
@@ -420,7 +416,9 @@ class DeterminantEvaluator:
 
     def d_norm(self, rho_check, bullet=False):
         """Normalized determinant in the strip variable at each rho_check
-        of an array, in its shape: Delta det V rho^(-P) exp(-rho omega*).
+        of an array, in its shape: Delta det V rho^(-P) exp(-rho omega*);
+        with bullet the plain and the bullet value side by side (a last
+        axis of 2).
 
         Here rho = rho_check * e_dir, V[j, k] = (rho omega_k)^j, P is the
         sum of the plain rows' orders (for the bullet rows too, so that
@@ -428,14 +426,16 @@ class DeterminantEvaluator:
         the sum of the top n - r ordered roots. Each row is scaled by
         rho^(-p) and acts on V w(x) for the solutions w of
         w' = (rho B + A) w with w(0) = I. The x = 1 rows' compound is
-        carried to x = 0 (_carry, one call for the points not cached, on
-        the segments of either route) and met by the x = 0 rows in a
-        Laplace sum over the column subsets S:
-        sum_S sign_S det(L[:, S^c]) q_S. The bullet rows differ from the
-        plain ones at x = 0 only, so they reuse the plain rows' q.
+        carried to x = 0 (_carry, one call, on the segments of either
+        route) and met by the x = 0 rows in a Laplace sum over the column
+        subsets S: sum_S sign_S det(L[:, S^c]) q_S. The bullet rows differ
+        from the plain ones at x = 0 only, so both sums take that q. Each
+        distinct rho is computed once (two strip boxes' shared edge can be
+        an ulp apart in rho_check, not in rho).
         """
         model, shape = self.model, np.shape(rho_check)
-        rho = _unfused_product(rho_check, model.e_dir)
+        rho, where = _first_occurrences(
+            _unfused_product(rho_check, model.e_dir))
         r, om = model.r, model.frame.omegas
         _, comps, signs = self._laplace
         # no numpy warnings: _segments fails typed on a non-finite system,
@@ -444,10 +444,11 @@ class DeterminantEvaluator:
             V = (rho[:, None, None] * om) ** np.arange(self.n)[:, None]
             rows = self._boundary_rows((V, V), bullet, rho)
             del V   # not held through the carry's solves and minors
-            q = np.array(self._memo("q", rho, lambda idx: self._carry(
-                rho[idx], rows[idx, r:])))
-            left = np.linalg.det(np.moveaxis(rows[:, :r][..., comps], -2, -3))
-            return np.sum(signs * left * q, axis=-1).reshape(shape)
+            q = self._carry(rho, rows[:, 0, r:])
+            left = np.linalg.det(np.moveaxis(rows[..., :r, :][..., comps],
+                                             -2, -3))
+            return np.sum(signs * left * q[:, None], axis=-1)[where].reshape(
+                shape + (2,) * bullet)
 
     # -- region dispatch ---------------------------------------------------
 
@@ -458,18 +459,18 @@ class DeterminantEvaluator:
 
     def box_function(self, outer_radius):
         """Evaluator f(points) -> values in rho_check for one box/contour,
-        on one route (mixing them mid-contour would fake a discontinuity):
-        the plain determinant by the route rule, unless the problem is
-        coefficient-free (d_norm is then exact at every rho)."""
-        if self.zero_coeff or not self.is_direct(outer_radius):
-            return self.d_norm
-        return self._delta_in_rho
+        on one route by the route rule (mixing them mid-contour would fake
+        a discontinuity): the plain determinant within direct_limit, d_norm
+        beyond it."""
+        if self.is_direct(outer_radius):
+            return self._delta_in_rho
+        return self.d_norm
 
     def lambda_function(self, outer_radius):
-        """Evaluator f(lams, bullet=False) -> values in lambda for one
-        weight circle whose largest |rho| is outer_radius (its far side):
-        the plain determinant when the route rule says so, d_norm at the
-        canonical root otherwise."""
+        """Evaluator f(lams, bullet=False) -> values in lambda (with bullet,
+        plain and bullet side by side) for one weight circle whose largest
+        |rho| is outer_radius (its far side): the plain determinant when
+        the route rule says so, d_norm at the canonical root otherwise."""
         if self.is_direct(outer_radius):
             return self.delta
         return self._d_norm_in_lambda
@@ -946,8 +947,8 @@ def weight_numbers(result: SpectrumResult) -> SpectrumResult:
     The ratio Delta_bullet(lambda_l) / Delta'(lambda_l) and the contour
     residue, both from those values, must agree to BETA_CROSS_CHECK_RTOL.
     All circles run in lockstep (_lockstep): one evaluator call per route
-    takes their plain rows, one more their bullet rows. Multiple
-    eigenvalues are skipped with their multiplicity left set.
+    takes their points and gives the plain and the bullet rows' values.
+    Multiple eigenvalues are skipped with their multiplicity left set.
     """
     if result.problem.boundary.weight is None:
         raise ConfigurationError("weight numbers need a weight form")
@@ -976,11 +977,10 @@ def weight_numbers(result: SpectrumResult) -> SpectrumResult:
 
 def _ratio_and_residue(f, lam0, radius):
     """Work (see _lockstep) giving Delta_bullet(lam0) / Delta'(lam0) and
-    the residue of Delta_bullet / Delta at lam0, from f and
-    f(., bullet=True) on the m = RESIDUE_POINTS points lam0 + radius w_k,
-    w_k = exp(2 pi i k / m). It asks for the plain row at all points,
-    then for the bullet row, which finds the plain one's solves in the
-    evaluator's cache.
+    the residue of Delta_bullet / Delta at lam0, from the plain and the
+    bullet values f(., bullet=True) gives side by side on the
+    m = RESIDUE_POINTS points lam0 + radius w_k, w_k = exp(2 pi i k / m),
+    in one request: each point's solve serves both rows.
 
     By the trapezoid rule on the circle, Delta_bullet(lam0) is the mean
     of the bullet values, Delta'(lam0) the mean of the plain values over
@@ -989,8 +989,7 @@ def _ratio_and_residue(f, lam0, radius):
     """
     w = np.exp(2j * np.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
     pts = lam0 + radius * w
-    plain = yield f, pts
-    bullet = yield f, pts, True
+    plain, bullet = np.transpose((yield f, pts, True))
     der = np.mean(plain / w) / radius
     ratio = np.mean(bullet) / der
     res = radius * np.mean(w * bullet / plain)

@@ -56,12 +56,19 @@ def third_order(c1=0.0):
                        expression=ExpressionSpec(3, (1, 0), coeffs))
 
 
+def row_set(values, bullet):
+    """The plain values, or the bullet column of a bullet=True call, which
+    gives the plain and the bullet values side by side."""
+    return values[..., 1] if bullet else values
+
+
 def char_delta(problem, lam, bullet=False):
     """Delta(lambda), or Delta_bullet(lambda) with bullet=True, on the
     direct route of a fresh evaluator."""
     model = asymptotic_model(problem.n, problem.boundary.r,
                              problem.boundary.p_list)
-    return DeterminantEvaluator(problem, model).delta(lam, bullet=bullet)
+    return row_set(DeterminantEvaluator(problem, model).delta(
+        lam, bullet=bullet), bullet)
 
 
 def laplace_gap(ev, rc, bullet=False):
@@ -69,12 +76,12 @@ def laplace_gap(ev, rc, bullet=False):
     d_norm at rho_check rc, Y(0) = diag(rho^j) Omega."""
     model, n = ev.model, ev.n
     rho = rc * model.e_dir
-    lhs = (ev.delta(model.sign * rc ** n, bullet=bullet)
+    lhs = (row_set(ev.delta(model.sign * rc ** n, bullet=bullet), bullet)
            * np.prod([rho ** j for j in range(n)])
            * np.linalg.det(model.frame.Omega))
     rhs = (rho ** sum(model.p_list)
            * np.exp(rho * np.sum(model.frame.omegas[model.r:]))
-           * ev.d_norm(rc, bullet=bullet))
+           * row_set(ev.d_norm(rc, bullet=bullet), bullet))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
@@ -198,12 +205,13 @@ class TestCharDelta:
             wstar = np.sum(model.frame.omegas[model.r:])
             for rc in rcs:
                 rho = rc * model.e_dir
-                direct = ev.delta(model.sign * rc ** n, bullet=bullet)
+                direct = row_set(ev.delta(model.sign * rc ** n,
+                                          bullet=bullet), bullet)
                 detY0 = (np.prod([rho ** j for j in range(n)])
                          * np.linalg.det(model.frame.Omega))
                 lhs = direct * detY0
                 rhs = (rho ** sum(model.p_list) * np.exp(rho * wstar)
-                       * ev.d_norm(rc, bullet=bullet))
+                       * row_set(ev.d_norm(rc, bullet=bullet), bullet))
                 # the plain determinant cancels: the sides are 4e-10 apart
                 # at rc = 11 on `linear`
                 assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), abs(rhs))
@@ -486,11 +494,14 @@ class TestDeltaDerivative:
 
 class TestLocate:
     def test_dirichlet_classical(self):
-        res = locate_eigenvalues(dirichlet2(), l_max=20)
+        # zero coefficients on the general routes: one exact _expm step on
+        # the direct route, the exact carry past direct_limit
+        res = locate_eigenvalues(dirichlet2(), l_max=40)
         assert res.chi_cal == pytest.approx(0.0, abs=1e-12)
+        assert [d.l for d in res.data] == list(range(1, 41))
         for d in res.data:
             want = -(np.pi * d.l) ** 2
-            assert abs(d.lam - want) < 1e-8 * abs(want)
+            assert abs(d.lam - want) < 1e-12 * abs(want)
             assert d.multiplicity == 1
 
     def test_beam(self):
@@ -526,7 +537,7 @@ class TestLocate:
 
     def test_no_evaluator_outlives_its_stage(self, monkeypatch):
         # the result carries data and the problem, not the solver state
-        # (determinant caches, conjugated system) of locating or weights
+        # (the conjugated system, the compound tensor) of locating or weights
         from quasispec import spectrum
         refs = []
 
@@ -583,10 +594,11 @@ class TestLocate:
 class TestWeights:
     def test_dirichlet_weights(self):
         prob = dirichlet2(weight_p=1)
-        res = weight_numbers(locate_eigenvalues(prob, l_max=15))
+        res = weight_numbers(locate_eigenvalues(prob, l_max=40))
+        assert len(res.data) == 40
         for d in res.data:
             want = -2.0 * (np.pi * d.l) ** 2
-            assert abs(d.beta - want) < 1e-6 * abs(want)
+            assert abs(d.beta - want) < 1e-10 * abs(want)
 
     def test_requires_weight_form(self):
         prob = dirichlet2()
@@ -655,8 +667,7 @@ class TestWeights:
                 return solve(*args, **kwargs)
             return call
 
-        for name in ("integrate_fundamental", "fss_ends",
-                     "closed_form_zero_coeff"):
+        for name in ("integrate_fundamental", "fss_ends"):
             monkeypatch.setattr(spectrum, name,
                                 counted(name, getattr(spectrum, name)))
         monkeypatch.setattr(DeterminantEvaluator, "_carry",
@@ -667,9 +678,7 @@ class TestWeights:
         assert points.get("fss_ends", 0) == factored
         if factored:
             assert points["_carry"] == factored
-        direct = (points.get("integrate_fundamental", 0)
-                  + points.get("closed_form_zero_coeff", 0))
-        assert direct + points["_carry"] == (
+        assert points.get("integrate_fundamental", 0) + points["_carry"] == (
             spectrum.RESIDUE_POINTS * len(out.data))
 
     def test_constant_pieces_need_no_factored_solve(self, monkeypatch):
@@ -755,14 +764,18 @@ class TestBatches:
         batch = ev.d_norm(rcs, bullet=bullet)
         single = DeterminantEvaluator(prob, model)
         points = [single.d_norm(rc, bullet=bullet) for rc in rcs.ravel()]
-        assert all(isinstance(v, np.ndarray) and v.shape == () for v in points)
-        assert batch.shape == rcs.shape
-        assert np.array_equal(batch.ravel(), np.array(points))
+        # with bullet, the plain and the bullet value side by side
+        assert all(isinstance(v, np.ndarray) and v.shape == (2,) * bullet
+                   for v in points)
+        assert batch.shape == rcs.shape + (2,) * bullet
+        assert np.array_equal(batch.reshape(-1, *(2,) * bullet),
+                              np.array(points))
 
     def test_factored_d_norm_solves_a_call_at_once(self, monkeypatch):
         # the carry takes a call's points in chunks of CARRY_COMPOUNDS
         # compounds, but one fss_ends call solves them all, so the
-        # factored solve stacks the whole call; the bullet rows reuse it
+        # factored solve stacks the whole call; the plain and the bullet
+        # rows of a bullet call share it
         from quasispec import spectrum
         monkeypatch.setattr(spectrum, "CARRY_COMPOUNDS", 512)
         prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
@@ -776,9 +789,32 @@ class TestBatches:
             return solve(system, rho)
 
         monkeypatch.setattr(spectrum, "fss_ends", recorded)
-        ev.d_norm(rcs)
         ev.d_norm(rcs, bullet=True)
         assert taken == [len(rcs)]
+
+    def test_d_norm_computes_each_rho_once(self, monkeypatch):
+        # two rho_check an ulp apart (an edge two strip-n4 boxes share,
+        # as one box's cx + half and the next one's cx - half) round to
+        # one rho = rho_check * e_dir: the carry takes it once, and both
+        # points get the value it has taken alone
+        prob = TestExactRouteOracle.problem()
+        model = asymptotic_model(prob.n, prob.boundary.r,
+                                 prob.boundary.p_list)
+        a = 48.871712319742024 - 1.777153175263347j
+        rcs = np.array([a, complex(np.nextafter(a.real, np.inf), a.imag),
+                        30.0])
+        assert rcs[0] != rcs[1]
+        single = DeterminantEvaluator(prob, model).d_norm(rcs[0])
+        taken, carry = [], DeterminantEvaluator._carry
+
+        def recorded(self, rho, right):
+            taken.append(len(rho))
+            return carry(self, rho, right)
+
+        monkeypatch.setattr(DeterminantEvaluator, "_carry", recorded)
+        vals = DeterminantEvaluator(prob, model).d_norm(rcs)
+        assert taken == [2]
+        assert vals[0] == single and vals[1] == single
 
     @pytest.mark.parametrize("bullet", [False, True])
     def test_delta_batch_equals_its_points(self, bullet):
@@ -788,8 +824,9 @@ class TestBatches:
         batch = DeterminantEvaluator(prob, model).delta(lams, bullet=bullet)
         single = DeterminantEvaluator(prob, model)
         points = [single.delta(lam, bullet=bullet) for lam in lams]
-        assert all(isinstance(v, np.ndarray) and v.shape == () for v in points)
-        assert batch.shape == lams.shape
+        assert all(isinstance(v, np.ndarray) and v.shape == (2,) * bullet
+                   for v in points)
+        assert batch.shape == lams.shape + (2,) * bullet
         assert np.array_equal(batch, np.array(points))
 
     @pytest.mark.parametrize("coeff", [
@@ -799,14 +836,16 @@ class TestBatches:
     def test_delta_integrates_a_call_at_once(self, monkeypatch, coeff):
         # one to three constant pieces (one stacked expm over every
         # lambda), and a constant plus a linear one (Magnus chunks per
-        # lambda after it): one integration takes a call's new lambdas,
-        # and the values are those of the lambdas taken one at a time
+        # lambda after it): one integration takes a call's distinct
+        # lambdas, and the values are those of the lambdas taken one at a
+        # time; the evaluator keeps none, so a second call integrates again
         from quasispec import spectrum
         prob, model = self.weighted(coeff)
         lams = model.sign * np.array([3.0 + 0.2j, 5.0 - 0.1j, 3.0 + 0.2j,
                                       7.5, 1.5j]) ** 3
         single = DeterminantEvaluator(prob, model)
         points = [single.delta(lam) for lam in lams]
+        bullets = [single.delta(lam, bullet=True) for lam in lams[:2]]
         taken, integrate = [], spectrum.integrate_fundamental
 
         def recorded(F, lam):
@@ -816,16 +855,15 @@ class TestBatches:
         monkeypatch.setattr(spectrum, "integrate_fundamental", recorded)
         ev = DeterminantEvaluator(prob, model)
         assert np.array_equal(ev.delta(lams), np.array(points))
-        assert np.array_equal(ev.delta(lams[:2], bullet=True),
-                              [single.delta(lam, bullet=True)
-                               for lam in lams[:2]])
         assert len(taken) == 1 and np.array_equal(taken[0],
                                                   np.delete(lams, 2))
+        assert np.array_equal(ev.delta(lams[:2], bullet=True), bullets)
+        assert len(taken) == 2 and np.array_equal(taken[1], lams[:2])
 
     def test_batch_fails_typed_at_its_first_bad_point(self):
         # the n = 2 problem of test_exact_route_fails_typed: rho B + A is
         # not finite at two subnormal rho; the error names whichever comes
-        # first, and the batch caches nothing. Its defective rho evaluates
+        # first, and the evaluator stays usable. Its defective rho evaluates
         prob, model, defective = nilpotent_n2()
         tiny, tinier, good = 2e-310, 1e-310, defective * (1 + 1e-6)
         name = lambda rc: re.escape(f"{complex(rc) * model.e_dir:.6g}")
@@ -835,7 +873,6 @@ class TestBatches:
             with pytest.raises(IntegrationError, match=(
                     f"^rho B \\+ A is not finite at rho = {name(first)}$")):
                 ev.d_norm(np.array(batch))
-            assert not ev._cache
             assert np.isfinite(ev.d_norm(good))
         ev, single = (DeterminantEvaluator(prob, model) for _ in range(2))
         assert np.array_equal(ev.d_norm(np.array([good, defective])),
@@ -865,19 +902,34 @@ class TestBatches:
             seen = np.concatenate([seen, z])
 
     def test_one_call_per_weight_row(self):
+        # on the direct and the exact route, one call takes the circle's
+        # points and gives the plain and the bullet values side by side,
+        # each column bit for bit that of one-point calls: a plain one and
+        # a bullet one
         from quasispec.spectrum import RESIDUE_POINTS, _ratio_and_residue, _run
         prob, model = self.weighted(P.constant(1.1))
-        ev = DeterminantEvaluator(prob, model)
-        calls = []
-        f = self.counted(ev.lambda_function(np.inf), calls)
-        _run(_ratio_and_residue(f, model.sign * 20.0 ** 3, 50.0))
-        assert [len(z) for z, _ in calls] == [RESIDUE_POINTS] * 2
-        assert [kw.get("bullet", False) for _, kw in calls] == [False, True]
+        for far in (0.0, np.inf):
+            ev, single = (DeterminantEvaluator(prob, model) for _ in range(2))
+            calls = []
+
+            def f(z, **kwargs):
+                calls.append((np.array(z), kwargs,
+                              ev.lambda_function(far)(z, **kwargs)))
+                return calls[-1][2]
+
+            _run(_ratio_and_residue(f, model.sign * 20.0 ** 3, 50.0))
+            (z, kwargs, both), = calls
+            assert len(z) == RESIDUE_POINTS and kwargs == {"bullet": True}
+            one = single.lambda_function(far)
+            assert both.shape == (RESIDUE_POINTS, 2)
+            assert np.array_equal(both[:, 0], [one(lam) for lam in z])
+            assert np.array_equal(both[:, 1], [one(lam, bullet=True)[1]
+                                               for lam in z])
 
     def test_calls_grow_with_rounds_not_boxes(self, monkeypatch):
         # n = 4 with coefficients that jump at x = 0.45: twice the strip
         # boxes take the same evaluator calls, and the weight circles, on
-        # both routes, one plain and one bullet call per route
+        # both routes, one call per route for the plain and bullet rows
         forms = (BoundaryForm(0, 1), BoundaryForm(1, 0), BoundaryForm(1, 2),
                  BoundaryForm(1, 3))
         coeffs = tuple(P([0.0, 0.45, 1.0], [[a], [b]])
@@ -900,9 +952,7 @@ class TestBatches:
         assert len(res.data) == 24 and counts[0] == counts[1]
         calls.clear()
         weight_numbers(res)
-        assert {name for name, _ in calls} == {"delta", "d_norm"}
-        for name in ("delta", "d_norm"):
-            assert sum(c == name for c, _ in calls) <= 2
+        assert sorted(calls) == [("d_norm", True), ("delta", True)]
 
     @pytest.mark.parametrize("problem, evaluators", [
         (TestExactRouteOracle.problem, 1), (TestDirectRouteOracle.problem, 3)],
@@ -911,16 +961,28 @@ class TestBatches:
                                          evaluators):
         # constant jumps (no surrogate) and a quadratic sigma_1 (counted
         # on both surrogates, polished on F): across the calls of one
-        # locate, each evaluator is asked for each point once at most
-        calls = []
+        # locate, each evaluator is asked for each point once at most, and
+        # within a call each lambda it integrates, each rho it carries, once
+        from quasispec import spectrum
+        calls, solved = [], []
         for name in ("delta", "d_norm"):
             def recorded(self, z, bullet=False, name=name,
                          method=getattr(DeterminantEvaluator, name)):
                 calls.append((self, name, set(np.ravel(z).tolist())))
                 return method(self, z, bullet=bullet)
             monkeypatch.setattr(DeterminantEvaluator, name, recorded)
+        integrate, carry = (spectrum.integrate_fundamental,
+                            DeterminantEvaluator._carry)
+        monkeypatch.setattr(spectrum, "integrate_fundamental",
+                            lambda F, lam: solved.append(lam.tolist())
+                            or integrate(F, lam))
+        monkeypatch.setattr(DeterminantEvaluator, "_carry",
+                            lambda ev, rho, r: solved.append(rho.tolist())
+                            or carry(ev, rho, r))
         locate_eigenvalues(problem(), l_max=10)
         assert len({ev for ev, _, _ in calls}) == evaluators
+        assert len(solved) == len(calls)
+        assert all(len(set(pts)) == len(pts) for pts in solved)
         seen = {}
         for ev, name, pts in calls:
             asked = seen.setdefault((ev, name), set())
