@@ -18,15 +18,10 @@ exponent stays small, which keeps the collocation spectrally accurate.
 
 Panels are uniform inside each coefficient piece, at least
 ceil(MIN_PANELS h) on a piece of width h, so a layout is a panel count
-per piece. The points of one call are grouped by layout and each group
-is solved as one stack with the point axis first (at most CHUNK_PANELS
-(point, panel) pairs), every point keeping its own stop rule. Per point
-a solve costs:
+per piece. A solve costs:
 
 - one collocation solve per pair (j, k) and distinct panel width;
 - A = A_0 + sum_k rho^-k A_k at the nodes from node values of the A_k;
-  the nodes and those values depend on the layout alone, so they are
-  computed once per layout group of a call and shared by all its stacks;
 - per kernel application, the panels' local integrals I_p plus carries.
   For a pair integrated from x = 0 the carry at panel start e_p is
       C_p = sum_{q < p} exp(mu (e_p - e_{q+1})) I_q(e_{q+1}),
@@ -34,11 +29,13 @@ a solve costs:
   pair integrated from x = 1 runs the mirrored recurrence. Every factor
   exp(mu h_p) is an in-sector non-positive exponent, and the recurrence
   is evaluated as a log-depth scan over the panels.
+
+The solve serves the `birkhoff` command; the determinants of `spectrum`
+do not call it.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +59,8 @@ TARGET_EXPONENT = 5.0
 # fewest panels per unit length of a layout
 MIN_PANELS = 4
 # most panels of a layout; a larger |rho| is refused before any array is
-# built (the largest benchmark layouts hold about 60)
+# built
 MAX_PANELS = 10_000
-# (point, panel) pairs of one stacked solve
-CHUNK_PANELS = 64
 # relative change that stops the fixed-point iteration; GMRES tolerance
 TOL = 1e-12
 # fixed-point iterations before the GMRES fallback
@@ -94,22 +89,18 @@ _XHAT, _DIFF = _cheb_nodes_and_diff(DEGREE)
 
 
 def _panel_layout(breakpoints, rho_abs, span):
-    """Panels per coefficient piece at each |rho| of rho_abs (m,), as an
-    (m, pieces) array whose rows name the layouts: the largest kernel
+    """Panels per coefficient piece at |rho| = rho_abs: the largest kernel
     exponent per panel stays below the target, and a piece of width h
-    takes at least ceil(MIN_PANELS h) panels. IntegrationError names the
-    first |rho| whose layout takes more than MAX_PANELS panels."""
+    takes at least ceil(MIN_PANELS h) panels. IntegrationError when the
+    layout takes more than MAX_PANELS panels."""
     width_cap = TARGET_EXPONENT / np.maximum(rho_abs * span, 1e-9)
     widths = np.diff(np.asarray(breakpoints, dtype=float))
-    counts = np.maximum(np.ceil(MIN_PANELS * widths),
-                        np.ceil(widths / width_cap[:, None]))
-    total = counts.sum(axis=1)
-    refused = ~(total <= MAX_PANELS)
-    if refused.any():
-        i = np.argmax(refused)
+    counts = np.maximum(np.ceil(MIN_PANELS * widths), np.ceil(widths / width_cap))
+    total = counts.sum()
+    if not total <= MAX_PANELS:
         raise IntegrationError(
-            f"|rho| = {rho_abs[i]:.3g} is too large: the factored solve would "
-            f"need {total[i]:.3g} panels, more than {MAX_PANELS}")
+            f"|rho| = {rho_abs:.3g} is too large: the factored solve would "
+            f"need {total:.3g} panels, more than {MAX_PANELS}")
     return counts.astype(int)
 
 
@@ -133,17 +124,6 @@ class BirkhoffSolution:
     @property
     def n(self):
         return self.z.shape[0]
-
-    @property
-    def z_at_zero(self):
-        """z(0), a copy: fss_ends holds the ends of a call's finished
-        points until its last finishes, and a view would keep all of z."""
-        return self.z[:, :, 0, 0].copy()
-
-    @property
-    def z_at_one(self):
-        """z(1), a copy (see z_at_zero)."""
-        return self.z[:, :, -1, -1].copy()
 
     def max_E(self):
         """max over nodes of |z - I|."""
@@ -181,26 +161,15 @@ def _panel_nodes(bounds, counts):
     return xs, seg, hs
 
 
-def _node_Ak(system, xs):
-    """A_k at the panel nodes xs, as an array of shape (k, j, l) + xs.shape.
-
-    Every node of a panel is read from the coefficient piece holding the
-    panel midpoint, so a panel that ends on a jump takes the left limit
-    at its last node, not the next piece's value.
-    """
-    mids = 0.5 * (xs[:, :1] + xs[:, -1:])
-    # a view of the piece table's contiguous (k, j, l) + xs.shape output
-    return np.moveaxis(system.evaluate_Ak(xs, at=mids), (-2, -1), (1, 2))
-
-
 class _KernelBank:
-    """Per-(j,k) panelized kernel solvers for integral from b_jk to x, for
-    a stack of points that share one panel layout.
+    """Per-(j,k) panelized kernel solvers for integral from b_jk to x at
+    the points rho (m,) of one panel layout.
 
-    Every array has the point axis first; the collocation solves and
-    their kernel factors are per point, the nodes xs per layout. Panel
-    axes run in x for the local work; the carries run in scan order,
-    which is reversed for the pairs integrated from x = 1.
+    Every array has the point axis first (birkhoff_fss solves one point);
+    the collocation solves and their kernel factors are per point, the
+    nodes xs per layout. Panel axes run in x for the local work; the
+    carries run in scan order, which is reversed for the pairs integrated
+    from x = 1.
     """
 
     def __init__(self, frame, rho, counts, nodes):
@@ -240,13 +209,6 @@ class _KernelBank:
                                   axis=-1)
             d *= 2
 
-    def take(self, points):
-        """The bank of the given points of the stack only."""
-        sub = copy.copy(self)
-        sub.psi, sub.prop = self.psi[points], self.prop[points]
-        sub.levels = [(d, a[points]) for d, a in self.levels]
-        return sub
-
     def apply(self, V, z):
         """out[i,j,k,p,:] = integral_{b_jk}^{x} G_jk(t) exp(mu_jk (x-t)) dt
         with G = V z at each point i."""
@@ -285,87 +247,48 @@ def _gmres(bank, V, rho):
     return sol.reshape(V.shape[1:])
 
 
-def _solve_stack(system, rho, counts, shared):
-    """Factored solves at the points rho (m,) of the layout counts, shared
-    holding the layout's _panel_nodes and their _node_Ak, stacked on a
-    leading point axis: yields (i, solution) as point i finishes, and a
-    finished point leaves the stack. Each point
-    stops the fixed-point iteration z <- I + V z at relative change TOL;
-    once its contraction stalls or MAX_ITER runs out, GMRES solves it."""
-    n = system.n
-    nodes, Ak = shared
-    bank = _KernelBank(system.frame, rho, counts, nodes)
-    # one vector-matrix product per point, the arithmetic of a lone solve
-    V = (rho[:, None, None] ** -np.arange(n) @ Ak.reshape(n, -1)).reshape(
-        (len(rho),) + Ak.shape[1:])                       # (m, j, l, P, q+1)
-    diag = np.arange(n)
-    z = np.zeros(V.shape, dtype=complex)
-    z[:, diag, diag] = 1.0
-    live, prev = np.arange(len(rho)), np.full(len(rho), np.inf)
-    for it in range(1, MAX_ITER + 1):
-        znew = bank.apply(V, z)
-        znew[:, diag, diag] += 1.0
-        delta = np.max(np.abs(znew - z), axis=(1, 2, 3, 4))
-        z = znew
-        done = delta < TOL * np.fmax(1.0, np.max(np.abs(z), axis=(1, 2, 3, 4)))
-        ratio = np.where(np.isfinite(prev) & (prev > 0), delta / prev, 0.0)
-        prev = delta
-        # stalled or out of iterations
-        stalled = ~done & ((it >= 6) & (ratio >= 0.97) | (it == MAX_ITER))
-        for i in np.flatnonzero(done | stalled):
-            r = rho[live[i]]
-            yield live[i], BirkhoffSolution(
-                rho=complex(r), system=system, xs=bank.xs, A=V[i],
-                z=z[i] if done[i] else _gmres(bank.take([i]), V[i:i + 1], r),
-                iterations=it if done[i] else MAX_ITER, used_gmres=not done[i])
-        rest = ~(done | stalled)
-        if not rest.any():
-            return
-        if not rest.all():
-            live, z, V, prev = live[rest], z[rest], V[rest], prev[rest]
-            bank = bank.take(rest)
-
-
-def _factored_solves(system, rho, pick):
-    """[pick(solution)] of the factored solve at each point of rho (m,).
-    Points are grouped by panel layout, each keeping its own, and a group
-    is solved in stacks of at most CHUNK_PANELS (point, panel) pairs."""
-    if np.any(rho == 0):
+def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
+    """Solve the factored fundamental-system equations at one rho: the
+    fixed-point iteration z <- I + V z stops at relative change TOL; once
+    its contraction stalls or MAX_ITER runs out, GMRES solves the system
+    (NonContractionError when that fails too)."""
+    rho = np.array([complex(rho)])
+    if rho[0] == 0:
         raise ValidationError("rho", "rho must be nonzero")
-    om = system.frame.omegas
-    span = np.max(np.abs(om[:, None] - om))
+    n, om = system.n, system.frame.omegas
     breakpoints = system.breakpoints()
-    out = [None] * len(rho)
+    diag = np.arange(n)
     # rho near the float limits overflows to inf or nan; the solve then
     # fails with its typed error, not with numpy warnings
     with np.errstate(all="ignore"):
-        layouts, group = np.unique(_panel_layout(breakpoints, np.abs(rho), span),
-                                   axis=0, return_inverse=True)
-        for g, counts in enumerate(layouts):
-            points = np.flatnonzero(group.ravel() == g)
-            size = max(1, CHUNK_PANELS // counts.sum())
-            nodes = _panel_nodes(breakpoints, counts)
-            shared = (nodes, _node_Ak(system, nodes[0]))
-            for s in range(0, len(points), size):
-                chunk = points[s:s + size]
-                for i, sol in _solve_stack(system, rho[chunk], counts, shared):
-                    out[chunk[i]] = pick(sol)
-    return out
-
-
-def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
-    """Solve the factored fundamental-system equations at one rho: the
-    stacked solve of one point (NonContractionError when the fixed-point
-    iteration and GMRES both fail)."""
-    return _factored_solves(system, np.array([complex(rho)]), lambda sol: sol)[0]
-
-
-def fss_ends(system: ConjugatedSystem, rho):
-    """[(z(0), z(1))] of the factored solve at each point of rho (m,),
-    bit for bit those of birkhoff_fss, from one stacked solve per panel
-    layout (and per CHUNK_PANELS pairs)."""
-    return _factored_solves(system, np.asarray(rho, dtype=complex),
-                            lambda sol: (sol.z_at_zero, sol.z_at_one))
+        counts = _panel_layout(breakpoints, np.abs(rho)[0],
+                               np.max(np.abs(om[:, None] - om)))
+        nodes = _panel_nodes(breakpoints, counts)
+        xs = nodes[0]
+        # A_k at the nodes, (k, j, l) + xs.shape: each node reads the piece
+        # of its panel's midpoint, so a panel that ends on a jump takes the
+        # left limit at its last node
+        Ak = np.moveaxis(system.evaluate_Ak(xs, at=0.5 * (xs[:, :1] + xs[:, -1:])),
+                         (-2, -1), (1, 2))
+        bank = _KernelBank(system.frame, rho, counts, nodes)
+        V = (rho[:, None, None] ** -np.arange(n) @ Ak.reshape(n, -1)).reshape(
+            (1,) + Ak.shape[1:])                          # (1, j, l, P, q+1)
+        z = np.zeros(V.shape, dtype=complex)
+        z[:, diag, diag] = 1.0
+        prev, used_gmres = np.inf, False
+        for it in range(1, MAX_ITER + 1):
+            znew = bank.apply(V, z)
+            znew[:, diag, diag] += 1.0
+            delta = np.max(np.abs(znew - z))
+            z = znew
+            if delta < TOL * np.fmax(1.0, np.max(np.abs(z))):
+                break
+            if it >= 6 and delta / prev >= 0.97 or it == MAX_ITER:
+                z, it, used_gmres = _gmres(bank, V, rho[0])[None], MAX_ITER, True
+                break
+            prev = delta
+    return BirkhoffSolution(rho=complex(rho[0]), system=system, xs=bank.xs,
+                            z=z[0], A=V[0], iterations=it, used_gmres=used_gmres)
 
 
 # ---------------------------------------------------------------------------

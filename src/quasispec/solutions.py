@@ -18,8 +18,10 @@ of at most CHUNK_STEPS: one piece-table read at all Gauss nodes of the
 chunk, one stacked _expm of the chunk's Omegas, and a pairwise product
 tree, later step on the left.
 
-Large |rho| work is *not* done here; the exponentially factored
-integral-equation solver in `birkhoff` owns that regime.
+The Magnus formula (_magnus6), the exponential (_expm) and the product
+tree (_ordered_product) serve large |rho| too: there `spectrum` steps the
+compound of the conjugated system rho B + A across each non-constant
+piece with them, and takes no fundamental matrix from here.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ __all__ = [
 # three-node Gauss-Legendre abscissae on [0, 1]
 _GL3 = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
 
-# largest |lambda| integrated directly; beyond it the large-rho solver owns
+# largest |lambda| integrated directly; beyond it spectrum's carry owns
 LAMBDA_MAX = 1e12
-# most Magnus steps one integration may take
+# most Magnus steps one integration, or one point of spectrum's carry, may take
 MAX_STEPS = 500_000
-# most Magnus steps one stacked exponential takes; bounds the batch's memory
+# most Magnus steps one stacked exponential takes, here and in spectrum's
+# carry; bounds the batch's memory
 CHUNK_STEPS = 4096
 # Magnus steps per unit of (sL)^(7/6) on a non-constant piece of length
 # L and dynamics scale s (sixth order: the error is ~ (sL)^7 / steps^6)
@@ -142,15 +145,11 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-def _magnus6_omegas(table, lam_mat, ts, h):
+def _magnus6(A1, A2, A3, h):
     """Sixth-order Magnus exponents Omega of a batch of steps of length h
-    for M(x) = F(x) + Lambda, F read from its piece table.
-
-    ts holds each step's three Gauss nodes, shape (k, 3), and h is one
-    length or one per step, shape (k, 1, 1); the result is the stack of
-    k exponents, shape (k, n, n).
-    """
-    A1, A2, A3 = np.moveaxis(table(ts), (3, 2), (0, 1)) + lam_mat
+    from the matrices A1, A2, A3 of the system at each step's three Gauss
+    nodes (stacks of shape (..., n, n); h one length or one per step,
+    broadcast against them)."""
     al1 = h * A2
     al2 = (np.sqrt(15) / 3.0) * h * (A3 - A1)
     al3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
@@ -270,8 +269,8 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
             li, gi = np.nonzero(one)
             h = np.diff(grid)[gi][:, None, None]
             ts = grid[gi][:, None] + h[:, 0] * _GL3
-            E[li, gi] = _expm(
-                _magnus6_omegas(table, lam_mat[li], ts, h) * W[li]) / W[li]
+            nodes = np.moveaxis(table(ts), (3, 2), (0, 1)) + lam_mat[li]
+            E[li, gi] = _expm(_magnus6(*nodes, h) * W[li]) / W[li]
         C = values[:, 0].copy()
         for gi, nsteps in enumerate(counts.T):
             single = nsteps == 1
@@ -281,7 +280,8 @@ def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
                 for q0 in range(0, nsteps[i], CHUNK_STEPS):
                     q = np.arange(q0, min(q0 + CHUNK_STEPS, nsteps[i]))
                     ts = (grid[gi] + q * h)[:, None] + h * _GL3
-                    E_q = _expm(_magnus6_omegas(table, lam_mat[i], ts, h) * W[i])
+                    nodes = np.moveaxis(table(ts), (3, 2), (0, 1)) + lam_mat[i]
+                    E_q = _expm(_magnus6(*nodes, h) * W[i])
                     C[i] = (_ordered_product(E_q) / W[i]) @ C[i]
             values[:, gi + 1] = C
     return FundamentalMatrix(

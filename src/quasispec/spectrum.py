@@ -7,16 +7,17 @@ budget (the plain determinant loses eps * exp(spread * |rho|) of
 relative accuracy) the normalized determinant d_norm takes over, in
 which no exponential with a positive real part is ever taken. It has
 one formula, the compound-matrix method: the (n - r)-th compound of the
-x = 1 rows is carried to x = 0 across segments of [0, 1] and met by the
-x = 0 rows in a Laplace sum. Where every coefficient piece is constant
-the segments are the pieces, each crossed exactly by the exponential of
-an additive compound matrix; otherwise the one segment [0, 1] is crossed
-by the integral-equation solution z of the Birkhoff factored solve. Zero
-coefficients take the same routes: a zero piece is a constant one. All
-routes share the same zeros, and on each the bullet determinant carries
-the plain one's normalization, so weight numbers read the same ratio
-Delta_bullet / Delta off any route; a bullet call gives both side by
-side, from one solve per point. The evaluator keeps no values.
+x = 1 rows is carried to x = 0 across the pieces of [0, 1] and met by
+the x = 0 rows in a Laplace sum. A constant piece is crossed exactly by
+the exponential of an additive compound matrix; a non-constant one in
+sixth-order Magnus steps, each the exponential of the compound of the
+step's Magnus exponent, their number set by |rho| and by the piece's
+width and coefficient scale. Zero coefficients take the same routes: a
+zero piece is a constant one. Both routes share the same zeros, and on
+each the bullet determinant carries the plain one's normalization, so
+weight numbers read the same ratio Delta_bullet / Delta off either
+route; a bullet call gives both side by side, from one solve per point.
+The evaluator keeps no values.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
@@ -43,7 +44,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .asymptotics import ROUNDOFF_RTOL, AsymptoticModel, asymptotic_model
-from .birkhoff import birkhoff_fss, fss_ends  # noqa: F401 (bench/tracer.py)
+from .birkhoff import birkhoff_fss  # noqa: F401 (bench/tracer.py)
 from .errors import (
     ConfigurationError,
     ContourError,
@@ -57,7 +58,15 @@ from .regularization import (
     build_associated_matrix,
     conjugate_system,
 )
-from .solutions import _expm, integrate_fundamental
+from .solutions import (
+    _GL3,
+    CHUNK_STEPS,
+    MAX_STEPS,
+    _expm,
+    _magnus6,
+    _ordered_product,
+    integrate_fundamental,
+)
 from .solutions import closed_form_zero_coeff  # noqa: F401 (bench/tracer.py)
 
 __all__ = [
@@ -213,10 +222,17 @@ CONTOUR_RETRIES = 3
 DERIVATIVE_RTOL = 1e-9
 # first node count of the Cauchy derivative circle (doubled up to 5 times)
 DERIVATIVE_START_NODES = 16
-# most transfer-matrix entries (point x segment x subset pair) one batch
-# of the carry takes; bounds the memory of its exponentials and minors
-# (larger batches made the benchmark commands no faster, only bigger)
+# most transfer-matrix entries (point x piece x subset pair) one batch of
+# the carry takes; bounds the memory of its exponentials (larger batches
+# made the benchmark commands no faster, only bigger)
 CARRY_COMPOUNDS = 2048
+# Magnus steps of the carry per unit width of a non-constant piece and per
+# unit of s^(1/6) sqrt|rho|, s the piece's table scale: while |rho| h <= 1,
+# d_norm's error goes as s |rho|^3 h^6 for steps of width h (measured on
+# lowdisk-poly3 with its coefficient scaled up to 1000-fold and cut into
+# up to 16 pieces), which this holds below 1e-11 (20 doubles the steps of
+# some lowdisk-poly3 points, and its peak memory, for no better root)
+CARRY_STEPS_PER_ROOT = 19
 # points of the lambda-circle each weight number is read from
 RESIDUE_POINTS = 32
 # agreement a weight number's ratio and contour residue must reach
@@ -261,6 +277,18 @@ def boundary_form(form: BoundaryForm, values):
         if uj != 0:
             val = val + uj * values[j - 1]
     return complex(val) if val.ndim == 0 else val
+
+
+def _carry_steps(rho_abs, scale, width):
+    """The carry's Magnus steps on a non-constant piece of table scale
+    `scale` and width `width` at |rho| = rho_abs (broadcast together): the
+    least power of two at least 1 and at least width times each of |rho|,
+    the scale and CARRY_STEPS_PER_ROOT scale^(1/6) sqrt|rho|. A function of
+    the point's own |rho| and the problem, so that a batch's values are
+    those of its points."""
+    rate = np.fmax(np.fmax(rho_abs, scale),
+                   CARRY_STEPS_PER_ROOT * scale ** (1 / 6) * np.sqrt(rho_abs))
+    return 2.0 ** np.fmax(0.0, np.ceil(np.log2(width * rate)))
 
 
 class DeterminantEvaluator:
@@ -315,18 +343,12 @@ class DeterminantEvaluator:
             return np.linalg.det(M)[where].reshape(
                 np.shape(lam) + (2,) * bullet)
 
-    # -- factored route ----------------------------------------------------
+    # -- carry route -------------------------------------------------------
 
     @cached_property
     def system(self):
-        """The conjugated system of the factored route, built on first use."""
+        """The conjugated system the carry steps, built on first use."""
         return conjugate_system(self.F, self.model.frame)
-
-    @cached_property
-    def exact(self):
-        """Whether every piece of the conjugated table is constant, so
-        that d_norm takes the exact route."""
-        return bool(self.system.table.constant.all())
 
     @cached_property
     def _laplace(self):
@@ -353,66 +375,119 @@ class DeterminantEvaluator:
                     G[i, j, s, t] = (-1) ** (a + b)
         return G
 
-    def _segments(self, rho):
-        """The transfer matrices of the carry at the points rho (m,), in
-        batches of at most CARRY_COMPOUNDS entries (point x segment x
-        subset pair), which bounds the arrays a batch gathers: yields
-        (b, E), a slice b of rho and a (len(b), K, S, S) stack, E_k the
-        compound C(P)[S, T] = det P[S, T] of the solution operator P of
-        w' = (rho B + A) w across segment k (width h_k), times
-        exp(-h_k rho omega*).
+    @cached_property
+    def _midpoint_Ak(self):
+        """The A_k at the midpoints of the constant pieces, where the
+        carry reads them."""
+        bp = self.system.breakpoints()
+        return self.system.evaluate_Ak(
+            0.5 * (bp[:-1] + bp[1:])[self.system.table.constant])
 
-        Exact route, a segment per piece, A at its midpoint: E_k =
-        exp(h_k (M^[n-r] - rho omega*)) for the additive compound of
-        M = rho B + A (_compound), by one stacked _expm per batch;
-        IntegrationError names the first rho at which rho B + A is not
-        finite. Factored route, the one segment [0, 1]: w = z(x) exp(rho B x)
-        gives E = C(z(1)) exp(sum_S rho omega - rho omega*) C(z(0)^-1), z of
-        every point from one fss_ends call. Runs under d_norm's errstate.
+    def _segments(self, rho):
+        """The transfer matrices of the carry at the points rho (m,), one per
+        piece: yields (b, E), the indices b of a batch of rho and the list
+        E of (len(b), S, S) stacks, E_p the compound C(P)[S, T] =
+        det P[S, T] of the solution operator P of w' = M w, M = rho B + A,
+        across piece p (width h_p), times exp(-h_p rho omega*). The points
+        are grouped by their step counts on every piece (_carry_steps), and
+        a group cut into batches of at most CARRY_COMPOUNDS entries (point
+        x piece x subset pair).
+
+        A constant piece is one step, A at its midpoint: E_p =
+        exp(h_p (M^[n-r] - rho omega*)) for the additive compound M^[n-r]
+        (_compound), a batch's constant pieces by one stacked _expm. A
+        non-constant piece takes _magnus_steps, a group at a time. Before
+        any of this, IntegrationError names the first rho of the call whose
+        steps exceed solutions.MAX_STEPS, else the first at which rho B or
+        a rho^-k is not finite. Runs under d_norm's errstate.
         """
         n, om = self.n, self.model.frame.omegas
-        subsets = self._laplace[0]
-        wstar = _unfused_product(rho, np.sum(om[self.model.r:]))
-        if self.exact:
-            bp = self.system.breakpoints()
-            h = np.diff(bp)[:, None, None]
-            Ak = self.system.evaluate_Ak(0.5 * (bp[:-1] + bp[1:]))
-        else:
-            h = np.ones((1, 1, 1))
-            z0, z1 = map(np.array, zip(*fss_ends(self.system, rho)))
-        step = max(1, CARRY_COMPOUNDS // (len(h) * len(subsets) ** 2))
-        for i in range(0, len(rho), step):
-            b = slice(i, i + step)
-            if not self.exact:
-                CX, CY = np.linalg.det(np.stack([z1[b], np.linalg.inv(z0[b])])[
-                    ..., subsets[:, None, :, None], subsets[None, :, None, :]])
-                decay = np.exp(np.sum((rho[b, None] * om)[:, subsets], axis=-1)
-                               - wstar[b, None])
-                yield b, ((CX * decay[:, None]) @ CY)[:, None]
-                continue
-            M = (np.tensordot(rho[b, None] ** -np.arange(n), Ak, axes=1)
-                 + (rho[b, None] * om)[:, None, None, :] * np.eye(n))
-            finite = np.all(np.isfinite(M), axis=(1, 2, 3))
-            if not finite.all():
-                raise IntegrationError("rho B + A is not finite at rho = "
-                                       f"{rho[i + np.argmin(finite)]:.6g}")
-            Mk = np.tensordot(M, self._compound, axes=2)
-            Mk -= wstar[b, None, None, None] * np.eye(len(subsets))
-            yield b, _expm((h * Mk).reshape(-1, *Mk.shape[2:])).reshape(Mk.shape)
+        table = self.system.table
+        bp, const = table.breakpoints, table.constant
+        h, magnus = np.diff(bp), np.flatnonzero(~const)
+        K = _carry_steps(np.abs(rho)[:, None], table.scale[magnus], h[magnus])
+        total = np.sum(K, axis=1)
+        over = total + np.sum(const) > MAX_STEPS
+        if over.any():
+            raise IntegrationError(
+                f"|rho| = {abs(rho[np.argmax(over)]):.3g} is too large: "
+                f"the carry would take more than {MAX_STEPS} steps")
+        # each piece's steps grow with |rho|, so equal totals are equal rows
+        # of K, and sorted by total a group is a run of points
+        order = np.argsort(total, kind="stable")
+        K, total, rho_s = K[order], total[order], rho[order]
+        pows, rho_om = rho_s[:, None] ** -np.arange(n), rho_s[:, None] * om
+        finite = np.all(np.isfinite(pows) & np.isfinite(rho_om), axis=1)
+        if not finite.all():
+            raise IntegrationError("rho B + A is not finite at rho = "
+                                   f"{rho[np.min(order[~finite])]:.6g}")
+        wstar = _unfused_product(rho_s, np.sum(om[self.model.r:]))
+        Ak, hc = self._midpoint_Ak, h[const, None, None]
+        slot = np.cumsum(const) - 1   # a constant piece's place among them
+        eye = np.eye(self._compound.shape[-1])
+        size = max(1, CARRY_COMPOUNDS // (len(h) * len(eye) ** 2))
+        cuts = list(np.flatnonzero(total[1:] != total[:-1]) + 1)
+        for lo, hi in zip([0] + cuts, cuts + [len(total)]):
+            g = slice(lo, hi)
+            Em = {p: self._magnus_steps(pows[g], rho_om[g], wstar[g], bp[p],
+                                        h[p], k)
+                  for p, k in zip(magnus, K[lo].astype(int))}
+            for i in range(lo, hi, size):
+                b = slice(i, min(i + size, hi))
+                M = (np.tensordot(pows[b], Ak, axes=1)
+                     + rho_om[b, None, None, :] * np.eye(n))
+                Mk = np.tensordot(M, self._compound, axes=2)
+                Mk -= wstar[b, None, None, None] * eye
+                Ec = _expm((hc * Mk).reshape(-1, *eye.shape)).reshape(Mk.shape)
+                yield order[b], [Em[p][i - lo:i - lo + size] if p in Em
+                                 else Ec[:, slot[p]] for p in range(len(h))]
+
+    def _magnus_steps(self, pows, rho_om, wstar, a, width, steps):
+        """The carry's transfer matrices (m, S, S) across the non-constant
+        piece [a, a + width] in `steps` steps of width h, at m points (pows
+        their rho^-k, rho_om their rho omega, the diagonal of rho B, wstar
+        their rho omega*). A step is exp(Omega^[n-r] - h rho omega*) for
+        the sixth-order Magnus exponent Omega of M = rho B + A on it
+        (solutions._magnus6): the additive compound is a Lie algebra
+        homomorphism, so Omega^[n-r] is the compound system's Magnus
+        exponent. Each chunk of at most CHUNK_STEPS steps reads the piece
+        table once for all m points, then takes batches of at most
+        CHUNK_STEPS entries (point x step), or one point, each by one
+        stacked _expm and a product tree, the later step on the left; both
+        sizes are set by `steps` alone."""
+        G = self._compound
+        eye = np.eye(G.shape[-1])
+        h = width / steps
+        E = np.empty((len(pows),) + eye.shape, dtype=complex)
+        size = max(1, CHUNK_STEPS // steps)
+        for q0 in range(0, steps, CHUNK_STEPS):
+            q = np.arange(q0, min(q0 + CHUNK_STEPS, steps))
+            Ak = self.system.evaluate_Ak((a + q * h)[:, None] + h * _GL3)
+            for i in range(0, len(pows), size):
+                b = slice(i, i + size)
+                M = (np.tensordot(pows[b], Ak, axes=1)
+                     + rho_om[b, None, None, None, :] * np.eye(self.n))
+                X = np.tensordot(_magnus6(*np.moveaxis(M, 2, 0), h), G, axes=2)
+                X -= h * wstar[b, None, None, None] * eye
+                X = _expm(X.reshape(-1, *eye.shape)).reshape(X.shape)
+                X = _ordered_product(np.moveaxis(X, 1, 0))
+                E[b] = X if q0 == 0 else X @ E[b]
+        return E
 
     def _carry(self, rho, right):
         """The compounds q_S = det right[:, :, S] of the x = 1 rows
-        (m, n - r, n), carried to x = 0 across _segments(rho), the last
-        first, q <- q E_k; E_k holds exp(-h_k rho omega*), so no exponent
-        has a real part above O(h). Runs under d_norm's errstate."""
-        subsets = self._laplace[0]
-        out = []
+        (m, n - r, n), carried to x = 0 across the pieces of
+        _segments(rho), the last first, q <- q E_p; E_p holds
+        exp(-h_p rho omega*), so no exponent has a real part above O(h).
+        Runs under d_norm's errstate."""
+        q0 = np.linalg.det(np.moveaxis(right[..., self._laplace[0]], -2, -3))
+        out = np.empty(q0.shape, dtype=complex)
         for b, E in self._segments(rho):
-            q = np.linalg.det(np.moveaxis(right[b][..., subsets], -2, -3))[:, None]
-            for k in reversed(range(E.shape[1])):
-                q = q @ E[:, k]
-            out.append(q[:, 0])
-        return np.concatenate(out)
+            q = q0[b, None]
+            for Ep in reversed(E):
+                q = q @ Ep
+            out[b] = q[:, 0]
+        return out
 
     def d_norm(self, rho_check, bullet=False):
         """Normalized determinant in the strip variable at each rho_check
@@ -426,8 +501,8 @@ class DeterminantEvaluator:
         the sum of the top n - r ordered roots. Each row is scaled by
         rho^(-p) and acts on V w(x) for the solutions w of
         w' = (rho B + A) w with w(0) = I. The x = 1 rows' compound is
-        carried to x = 0 (_carry, one call, on the segments of either
-        route) and met by the x = 0 rows in a Laplace sum over the column
+        carried to x = 0 (_carry, one call) and met by the x = 0 rows in a
+        Laplace sum over the column
         subsets S: sum_S sign_S det(L[:, S^c]) q_S. The bullet rows differ
         from the plain ones at x = 0 only, so both sums take that q. Each
         distinct rho is computed once (two strip boxes' shared edge can be

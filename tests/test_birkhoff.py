@@ -127,39 +127,6 @@ class TestSolverPaths:
 
 
 class TestWorkCounts:
-    def test_one_layout_evaluates_A_once(self, monkeypatch):
-        # eight points of one |rho| circle share a panel layout and fill
-        # more than one stack of CHUNK_PANELS pairs: one call places their
-        # nodes and reads A_k at them once, and once more for a second layout
-        sys = conjugate_system(three_piece_matrix(), sector_frame(3, 1))
-        calls, stacks, placed = [], [], []
-        evaluate = ConjugatedSystem.evaluate_Ak
-        solve_stack = birkhoff._solve_stack
-        panel_nodes = birkhoff._panel_nodes
-
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return evaluate(self, *args, **kwargs)
-
-        def nodes(bounds, counts):
-            placed.append(tuple(counts))
-            return panel_nodes(bounds, counts)
-
-        def recorded(system, rho, counts, shared):
-            stacks.append(len(rho))
-            return solve_stack(system, rho, counts, shared)
-
-        monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", counted)
-        monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
-        monkeypatch.setattr(birkhoff, "_panel_nodes", nodes)
-        circle = np.exp(1j * np.linspace(0.1, 0.9, 8) * np.pi / 3)
-        birkhoff.fss_ends(sys, 90.0 * circle)
-        assert len(stacks) > 1 and sum(stacks) == 8 and len(calls) == 1
-        assert len(placed) == 1
-        calls.clear(), placed.clear()
-        birkhoff.fss_ends(sys, np.concatenate([90.0 * circle, 20.0 * circle]))
-        assert len(calls) == 2 and len(set(placed)) == len(placed) == 2
-
     def test_no_breakpoint_merge_per_solve(self, monkeypatch):
         # the coefficients are compiled once; solves and integrations
         # read the stored breakpoints
@@ -199,59 +166,7 @@ class TestWorkCounts:
 
 
 class TestStacks:
-    """The factored solve of a batch of points equals, bit for bit, the
-    lone solve at each point."""
-
-    @staticmethod
-    def stacked(sys, rho, monkeypatch):
-        """Each point's solution from one batched call, and the (points,
-        layout) of every stacked solve it made."""
-        stacks = []
-        solve_stack = birkhoff._solve_stack
-
-        def recorded(system, rho, counts, shared):
-            stacks.append((len(rho), tuple(counts)))
-            return solve_stack(system, rho, counts, shared)
-
-        monkeypatch.setattr(birkhoff, "_solve_stack", recorded)
-        return birkhoff._factored_solves(sys, rho, lambda sol: sol), stacks
-
-    @staticmethod
-    def assert_lone_solves(sys, rho, sols):
-        ends = birkhoff.fss_ends(sys, rho)
-        assert len(sols) == len(ends) == len(rho)
-        for i, r in enumerate(rho):
-            lone = birkhoff_fss(sys, r)
-            assert np.array_equal(sols[i].z, lone.z)
-            assert np.array_equal(ends[i][0], lone.z_at_zero)
-            assert np.array_equal(ends[i][1], lone.z_at_one)
-            assert sols[i].iterations == lone.iterations
-            assert sols[i].used_gmres == lone.used_gmres
-
-    def test_layouts_and_budget(self, monkeypatch):
-        sys = conj(3, (1, 0), (P([0, 1], [[0.4, 0.3]]),
-                               P([0, 0.6, 1], [[0.8], [0.1, -1.0]])))
-        theta = np.linspace(0.1, 0.9, 4) * np.pi / 3
-        rho = np.concatenate([r * np.exp(1j * theta) for r in (5.0, 15.0, 90.0)]
-                             + [100.0 * np.exp(1j * np.linspace(0.1, 1.0, 9))])
-        sols, stacks = self.stacked(sys, rho, monkeypatch)
-        assert len({counts for _, counts in stacks}) >= 4
-        assert sum(m for m, _ in stacks) == len(rho)
-        assert any(m > 1 for m, _ in stacks)
-        for m, counts in stacks:
-            assert m == 1 or m * sum(counts) <= birkhoff.CHUNK_PANELS
-        self.assert_lone_solves(sys, rho, sols)
-
-    def test_gmres_for_the_stalled_point_alone(self, monkeypatch):
-        # test_gmres_fallback's point and a contracting one of its layout
-        F = build_associated_matrix(ExpressionSpec(
-            3, (1, 0), (P.constant(4.0), P.constant(6.0))))
-        sys = conjugate_system(F, sector_frame(3, 1))
-        rho = np.array([1.0, 2.8]) * np.exp(1j * np.pi / 6)
-        sols, stacks = self.stacked(sys, rho, monkeypatch)
-        assert [m for m, _ in stacks] == [2]
-        assert sols[0].used_gmres and not sols[1].used_gmres
-        self.assert_lone_solves(sys, rho, sols)
+    """The GMRES fallback of the factored solve fails typed."""
 
     def test_failed_fallback_names_its_rho(self, monkeypatch):
         F = build_associated_matrix(ExpressionSpec(
@@ -259,7 +174,7 @@ class TestStacks:
         sys = conjugate_system(F, sector_frame(3, 1))
         monkeypatch.setattr(birkhoff, "gmres", lambda op, b, **kw: (b, 7))
         with pytest.raises(NonContractionError, match=r"\|rho\|=1.5\b"):
-            birkhoff.fss_ends(sys, np.array([2.8, 1.5]) * np.exp(1j * np.pi / 6))
+            birkhoff_fss(sys, 1.5 * np.exp(1j * np.pi / 6))
 
 
 class TestThirdOrderExpansion:

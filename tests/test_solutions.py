@@ -14,7 +14,7 @@ from quasispec.regularization import ExpressionSpec, build_associated_matrix, ze
 from quasispec.solutions import (
     _GL3,
     _lambda_matrix,
-    _magnus6_omegas,
+    _magnus6,
     _step_counts,
     closed_form_zero_coeff,
     integrate_fundamental,
@@ -378,7 +378,8 @@ def magnus_steps(F, lam_mat, a, h, nsteps, C):
     """C after nsteps Magnus steps of length h from a: one expm per
     step, applied in order."""
     ts = (a + np.arange(nsteps) * h)[:, None] + h * _GL3
-    for om in _magnus6_omegas(F.table, lam_mat, ts, h):
+    nodes = np.moveaxis(F.table(ts), (3, 2), (0, 1)) + lam_mat
+    for om in _magnus6(*nodes, h):
         C = expm(om) @ C
     return C
 

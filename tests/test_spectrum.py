@@ -32,7 +32,8 @@ from quasispec.spectrum import (
     rect_contour,
     weight_numbers,
 )
-from quasispec.solutions import _expm
+from quasispec.birkhoff import birkhoff_fss
+from quasispec.solutions import MAX_STEPS, _expm
 
 
 def dirichlet2(weight_p=None):
@@ -201,7 +202,7 @@ class TestCharDelta:
             n, b = prob.n, prob.boundary
             model = asymptotic_model(n, b.r, b.p_list)
             ev = DeterminantEvaluator(prob, model)
-            assert ev.exact == exact
+            assert ev.system.table.constant.all() == exact
             wstar = np.sum(model.frame.omegas[model.r:])
             for rc in rcs:
                 rho = rc * model.e_dir
@@ -226,6 +227,25 @@ class TestCharDelta:
             assert laplace_gap(ev, rc) < 1e-12
         with pytest.raises(IntegrationError, match="not finite"):
             ev.d_norm(1e-310)
+
+    def test_magnus_carry_refuses_extreme_rho(self, monkeypatch):
+        # a |rho| whose Magnus steps would exceed solutions.MAX_STEPS fails
+        # typed, naming the first such rho of the call, before the carry
+        # reads a node
+        from quasispec.regularization import ConjugatedSystem
+        prob, model = TestBatches.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
+        ev = DeterminantEvaluator(prob, model)
+        assert not ev.system.table.constant.all()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("carry nodes read")
+
+        monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", refused)
+        for batch, first in (([1e300], 1e300), ([20.0, 3e300, 1e300], 3e300)):
+            with pytest.raises(IntegrationError, match=re.escape(
+                    f"|rho| = {first:.3g} is too large: the carry would take "
+                    f"more than {MAX_STEPS} steps")):
+                ev.d_norm(np.array(batch))
 
     def test_factored_laplace_identity_zero_coeff(self):
         # for zero coefficients both routes are exact: compare absolutely
@@ -271,6 +291,23 @@ class TestCompound:
                 assert np.max(np.abs(E - C)) <= 1e-13 * np.max(np.abs(C))
 
 
+def mp_d_norm(mp, prob, model, rho, C):
+    """Delta det V rho^(-P) exp(-rho omega*) at the mpmath rho, from the
+    fundamental matrix C = C(1) at lambda = rho^n."""
+    n, b = prob.n, prob.boundary
+    U = mp.matrix(n, n)
+    for s, f in enumerate(b.forms):
+        end = mp.eye(n) if f.side == 0 else C
+        for k in range(n):
+            U[s, k] = end[f.p, k] + sum(mp.mpc(u) * end[j, k]
+                                        for j, u in enumerate(f.u))
+    om = [mp.mpc(complex(w)) for w in model.frame.omegas]
+    detV = (mp.det(mp.matrix([[w ** j for w in om] for j in range(n)]))
+            * rho ** (n * (n - 1) // 2))
+    return (mp.det(U) * detV * rho ** -sum(b.p_list)
+            * mp.exp(-rho * sum(om[model.r:])))
+
+
 class TestExactRouteOracle:
     """The exact route against 50 digits of mpmath, on an n = 4 jump
     problem shaped like the strip-n4 benchmark: Delta from the product
@@ -293,7 +330,7 @@ class TestExactRouteOracle:
     def reference(cls, mp, prob, model, rho):
         """Delta det V rho^(-P) exp(-rho omega*) at rho, to 50 digits
         past the exp(2 |rho|) cancellation of the plain determinant."""
-        n, b = prob.n, prob.boundary
+        n = prob.n
         with mp.workdps(50 + int(np.ceil(2 * abs(rho) / np.log(10)))):
             rho = mp.mpc(rho)
             C = mp.eye(n)
@@ -302,24 +339,14 @@ class TestExactRouteOracle:
                 M = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in F])
                 M[n - 1, 0] += rho ** n
                 C = mp.expm(M * (mp.mpf(c) - mp.mpf(a))) * C
-            U = mp.matrix(n, n)
-            for s, f in enumerate(b.forms):
-                end = mp.eye(n) if f.side == 0 else C
-                for k in range(n):
-                    U[s, k] = end[f.p, k] + sum(mp.mpc(u) * end[j, k]
-                                                for j, u in enumerate(f.u))
-            om = [mp.mpc(complex(w)) for w in model.frame.omegas]
-            detV = (mp.det(mp.matrix([[w ** j for w in om] for j in range(n)]))
-                    * rho ** (n * (n - 1) // 2))
-            return (mp.det(U) * detV * rho ** -sum(b.p_list)
-                    * mp.exp(-rho * sum(om[model.r:])))
+            return mp_d_norm(mp, prob, model, rho, C)
 
     def test_d_norm_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         prob = self.problem()
         model = asymptotic_model(4, 1, prob.boundary.p_list)
         ev = DeterminantEvaluator(prob, model)
-        assert ev.exact
+        assert ev.system.table.constant.all()
         for rc in (180.0 + 0.3j, 400.0 - 0.2j):
             want = complex(self.reference(mp, prob, model, rc * model.e_dir))
             assert abs(ev.d_norm(rc) - want) < 1e-10 * abs(want)
@@ -392,7 +419,7 @@ class TestDirectRouteOracle:
     def test_surrogate_counted_roots_against_mpmath(self):
         # the l = 2, 3, 4 strip boxes lie past direct_limit: each is
         # counted and seeded on the surrogate of F, and its root polished
-        # by the factored solve
+        # on F by the Magnus carry
         from quasispec.spectrum import BOX_HALF_HEIGHT_FACTOR
         mp = pytest.importorskip("mpmath")
         prob = self.problem()
@@ -409,6 +436,87 @@ class TestDirectRouteOracle:
                     lambda rc: self.delta(mp, prob, rc * e_dir),
                     mp.mpc(d.rho), tol=mp.mpf(10) ** -25, verify=False))
             assert abs(d.rho - root) < 1e-11 * abs(root)
+
+
+class TestMagnusCarryOracle:
+    """The Magnus carry against mpmath: d_norm at off-root rho past
+    direct_limit, on TestDirectRouteOracle's quadratic problem, on that
+    problem with its coefficient ten times over and on
+    TestExactRouteOracle's n = 4 jump problem with sigma_0 linear on its
+    right piece. C(1) is the product over the pieces of F of mp.expm on
+    a constant piece and of a Taylor solve on a polynomial one."""
+
+    @staticmethod
+    def jump_linear():
+        bp = list(TestExactRouteOracle.BREAKS)
+        return ProblemSpec(
+            boundary=TestExactRouteOracle.problem().boundary,
+            expression=ExpressionSpec(4, (0, 0, 0), (
+                P(bp, [[0.7], [-0.4, 0.4]]), P(bp, [[-0.3], [0.9]]),
+                P(bp, [[0.5], [0.2]]))))
+
+    @staticmethod
+    def quadratic_x10():
+        # the quadratic problem's sigma_1 ten times over: its steps follow
+        # the table's scale
+        prob = TestDirectRouteOracle.problem()
+        sigma1 = P([0, 1], [[4.8, 3.3, -0.54]])
+        return ProblemSpec(boundary=prob.boundary, expression=ExpressionSpec(
+            3, (1, 0), (P.zero(), sigma1)))
+
+    @staticmethod
+    def c_one(mp, prob, lam):
+        """C(1) of y' = (F + Lambda) y piece by piece: on a piece of width
+        h with local coefficients F_d (F = sum_d F_d t^d), mp.expm if F
+        is constant there, else sum_k c_k with c_0 = I and
+        (k + 1) c_(k+1) = sum_d F_d h^(d+1) c_(k-d), the terms at t = 1."""
+        n, bp = prob.n, prob.F.breakpoints()
+        entries = [[e.refined(bp) for e in row] for row in prob.F.entries]
+        C = mp.eye(n)
+        for p, (a, c) in enumerate(zip(bp[:-1], bp[1:])):
+            h = mp.mpf(c) - mp.mpf(a)
+            deg = max(len(e.coeffs[p]) for row in entries for e in row)
+            Fd = [mp.matrix([[mp.mpc(complex(e.coeffs[p][d]))
+                              if d < len(e.coeffs[p]) else 0 for e in row]
+                             for row in entries]) for d in range(deg)]
+            Fd[0][n - 1, 0] += lam
+            if deg == 1:
+                C = mp.expm(Fd[0] * h) * C
+                continue
+            Fd = [M * h ** (d + 1) for d, M in enumerate(Fd)]
+            terms, total = [mp.eye(n)], mp.eye(n)
+            while len(terms) < 8 or any(
+                    mp.mnorm(t, 1) > mp.eps * mp.mnorm(total, 1)
+                    for t in terms[-deg:]):
+                k = len(terms) - 1
+                terms.append(sum((Fd[d] * terms[k - d]
+                                  for d in range(min(deg, k + 1))),
+                                 mp.zeros(n)) / (k + 1))
+                total += terms[-1]
+            C = total * C
+        return C
+
+    @pytest.mark.parametrize("problem", [
+        TestDirectRouteOracle.problem, quadratic_x10, jump_linear],
+        ids=["quadratic", "quadratic-x10", "jump"])
+    def test_d_norm_against_mpmath(self, problem):
+        mp = pytest.importorskip("mpmath")
+        prob = problem()
+        b = prob.boundary
+        model = asymptotic_model(prob.n, b.r, b.p_list)
+        ev = DeterminantEvaluator(prob, model)
+        assert not ev.system.table.constant.all()
+        # between the roots: a strip box's top and bottom edges
+        rcs = np.array([25.0 + 0.9j, 61.0 - 1.1j, 150.0 + 0.8j])
+        assert np.all(np.abs(rcs) > ev.direct_limit)
+        got = ev.d_norm(rcs)
+        for rc, value in zip(rcs, got):
+            rho = rc * model.e_dir
+            with mp.workdps(30 + int(np.ceil(2 * abs(rho) / np.log(10)))):
+                rho = mp.mpc(rho)
+                want = complex(mp_d_norm(mp, prob, model, rho,
+                                         self.c_one(mp, prob, rho ** prob.n)))
+            assert abs(value - want) <= 1e-12 * abs(want)
 
 
 class TestContours:
@@ -640,16 +748,14 @@ class TestWeights:
         assert abs(d.lam) < 1e-8
         assert abs(d.beta + 2.0) < 1e-9
 
-    @pytest.mark.parametrize("coeff, factored_circles", [
-        (P.constant(1.1), 0), (P([0.0, 1.0], [[1.1, 0.6]]), 6)],
-        ids=["constant", "linear"])
-    def test_one_circle_of_solves_per_weight(self, monkeypatch, coeff,
-                                             factored_circles):
+    @pytest.mark.parametrize("coeff", [
+        P.constant(1.1), P([0.0, 1.0], [[1.1, 0.6]])], ids=["constant", "linear"])
+    def test_one_circle_of_solves_per_weight(self, monkeypatch, coeff):
         # a weight costs its circle's RESIDUE_POINTS solves, shared by the
         # plain and bullet rows, on any route: a lambda of a direct
-        # integration, a point of an exact-route carry (constant
-        # coefficients) or of a factored solve (a linear one), whose carry
-        # then solves nothing more; each call takes a batch of lambda or rho
+        # integration or a point of the carry, exact steps on constant
+        # coefficients and Magnus steps on a linear one; each call takes
+        # a batch of lambda or rho
         from quasispec import spectrum
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
@@ -667,46 +773,45 @@ class TestWeights:
                 return solve(*args, **kwargs)
             return call
 
-        for name in ("integrate_fundamental", "fss_ends"):
-            monkeypatch.setattr(spectrum, name,
-                                counted(name, getattr(spectrum, name)))
+        monkeypatch.setattr(spectrum, "integrate_fundamental",
+                            counted("integrate_fundamental",
+                                    spectrum.integrate_fundamental))
         monkeypatch.setattr(DeterminantEvaluator, "_carry",
                             counted("_carry", DeterminantEvaluator._carry))
         out = weight_numbers(res)
         assert all(d.beta is not None for d in out.data)
-        factored = factored_circles * spectrum.RESIDUE_POINTS
-        assert points.get("fss_ends", 0) == factored
-        if factored:
-            assert points["_carry"] == factored
+        # the weight circles of l = 3..8 reach past direct_limit
+        assert points["_carry"] == 6 * spectrum.RESIDUE_POINTS
         assert points.get("integrate_fundamental", 0) + points["_carry"] == (
             spectrum.RESIDUE_POINTS * len(out.data))
 
     def test_constant_pieces_need_no_factored_solve(self, monkeypatch):
-        # past direct_limit, constant coefficients take the exact route;
-        # a polynomial coefficient still takes the factored solve
-        from quasispec import spectrum
+        # past direct_limit the carry serves constant and polynomial
+        # coefficients alike: locating and weighing builds no kernel bank
+        # of the factored solve
+        from quasispec import birkhoff
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         boundary = BoundarySpec(1, forms, BoundaryForm(0, 1))
 
-        def problem(coeff):
-            return ProblemSpec(boundary=boundary, expression=ExpressionSpec(
+        def refused(*args):
+            raise AssertionError("factored solve")
+
+        monkeypatch.setattr(birkhoff._KernelBank, "__init__", refused)
+        for coeff in (P.constant(1.1), P([0.0, 1.0], [[1.1, 0.6]]),
+                      P([0.0, 1.0], [[0.48, 0.33, -0.054]])):
+            prob = ProblemSpec(boundary=boundary, expression=ExpressionSpec(
                 3, (1, 0), (P.constant(0.4), coeff)))
-
-        def refused(system, rho):
-            raise AssertionError(f"factored solve at rho = {rho}")
-
-        monkeypatch.setattr(spectrum, "fss_ends", refused)
-        res = weight_numbers(locate_eigenvalues(problem(P.constant(1.1)),
-                                                l_max=5))
-        ev = DeterminantEvaluator(res.problem, res.model)
-        assert abs(res.data[-1].rho) > ev.direct_limit
-        assert all(d.beta is not None for d in res.data)
+            res = weight_numbers(locate_eigenvalues(prob, l_max=5))
+            ev = DeterminantEvaluator(res.problem, res.model)
+            assert abs(res.data[-1].rho) > ev.direct_limit
+            assert all(d.beta is not None for d in res.data)
+        sys = DeterminantEvaluator(prob, res.model).system
         with pytest.raises(AssertionError, match="factored solve"):
-            locate_eigenvalues(problem(P([0.0, 1.0], [[1.1, 0.6]])), l_max=5)
+            birkhoff_fss(sys, 20.0 * res.model.e_dir)
 
     def test_weight_circle_routed_by_its_far_side(self, monkeypatch):
         # l = 3 lies inside direct_limit, but its weight circle reaches
-        # past it, so the whole circle takes the factored route
+        # past it, so the whole circle takes d_norm
         from quasispec.spectrum import _ratio_and_residue, _run
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
@@ -742,8 +847,8 @@ class TestBatches:
 
     @staticmethod
     def weighted(coeff):
-        # n = 3 with a weight form: constant coefficients take the exact
-        # route past direct_limit, a linear one the factored solve
+        # n = 3 with a weight form: past direct_limit constant
+        # coefficients take exact carry steps, a linear one Magnus steps
         forms = (BoundaryForm(0, 0), BoundaryForm(1, 0), BoundaryForm(1, 1))
         prob = ProblemSpec(
             boundary=BoundarySpec(1, forms, BoundaryForm(0, 1)),
@@ -760,7 +865,7 @@ class TestBatches:
         rcs = np.array([[8.0 + 0.1j, 11.0 - 0.3j, 15.0 + 0.2j],
                         [26.0 + 0.5j, 9.5, 8.0 + 0.1j]])
         ev = DeterminantEvaluator(prob, model)
-        assert ev.exact == exact
+        assert ev.system.table.constant.all() == exact
         batch = ev.d_norm(rcs, bullet=bullet)
         single = DeterminantEvaluator(prob, model)
         points = [single.d_norm(rc, bullet=bullet) for rc in rcs.ravel()]
@@ -771,26 +876,82 @@ class TestBatches:
         assert np.array_equal(batch.reshape(-1, *(2,) * bullet),
                               np.array(points))
 
-    def test_factored_d_norm_solves_a_call_at_once(self, monkeypatch):
-        # the carry takes a call's points in chunks of CARRY_COMPOUNDS
-        # compounds, but one fss_ends call solves them all, so the
-        # factored solve stacks the whole call; the plain and the bullet
-        # rows of a bullet call share it
+    @staticmethod
+    def steps(ev, rcs):
+        # _carry_steps of each point (rows) on each non-constant piece
         from quasispec import spectrum
-        monkeypatch.setattr(spectrum, "CARRY_COMPOUNDS", 512)
+        table = ev.system.table
+        live = ~table.constant
+        return spectrum._carry_steps(np.abs(rcs)[:, None], table.scale[live],
+                                     np.diff(table.breakpoints)[live])
+
+    def test_factored_d_norm_solves_a_call_at_once(self, monkeypatch):
+        # one carry takes a call's points, the plain and the bullet rows
+        # of a bullet call sharing it; its segments group them by step
+        # count (64, 128 and 256 Magnus steps on this |rho| range), read
+        # the piece table once per group and cut each group into batches
+        # of at most CARRY_COMPOUNDS compounds, each point once
+        from quasispec import spectrum
+        from quasispec.regularization import ConjugatedSystem
         prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
         ev = DeterminantEvaluator(prob, model)
-        rcs = np.linspace(8.0, 20.0, 120) + 0.1j
-        assert len(rcs) * len(ev._laplace[0]) ** 2 > spectrum.CARRY_COMPOUNDS
-        taken, solve = [], spectrum.fss_ends
+        rcs = np.linspace(8.0, 100.0, 120) + 0.1j
+        S = len(ev._laplace[0])
+        carried, batches, reads = [], [], []
+        carry, segments = DeterminantEvaluator._carry, DeterminantEvaluator._segments
+        evaluate_Ak = ConjugatedSystem.evaluate_Ak
 
-        def recorded(system, rho):
-            taken.append(len(rho))
-            return solve(system, rho)
+        def carry_recorded(self, rho, right):
+            carried.append(len(rho))
+            return carry(self, rho, right)
 
-        monkeypatch.setattr(spectrum, "fss_ends", recorded)
+        def segments_recorded(self, rho):
+            for b, E in segments(self, rho):
+                batches.append(rho[b])
+                yield b, E
+
+        def read(self, x, at=None):
+            reads.append(np.shape(x))
+            return evaluate_Ak(self, x, at)
+
+        monkeypatch.setattr(DeterminantEvaluator, "_carry", carry_recorded)
+        monkeypatch.setattr(DeterminantEvaluator, "_segments", segments_recorded)
+        monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", read)
+        monkeypatch.setattr(spectrum, "CARRY_COMPOUNDS", 200)
         ev.d_norm(rcs, bullet=True)
-        assert taken == [len(rcs)]
+        assert carried == [len(rcs)]
+        rho = np.concatenate(batches)
+        assert sorted(rho.tolist(), key=abs) == list(rcs * model.e_dir)
+        # a batch shares one step count
+        batch_steps = [np.unique(self.steps(ev, r)) for r in batches]
+        assert all(len(K) == 1 for K in batch_steps)
+        steps = self.steps(ev, rcs)[:, 0]
+        assert list(np.unique(steps)) == [64, 128, 256]
+        size = 200 // S ** 2
+        for K in np.unique(steps):
+            count = np.sum(steps == K)
+            assert [len(r) for r, k in zip(batches, batch_steps) if k == K] == (
+                [size] * (count // size) + [count % size] * bool(count % size))
+        assert len(batches) > 3
+        # the midpoints of the (no) constant pieces, then each group's nodes
+        assert reads == [(0,)] + [(int(K), 3) for K in np.unique(steps)]
+
+    def test_magnus_steps_in_chunks(self, monkeypatch):
+        # a piece's steps past CHUNK_STEPS run in chunks, each its own
+        # product tree: the values move by rounding only, and a batch
+        # still equals its points bit for bit
+        from quasispec import spectrum
+        prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
+        rcs = np.array([30.0 + 0.2j, 45.0 - 0.4j, 41.0 + 0.1j])
+        ev = DeterminantEvaluator(prob, model)
+        whole = ev.d_norm(rcs)
+        assert np.all(self.steps(ev, rcs) == 128)
+        monkeypatch.setattr(spectrum, "CHUNK_STEPS", 50)
+        ev = DeterminantEvaluator(prob, model)
+        chunked = ev.d_norm(rcs)
+        assert np.max(np.abs(chunked - whole) / np.abs(whole)) < 1e-13
+        assert not np.array_equal(chunked, whole)
+        assert np.array_equal(chunked, [ev.d_norm(rc) for rc in rcs])
 
     def test_d_norm_computes_each_rho_once(self, monkeypatch):
         # two rho_check an ulp apart (an edge two strip-n4 boxes share,
@@ -1216,16 +1377,17 @@ class TestSurrogate:
         assert got == self.located(prob)
 
     def test_factored_solves_per_strip_index(self, monkeypatch):
-        # the boxes' counts, refinements and seeds solve nothing: the
-        # factored solve only polishes, a few points per root
+        # the boxes' counts, refinements and seeds carry nothing on F:
+        # F's carry only polishes, a few points per root
         from quasispec import spectrum
-        solve, points = spectrum.fss_ends, []
+        carry, points = DeterminantEvaluator._carry, []
 
-        def counted(system, rho):
-            points.append(len(rho))
-            return solve(system, rho)
+        def counted(self, rho, right):
+            if not isinstance(self, spectrum._Surrogate):
+                points.append(len(rho))
+            return carry(self, rho, right)
 
-        monkeypatch.setattr(spectrum, "fss_ends", counted)
+        monkeypatch.setattr(DeterminantEvaluator, "_carry", counted)
         data, _, n_low = self.located(self.problem())
         assert len(data) == 10 and points
         assert sum(points) <= 4 * (10 - n_low)
