@@ -293,6 +293,9 @@ def cmd_compare(pa, settings, pb, _, args, out, err):
     l_min, l_max, kappa = settings
     if pa.expression is None or pb.expression is None:
         raise ConfigurationError("compare requires expression-mode configs")
+    if pa.n != pb.n:
+        raise ValidationError("order.n", f"the pair has orders {pa.n} and "
+                              f"{pb.n}; compare needs one order")
     nu0 = _infer_nu0(pa.expression, pb.expression)
     if nu0 > pa.n - 2:
         raise ValidationError("coefficients",

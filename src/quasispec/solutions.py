@@ -1,27 +1,19 @@
-"""Fundamental matrices of y' = (F(x) + Lambda) y for moderate |lambda|.
+"""Fundamental matrices of y' = (F(x) + Lambda) y for moderate |lambda|,
+and the one stepping kernel of the package.
 
-Two routes live here: a closed-form oracle for zero coefficients (pure
-exponential or power-series basis for y^(n) = lambda y) and a Magnus
-stepper for the general piecewise-polynomial F, which reads F through
-its compiled piece table. Every piece uses the sixth-order three-node
-Magnus scheme; on a constant piece the three nodes agree, the scheme
-reduces to exp(h M) exactly, and one step spans the piece.
+A closed-form oracle for zero coefficients (exponential or power-series
+basis of y^(n) = lambda y) sits beside the Magnus stepper for the
+general piecewise-polynomial F, read through its piece table.
 
-The stepper takes one lambda or an array of them and works in batches,
-every lambda's step counts checked against the budget before any step
-is taken. Every exponential is one kernel, _expm: scaling and squaring
-over the [13/13] Pade approximant, each slice of a stack on its own, of
-Omegas balanced by diag(r^j), r = max(1, |rho|). The one-step intervals
-of all the lambdas share one stacked _expm, each lambda's product then
-taken in grid order. A longer interval's steps run per lambda in chunks
-of at most CHUNK_STEPS: one piece-table read at all Gauss nodes of the
-chunk, one stacked _expm of the chunk's Omegas, and a pairwise product
-tree, later step on the left.
-
-The Magnus formula (_magnus6), the exponential (_expm) and the product
-tree (_ordered_product) serve large |rho| too: there `spectrum` steps the
-compound of the conjugated system rho B + A across each non-constant
-piece with them, and takes no fundamental matrix from here.
+_transfer steps every system: a batch of points sharing a step count
+across some pieces, each step's exponent Omega from three Gauss nodes
+(_magnus6, sixth order) or from the midpoint alone (one such step spans
+a constant piece exactly), one stacked _expm (scaling and squaring over
+the [13/13] Pade approximant, each slice on its own) per chunk of steps
+and a product tree, later step on the left. The direct route
+(_fundamental) balances its Omegas by diag(r^j), r = max(1, |rho|);
+spectrum's carry lifts its nodes to the compound system, and a counting
+surrogate takes midpoint steps on F's own pieces.
 """
 
 from __future__ import annotations
@@ -47,9 +39,10 @@ _GL3 = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])
 LAMBDA_MAX = 1e12
 # most Magnus steps one integration, or one point of spectrum's carry, may take
 MAX_STEPS = 500_000
-# most Magnus steps one stacked exponential takes, here and in spectrum's
-# carry; bounds the batch's memory
-CHUNK_STEPS = 4096
+# most steps one stacked exponential of the kernel takes (point x piece x
+# step), on every route: _expm costs least a slice near 512 (3 x 3 to 6 x 6
+# stacks; at 4096 up to 1.6 times as much, its temporaries out of cache)
+CHUNK_STEPS = 512
 # Magnus steps per unit of (sL)^(7/6) on a non-constant piece of length
 # L and dynamics scale s (sixth order: the error is ~ (sL)^7 / steps^6)
 STEPS_PER_SCALE = 17.0
@@ -199,14 +192,18 @@ def _ordered_product(E):
     return E[0]
 
 
+def _pieces(table, grid):
+    """The piece holding each interval of a grid holding every breakpoint."""
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    return np.searchsorted(table.breakpoints, mid, side="right") - 1
+
+
 def _step_counts(table, grid, rho_scale):
     """Magnus steps of each grid interval, as floats: one on a constant
     piece, else STEPS_PER_SCALE * (sL)^(7/6) for the interval length L
     and the dynamics scale s = max(1, |lambda|^(1/n), sup|F| on the
     piece)."""
-    # the grid holds every breakpoint, so each midpoint is inside a piece
-    piece = np.searchsorted(table.breakpoints, 0.5 * (grid[:-1] + grid[1:]),
-                            side="right") - 1
+    piece = _pieces(table, grid)
     sL = np.fmax(np.fmax(1.0, rho_scale), table.scale[piece]) * np.diff(grid)
     # a scale near the float limit gives inf steps, which exhaust the budget
     with np.errstate(over="ignore"):
@@ -214,76 +211,104 @@ def _step_counts(table, grid, rho_scale):
     return np.where(table.constant[piece], 1.0, np.fmax(1.0, steps))
 
 
-def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
-    """Fundamental matrix C(x, lambda) with C(0) = I on the requested grid,
-    for one lambda or for each of an array of them (values of shape
-    lam's shape + (len(grid), n, n)).
+def _transfer(read, lift, points, a, width, steps, midpoint=False,
+              balance=None):
+    """Transfer matrices (m, p, N, N) of the points (m indices) across the
+    pieces [a, a + width] (p each), each in `steps` steps of width h, the
+    later on the left. The node matrices of the points b are lift(read(ts),
+    b) at the nodes ts (p * steps, j) of a chunk of at most CHUNK_STEPS
+    steps. Omega is _magnus6 at the Gauss nodes, or with midpoint h times
+    the midpoint's matrix, times balance[b] if given; one stacked _expm and
+    product tree per batch of at most CHUNK_STEPS (point x piece x step)."""
+    h = width / steps
+    nodes = np.array([0.5]) if midpoint else _GL3
+    span = max(1, CHUNK_STEPS // len(a))
+    E = None
+    for q0 in range(0, steps, span):
+        q = np.arange(q0, min(q0 + span, steps))
+        ts = (a[:, None] + q * h[:, None])[..., None] + h[:, None, None] * nodes
+        values = read(ts.reshape(-1, len(nodes)))
+        hs = np.repeat(h, len(q))[:, None, None]
+        size = max(1, CHUNK_STEPS // len(hs))
+        X = []
+        for i in range(0, len(points), size):
+            b = points[i:i + size]
+            A = lift(values, b)
+            Om = (hs * A[:, :, 0] if midpoint
+                  else _magnus6(*np.moveaxis(A, 2, 0), hs))
+            if balance is not None:
+                Om = Om * balance[b, None]
+            Om = _expm(Om.reshape(-1, *Om.shape[-2:]))
+            Om = Om.reshape(len(b), len(a), len(q), *Om.shape[-2:])
+            X.append(_ordered_product(np.moveaxis(Om, 2, 0)))
+        X = np.concatenate(X)
+        E = X if E is None else X @ E
+    return E if balance is None else E / balance[points, None]
 
-    Step points always include every coefficient breakpoint. Each piece
-    takes sixth-order Magnus steps, STEPS_PER_SCALE per unit of (sL)^(7/6)
-    for the interval length L and the dynamics scale s = max(|lambda|^(1/n),
-    sup|F|); a piece on which F is constant takes one step, the exact
-    exp(M (b - a)). The step counts of all intervals are checked against
-    MAX_STEPS before any step is taken; the steps then run in batches (see
-    the module docstring). The one-step intervals of every lambda share one
-    stacked _expm, and each lambda's values are those of its lone call.
-    IntegrationError names the first lambda past LAMBDA_MAX or past the
-    step budget.
-    """
+
+def _fundamental(table, lams, grid, pieces=None):
+    """C (L, len(grid), n, n) with C(0) = I at the lambdas lams (L,) for F's
+    table. The constant pieces take one midpoint step, all in one
+    _transfer; another interval _step_counts Gauss steps (checked against
+    MAX_STEPS first), or `pieces` midpoint steps (a counting surrogate),
+    one _transfer per group of equal steps. Omegas are balanced by
+    diag(r^j), r = max(1, |lambda|^(1/n)); C takes its factors in order."""
+    n = table.nonzero.shape[0]
+    r = np.array([abs(x) ** (1.0 / n) for x in lams])
+    const = table.constant[_pieces(table, grid)]
+    if pieces is None:
+        counts = _step_counts(table, grid, r[:, None])
+        over = np.cumsum(counts, axis=1) > MAX_STEPS
+        if over.any():
+            raise IntegrationError("step budget exhausted",
+                                   x=grid[np.argmax(over[np.argmax(over.any(1))])])
+    else:
+        counts = np.full((len(lams), len(const)), pieces)
+    lam_mat = _lambda_matrix(n, lams)
+    # steps run balanced: Omega * W = diag(r^-j) Omega diag(r^j)
+    W = np.fmax(1.0, r)[:, None, None] ** (np.arange(n) - np.arange(n)[:, None])
+    read = lambda ts: np.moveaxis(table(ts), (0, 1), (-2, -1))
+    lift = lambda values, b: values + lam_mat[b, None, None]
+    a, h = grid[:-1], np.diff(grid)
+    E = np.empty((len(lams), len(a), n, n), dtype=complex)
+    values = np.zeros((len(lams), len(grid), n, n), dtype=complex)
+    values[:, 0] = np.eye(n)
+    # coefficients near the float limit overflow to inf or nan, which
+    # the determinant's finiteness checks report as a typed failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        if const.any():
+            E[:, const] = _transfer(read, lift, np.arange(len(lams)), a[const],
+                                    h[const], 1, True, W)
+        for g in np.flatnonzero(~const):
+            for k in np.unique(counts[:, g]):
+                i = np.flatnonzero(counts[:, g] == k)
+                E[i, g] = _transfer(read, lift, i, a[g:g + 1], h[g:g + 1],
+                                    int(k), pieces is not None, W)[:, 0]
+        for g in range(len(a)):
+            values[:, g + 1] = E[:, g] @ values[:, g]
+    return values
+
+
+def integrate_fundamental(F: AssociatedMatrix, lam, grid=None):
+    """Fundamental matrix C(x, lambda) with C(0) = I on the requested grid
+    joined with every breakpoint, for one lambda or each of an array of
+    them (values of shape lam's shape + (len(grid), n, n), each lambda's
+    those of its lone call), stepped by _fundamental. IntegrationError
+    names the first lambda past LAMBDA_MAX or past the step budget."""
     lams = np.asarray(lam, dtype=complex)
     flat = lams.ravel()
-    n = F.n
     for x in flat:
         if abs(x) > LAMBDA_MAX:
             raise IntegrationError(
                 f"|lambda|={abs(x):.3g} beyond direct-integration cap "
                 f"{LAMBDA_MAX:.3g}; use the large-rho solver")
-    table = F.table
-    bp = table.breakpoints
+    bp = F.table.breakpoints
     if grid is None:
         grid = bp
     grid = np.union1d(np.asarray(grid, dtype=float), bp)
     if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValidationError("grid", "grid must span [0, 1]")
-    lam_mat = _lambda_matrix(n, flat)
-    r = np.array([abs(x) ** (1.0 / n) for x in flat])
-    counts = _step_counts(table, grid, r[:, None])
-    over = np.cumsum(counts, axis=1) > MAX_STEPS
-    if over.any():
-        raise IntegrationError("step budget exhausted",
-                               x=grid[np.argmax(over[np.argmax(over.any(1))])])
-    counts = counts.astype(int)
-
-    values = np.zeros((len(flat), len(grid), n, n), dtype=complex)
-    values[:, 0] = np.eye(n)
-    # steps run balanced: Omega * W = diag(r^-j) Omega diag(r^j)
-    W = np.fmax(1.0, r)[:, None, None] ** (np.arange(n) - np.arange(n)[:, None])
-    # coefficients near the float limit overflow to inf or nan, which
-    # the determinant's finiteness checks report as a typed failure
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the one-step intervals of every lambda, each constant piece among
-        # them, by one stacked _expm: their Omegas can be large
-        one = counts == 1
-        E = np.empty(one.shape + (n, n), dtype=complex)
-        if one.any():
-            li, gi = np.nonzero(one)
-            h = np.diff(grid)[gi][:, None, None]
-            ts = grid[gi][:, None] + h[:, 0] * _GL3
-            nodes = np.moveaxis(table(ts), (3, 2), (0, 1)) + lam_mat[li]
-            E[li, gi] = _expm(_magnus6(*nodes, h) * W[li]) / W[li]
-        C = values[:, 0].copy()
-        for gi, nsteps in enumerate(counts.T):
-            single = nsteps == 1
-            C[single] = E[single, gi] @ C[single]
-            for i in np.flatnonzero(~single):
-                h = (grid[gi + 1] - grid[gi]) / nsteps[i]
-                for q0 in range(0, nsteps[i], CHUNK_STEPS):
-                    q = np.arange(q0, min(q0 + CHUNK_STEPS, nsteps[i]))
-                    ts = (grid[gi] + q * h)[:, None] + h * _GL3
-                    nodes = np.moveaxis(table(ts), (3, 2), (0, 1)) + lam_mat[i]
-                    E_q = _expm(_magnus6(*nodes, h) * W[i])
-                    C[i] = (_ordered_product(E_q) / W[i]) @ C[i]
-            values[:, gi + 1] = C
+    values = _fundamental(F.table, flat, grid)
     return FundamentalMatrix(
         lam=lams if lams.ndim else complex(lams), grid=grid,
         values=values.reshape(lams.shape + values.shape[1:]))

@@ -8,16 +8,17 @@ relative accuracy) the normalized determinant d_norm takes over, in
 which no exponential with a positive real part is ever taken. It has
 one formula, the compound-matrix method: the (n - r)-th compound of the
 x = 1 rows is carried to x = 0 across the pieces of [0, 1] and met by
-the x = 0 rows in a Laplace sum. A constant piece is crossed exactly by
-the exponential of an additive compound matrix; a non-constant one in
-sixth-order Magnus steps, each the exponential of the compound of the
-step's Magnus exponent, their number set by |rho| and by the piece's
-width and coefficient scale. Zero coefficients take the same routes: a
-zero piece is a constant one. Both routes share the same zeros, and on
-each the bullet determinant carries the plain one's normalization, so
-weight numbers read the same ratio Delta_bullet / Delta off either
-route; a bullet call gives both side by side, from one solve per point.
-The evaluator keeps no values.
+the x = 0 rows in a Laplace sum. Both routes step with one kernel
+(solutions._transfer). The carry steps the additive compound of the
+conjugated system: a constant piece in one midpoint step, exactly the
+exponential of the compound matrix, a non-constant one in sixth-order
+Magnus steps of the compound system, their number set by |rho| and by
+the piece's width and coefficient scale. Zero coefficients take the
+same routes: a zero piece is a constant one. Both routes share the same
+zeros, and on each the bullet determinant carries the plain one's
+normalization, so weight numbers read the same ratio Delta_bullet /
+Delta off either route; a bullet call gives both side by side, from one
+solve per point. The evaluator keeps no values.
 
 Eigenvalue numbering follows the zero-count anchoring: the low-lying
 zeros are counted by the argument principle on a circle whose radius
@@ -27,12 +28,13 @@ strip box centered on the calibrated prediction. Every counted contour,
 circle or box, is one _zeros_inside work: its zeros come from the
 contour moments of the values its count made, and one loop numbers them
 in order, each zero taking as many indices as its multiplicity. Where F
-has a non-constant piece, a contour is counted and seeded on a
-piecewise-constant surrogate of F, certified against a coarser one
-(Rouche), and Newton polishes on F; if that pass fails, it is counted on
-F. Works are generators of point requests run in lockstep: each round,
-the points all of them ask of one evaluator function go to it in one
-call, which computes each distinct point once.
+has a non-constant piece, a contour is counted and seeded on a surrogate
+of F, a step rule of a few midpoint steps a non-constant piece (F held
+at its midpoint values), certified against a coarser one (Rouche), and
+Newton polishes on F; if that pass fails, it is counted on F. Works
+are generators of point requests run in lockstep: each round, the
+points all of them ask of one evaluator function go to it in one call,
+which computes each distinct point once.
 """
 
 from __future__ import annotations
@@ -59,12 +61,9 @@ from .regularization import (
     conjugate_system,
 )
 from .solutions import (
-    _GL3,
-    CHUNK_STEPS,
     MAX_STEPS,
-    _expm,
-    _magnus6,
-    _ordered_product,
+    _fundamental,
+    _transfer,
     integrate_fundamental,
 )
 from .solutions import closed_form_zero_coeff  # noqa: F401 (bench/tracer.py)
@@ -222,10 +221,6 @@ CONTOUR_RETRIES = 3
 DERIVATIVE_RTOL = 1e-9
 # first node count of the Cauchy derivative circle (doubled up to 5 times)
 DERIVATIVE_START_NODES = 16
-# most transfer-matrix entries (point x piece x subset pair) one batch of
-# the carry takes; bounds the memory of its exponentials (larger batches
-# made the benchmark commands no faster, only bigger)
-CARRY_COMPOUNDS = 2048
 # Magnus steps of the carry per unit width of a non-constant piece and per
 # unit of s^(1/6) sqrt|rho|, s the piece's table scale: while |rho| h <= 1,
 # d_norm's error goes as s |rho|^3 h^6 for steps of width h (measured on
@@ -294,6 +289,10 @@ def _carry_steps(rho_abs, scale, width):
 class DeterminantEvaluator:
     """All determinant routes for one problem in one sector frame."""
 
+    # midpoint steps a non-constant piece (a counting surrogate), or None
+    # for F's own Magnus steps (_step_counts, _carry_steps)
+    pieces = None
+
     def __init__(self, problem: ProblemSpec, model: AsymptoticModel):
         self.problem = problem
         self.model = model
@@ -332,9 +331,12 @@ class DeterminantEvaluator:
         """det[U_s(C_k)] at an array of lambda, in its shape, or with bullet
         the plain and the bullet determinant side by side (a last axis of
         2). Rows at x = 0 come from C(0) = I exactly, C(1) of the distinct
-        lambdas from one integrate_fundamental call; one stacked det."""
+        lambdas from one integrate_fundamental call (a surrogate's from its
+        midpoint steps); one stacked det."""
         lam_u, where = _first_occurrences(np.ravel(lam))
-        C1 = integrate_fundamental(self.F, lam_u).at_one
+        table = self.F.table
+        C1 = (_fundamental(table, lam_u, table.breakpoints, self.pieces)[:, -1]
+              if self.pieces else integrate_fundamental(self.F, lam_u).at_one)
         M = self._boundary_rows((np.broadcast_to(np.eye(self.n), C1.shape), C1),
                                 bullet)
         # overflow to inf or nan is reported by _contour_values' finiteness
@@ -375,103 +377,54 @@ class DeterminantEvaluator:
                     G[i, j, s, t] = (-1) ** (a + b)
         return G
 
-    @cached_property
-    def _midpoint_Ak(self):
-        """The A_k at the midpoints of the constant pieces, where the
-        carry reads them."""
-        bp = self.system.breakpoints()
-        return self.system.evaluate_Ak(
-            0.5 * (bp[:-1] + bp[1:])[self.system.table.constant])
-
     def _segments(self, rho):
-        """The transfer matrices of the carry at the points rho (m,), one per
-        piece: yields (b, E), the indices b of a batch of rho and the list
-        E of (len(b), S, S) stacks, E_p the compound C(P)[S, T] =
-        det P[S, T] of the solution operator P of w' = M w, M = rho B + A,
-        across piece p (width h_p), times exp(-h_p rho omega*). The points
-        are grouped by their step counts on every piece (_carry_steps), and
-        a group cut into batches of at most CARRY_COMPOUNDS entries (point
-        x piece x subset pair).
-
-        A constant piece is one step, A at its midpoint: E_p =
-        exp(h_p (M^[n-r] - rho omega*)) for the additive compound M^[n-r]
-        (_compound), a batch's constant pieces by one stacked _expm. A
-        non-constant piece takes _magnus_steps, a group at a time. Before
-        any of this, IntegrationError names the first rho of the call whose
-        steps exceed solutions.MAX_STEPS, else the first at which rho B or
-        a rho^-k is not finite. Runs under d_norm's errstate.
-        """
+        """The carry's transfer matrices (m, P, S, S) at the points rho (m,):
+        E_p = det P[S, T] exp(-h_p rho omega*) for the solution operator P
+        of w' = (rho B + A) w across piece p, from solutions._transfer on
+        the nodes M^[n-r] - rho omega* (the additive compound, a Lie algebra
+        homomorphism): one midpoint step on each constant piece, all in one
+        call, and _carry_steps Gauss steps (a surrogate's `pieces` midpoint
+        steps) on another, one call per group of equal steps. Before any
+        step, IntegrationError names the first rho past MAX_STEPS, else the
+        first at which rho B or a rho^-k is not finite. Runs under d_norm's
+        errstate."""
         n, om = self.n, self.model.frame.omegas
         table = self.system.table
         bp, const = table.breakpoints, table.constant
-        h, magnus = np.diff(bp), np.flatnonzero(~const)
-        K = _carry_steps(np.abs(rho)[:, None], table.scale[magnus], h[magnus])
-        total = np.sum(K, axis=1)
-        over = total + np.sum(const) > MAX_STEPS
+        h = np.diff(bp)
+        K = (np.full((len(rho), len(h)), self.pieces) if self.pieces else
+             _carry_steps(np.abs(rho)[:, None], table.scale, h))
+        over = np.sum(np.where(const, 1, K), axis=1) > MAX_STEPS
         if over.any():
             raise IntegrationError(
                 f"|rho| = {abs(rho[np.argmax(over)]):.3g} is too large: "
                 f"the carry would take more than {MAX_STEPS} steps")
-        # each piece's steps grow with |rho|, so equal totals are equal rows
-        # of K, and sorted by total a group is a run of points
-        order = np.argsort(total, kind="stable")
-        K, total, rho_s = K[order], total[order], rho[order]
-        pows, rho_om = rho_s[:, None] ** -np.arange(n), rho_s[:, None] * om
+        pows, rho_om = rho[:, None] ** -np.arange(n), rho[:, None] * om
         finite = np.all(np.isfinite(pows) & np.isfinite(rho_om), axis=1)
         if not finite.all():
             raise IntegrationError("rho B + A is not finite at rho = "
-                                   f"{rho[np.min(order[~finite])]:.6g}")
-        wstar = _unfused_product(rho_s, np.sum(om[self.model.r:]))
-        Ak, hc = self._midpoint_Ak, h[const, None, None]
-        slot = np.cumsum(const) - 1   # a constant piece's place among them
-        eye = np.eye(self._compound.shape[-1])
-        size = max(1, CARRY_COMPOUNDS // (len(h) * len(eye) ** 2))
-        cuts = list(np.flatnonzero(total[1:] != total[:-1]) + 1)
-        for lo, hi in zip([0] + cuts, cuts + [len(total)]):
-            g = slice(lo, hi)
-            Em = {p: self._magnus_steps(pows[g], rho_om[g], wstar[g], bp[p],
-                                        h[p], k)
-                  for p, k in zip(magnus, K[lo].astype(int))}
-            for i in range(lo, hi, size):
-                b = slice(i, min(i + size, hi))
-                M = (np.tensordot(pows[b], Ak, axes=1)
-                     + rho_om[b, None, None, :] * np.eye(n))
-                Mk = np.tensordot(M, self._compound, axes=2)
-                Mk -= wstar[b, None, None, None] * eye
-                Ec = _expm((hc * Mk).reshape(-1, *eye.shape)).reshape(Mk.shape)
-                yield order[b], [Em[p][i - lo:i - lo + size] if p in Em
-                                 else Ec[:, slot[p]] for p in range(len(h))]
-
-    def _magnus_steps(self, pows, rho_om, wstar, a, width, steps):
-        """The carry's transfer matrices (m, S, S) across the non-constant
-        piece [a, a + width] in `steps` steps of width h, at m points (pows
-        their rho^-k, rho_om their rho omega, the diagonal of rho B, wstar
-        their rho omega*). A step is exp(Omega^[n-r] - h rho omega*) for
-        the sixth-order Magnus exponent Omega of M = rho B + A on it
-        (solutions._magnus6): the additive compound is a Lie algebra
-        homomorphism, so Omega^[n-r] is the compound system's Magnus
-        exponent. Each chunk of at most CHUNK_STEPS steps reads the piece
-        table once for all m points, then takes batches of at most
-        CHUNK_STEPS entries (point x step), or one point, each by one
-        stacked _expm and a product tree, the later step on the left; both
-        sizes are set by `steps` alone."""
+                                   f"{rho[np.argmin(finite)]:.6g}")
+        wstar = _unfused_product(rho, np.sum(om[self.model.r:]))
         G = self._compound
         eye = np.eye(G.shape[-1])
-        h = width / steps
-        E = np.empty((len(pows),) + eye.shape, dtype=complex)
-        size = max(1, CHUNK_STEPS // steps)
-        for q0 in range(0, steps, CHUNK_STEPS):
-            q = np.arange(q0, min(q0 + CHUNK_STEPS, steps))
-            Ak = self.system.evaluate_Ak((a + q * h)[:, None] + h * _GL3)
-            for i in range(0, len(pows), size):
-                b = slice(i, i + size)
-                M = (np.tensordot(pows[b], Ak, axes=1)
-                     + rho_om[b, None, None, None, :] * np.eye(self.n))
-                X = np.tensordot(_magnus6(*np.moveaxis(M, 2, 0), h), G, axes=2)
-                X -= h * wstar[b, None, None, None] * eye
-                X = _expm(X.reshape(-1, *eye.shape)).reshape(X.shape)
-                X = _ordered_product(np.moveaxis(X, 1, 0))
-                E[b] = X if q0 == 0 else X @ E[b]
+
+        def lift(Ak, b):
+            M = (np.tensordot(pows[b], Ak, axes=1)
+                 + rho_om[b, None, None, None, :] * np.eye(n))
+            X = np.tensordot(M, G, axes=2)
+            X -= wstar[b, None, None, None, None] * eye
+            return X
+
+        read = self.system.evaluate_Ak
+        E = np.empty((len(rho), len(h)) + eye.shape, dtype=complex)
+        if const.any():
+            E[:, const] = _transfer(read, lift, np.arange(len(rho)),
+                                    bp[:-1][const], h[const], 1, True)
+        for p in np.flatnonzero(~const):
+            for k in np.unique(K[:, p]):
+                i = np.flatnonzero(K[:, p] == k)
+                E[i, p] = _transfer(read, lift, i, bp[p:p + 1], h[p:p + 1],
+                                    int(k), bool(self.pieces))[:, 0]
         return E
 
     def _carry(self, rho, right):
@@ -480,14 +433,12 @@ class DeterminantEvaluator:
         _segments(rho), the last first, q <- q E_p; E_p holds
         exp(-h_p rho omega*), so no exponent has a real part above O(h).
         Runs under d_norm's errstate."""
-        q0 = np.linalg.det(np.moveaxis(right[..., self._laplace[0]], -2, -3))
-        out = np.empty(q0.shape, dtype=complex)
-        for b, E in self._segments(rho):
-            q = q0[b, None]
-            for Ep in reversed(E):
-                q = q @ Ep
-            out[b] = q[:, 0]
-        return out
+        q = np.linalg.det(np.moveaxis(right[..., self._laplace[0]], -2,
+                                      -3))[:, None]
+        E = self._segments(rho)
+        for p in reversed(range(E.shape[1])):
+            q = q @ E[:, p]
+        return q[:, 0]
 
     def d_norm(self, rho_check, bullet=False):
         """Normalized determinant in the strip variable at each rho_check
@@ -561,16 +512,15 @@ class DeterminantEvaluator:
 
 
 class _Surrogate(DeterminantEvaluator):
-    """The determinants with F replaced by F.table.surrogate(pieces), by
-    the same model and route rule: one _expm step per piece on the plain
-    route, the exact carry for d_norm. A call that raises IntegrationError
-    gives NaN at all its points: its contours fall back to F."""
+    """The determinants of F on a counting surrogate's step rule, by the
+    same model, route rule and kernel: `pieces` midpoint steps on each
+    non-constant piece, which hold F at its midpoint values (Pruess, SIAM
+    J. Numer. Anal. 10, 1973). A call that raises IntegrationError gives
+    NaN at all its points: its contours fall back to F."""
 
     def __init__(self, problem, model, pieces):
         super().__init__(problem, model)
-        # derived data: no entries kept, nothing re-validated
-        self.F = AssociatedMatrix(self.n, ())
-        object.__setattr__(self.F, "table", problem.F.table.surrogate(pieces))
+        self.pieces = pieces
 
     def delta(self, lam):
         return self._or_nan(super().delta, lam)
@@ -587,8 +537,9 @@ class _Surrogate(DeterminantEvaluator):
 
 
 def _surrogates(problem, model):
-    """The counting evaluators (g, g_half) on SURROGATE_PIECES and half as
-    many sub-pieces; none where every piece of F is constant."""
+    """The counting evaluators (g, g_half), SURROGATE_PIECES and half as
+    many midpoint steps a non-constant piece; none where every piece of F
+    is constant."""
     return () if problem.F.table.constant.all() else tuple(
         _Surrogate(problem, model, k)
         for k in (SURROGATE_PIECES, SURROGATE_PIECES // 2))
@@ -674,7 +625,7 @@ def _contour_values(f, pts, check=None):
     jumps a branch. A value tiny against the contour median trips
     ContourError (zero too close), and so does a value, or a ratio of
     neighbouring values, that is not finite. With check, the values stand
-    only if |f - check| < |f| at every point used (else ContourError).
+    only if 2048 |f - check| < |f| at every point used (else ContourError).
     """
     pts = np.asarray(pts, dtype=complex)
     given = np.ones(len(pts), dtype=bool)
@@ -695,8 +646,10 @@ def _contour_values(f, pts, check=None):
         dphi = np.angle(ratios)
         bad = np.nonzero(np.abs(dphi) > 1.0)[0]
         if len(bad) == 0:
+            # Rouche needs |F - f| < |f|, and |F - f| reached 1040 |f - check|
+            # (README); a power of two makes the product exact
             if check is not None and not np.all(
-                    np.abs(vals - (yield check, pts)) < mags):
+                    2048 * np.abs(vals - (yield check, pts)) < mags):
                 raise ContourError("surrogate count not certified")
             keep = np.nonzero(given)[0]
             phase = np.concatenate([[0.0], np.cumsum(dphi)])
@@ -714,7 +667,7 @@ def _contour_values(f, pts, check=None):
 def _counted(f, contour_pts, check=None):
     """Work (see _lockstep) of count_zeros and _zeros_inside: (count,
     contour, (values, phase steps) of f on that contour). With check, the
-    count stands only if |f - check| < |f| at every point it used."""
+    count stands only if 2048 |f - check| < |f| at every point it used."""
     pts = np.asarray(contour_pts, dtype=complex)
     centroid = np.mean(pts[:-1])
     for attempt in range(CONTOUR_RETRIES + 1):

@@ -310,6 +310,24 @@ class TestCompareCommand:
         assert err.startswith("config error: pair.boundary[2].u[2]: ")
         assert out == ""
 
+    def test_orders_differ_refused_before_locating(self, tmp_path,
+                                                   monkeypatch):
+        # n = 3 against n = 2: refused naming order.n with exit code 2,
+        # not an IndexError of the sigma comparison
+        from quasispec import cli
+
+        def locate(*args, **kwargs):
+            raise AssertionError("located a spectrum")
+
+        monkeypatch.setattr(cli, "locate_eigenvalues", locate)
+        a = write(tmp_path, third_order_doc(sigma1=1.0, l_max=6), "a.json")
+        b = write(tmp_path, dirichlet_doc(l_max=6), "b.json")
+        for pair in ([a, b], [b, a]):
+            code, out, err = run(["compare"] + pair)
+            assert code == 2
+            assert err.startswith("config error: order.n: ")
+            assert out == ""
+
     @pytest.mark.parametrize("flag, field", [(["--lmax", "4"], "--lmax"),
                                              ([], "settings.l_max")])
     def test_short_window_refused_before_locating(self, tmp_path, monkeypatch,

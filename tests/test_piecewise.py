@@ -123,28 +123,6 @@ def test_table_entry_and_combine():
     assert (f - g).equals(both.entry((1,)))
 
 
-def test_table_surrogate():
-    # merged pieces [0, .3], [.3, .6], [.6, 1]: only the middle one is
-    # constant in every entry
-    f = P([0, 0.3, 0.6, 1], [[1.0, 2.0], [0.7 - 0.2j], [0.5, 2.0, -1.0]])
-    g = P([0, 0.3, 1], [[0.25, -1.0], [np.pi / 3]])
-    table = PieceTable([f, g, P.zero()], (3,))
-    assert table.constant.tolist() == [False, True, False]
-    sur = table.surrogate(4)
-    assert sur.constant.all() and sur.nonzero.tolist() == [True, True, False]
-    starts = np.concatenate([np.linspace(0.0, 0.3, 4, endpoint=False), [0.3],
-                             np.linspace(0.6, 1.0, 4, endpoint=False)])
-    np.testing.assert_array_equal(sur.breakpoints, np.append(starts, 1.0))
-    mids = 0.5 * (sur.breakpoints[:-1] + sur.breakpoints[1:])
-    # each piece holds the entries' values at its midpoint, constant on it
-    for x in (mids, sur.breakpoints[:-1], np.nextafter(sur.breakpoints[1:], 0)):
-        got = sur(x, at=mids)
-        np.testing.assert_allclose(got, table(mids), rtol=1e-15, atol=1e-15)
-    x = np.linspace(0.3, 0.6, 7)
-    at = np.full_like(x, 0.45)
-    assert sur(x, at=at).tobytes() == table(x, at=at).tobytes()
-
-
 class TestAlgebra:
     def test_add_refines(self):
         f = P([0, 0.5, 1], [[1.0], [2.0]])

@@ -117,12 +117,13 @@ class TestIntegrateFundamental:
         assert err_n / err_2n >= 2 ** 5
         assert err_2n < 1e-7
 
-    @pytest.mark.parametrize("chunk", [solutions.CHUNK_STEPS, 7])
+    @pytest.mark.parametrize("chunk", [4096, 7])
     @pytest.mark.parametrize("lam_abs", [11.0, 221.0, 3e4])
     def test_batched_matches_sequential(self, monkeypatch, chunk, lam_abs):
         # chunked stacked expm and product tree against one expm per
-        # step, applied in order; chunk 7 crosses chunk boundaries and
-        # leaves odd stacks in the product tree
+        # step, applied in order; chunk 4096 holds every interval's steps
+        # in one stack, chunk 7 crosses chunk boundaries and leaves odd
+        # stacks in the product tree
         monkeypatch.setattr(solutions, "CHUNK_STEPS", chunk)
         F = build(3, (1, 0), two_piece_quadratic())
         lam = lam_abs * np.exp(0.7j)
@@ -199,9 +200,9 @@ class TestIntegrateFundamental:
         (P([0, 0.3, 0.7, 1], [[0.4], [-0.3], [0.9]]), P.constant(1.1)),
         (P.constant(0.4), P([0, 0.5, 1], [[1.1], [0.6, 1.0]]))])
     def test_lambda_batch_equals_lone_calls(self, coeffs):
-        # one to three constant pieces, whose one-step intervals share one
+        # one to three constant pieces, whose single steps share one
         # stacked expm across all lambdas, and a constant plus a linear
-        # piece, whose Magnus chunks run per lambda after it
+        # piece, whose Magnus steps run per group of equal step counts
         F = build(3, (1, 0), coeffs)
         lams = np.array([[3.0 + 0.2j, -40.0 + 7j, 3.0 + 0.2j],
                          [2.5e3j, 1e4 * np.exp(0.3j), 0.5]])
@@ -307,10 +308,11 @@ class TestExpmOracle:
             assert np.max(np.abs(e - ref)) <= bound * np.max(np.abs(ref))
 
     @staticmethod
-    def exponentiated(monkeypatch, run):
-        """Every slice integrate_fundamental exponentiates during run(),
-        and a sample of them: the six largest 1-norms and six spread
-        over the sorted rest."""
+    def exponentiated(monkeypatch, run, n):
+        """Every n x n slice exponentiated during run(), the direct
+        route's and, where the column subsets number n, the carry's, and a
+        sample of them: the six largest 1-norms and six spread over the
+        sorted rest."""
         stacks, kernel = [], solutions._expm
 
         def recorded(A):
@@ -319,7 +321,7 @@ class TestExpmOracle:
 
         monkeypatch.setattr(solutions, "_expm", recorded)
         run()
-        A = np.concatenate(stacks)
+        A = np.concatenate([a for a in stacks if a.shape[-1] == n])
         order = np.argsort(one_norms(A))
         pick = np.linspace(0, len(A) - 1, 6).astype(int)
         return A[np.union1d(order[-6:], order[pick])]
@@ -350,7 +352,7 @@ class TestExpmOracle:
             if WORKLOADS[name].command == "weights":
                 weight_numbers(res)
 
-        A = self.exponentiated(monkeypatch, command)
+        A = self.exponentiated(monkeypatch, command, problem.n)
         self.assert_exact(A, solutions._expm(A))
 
     def test_criterion_11_order_six(self, monkeypatch):
@@ -365,7 +367,7 @@ class TestExpmOracle:
             expression=ExpressionSpec(n, idx, tuple(
                 P.constant(0.3 * (nu + 1) / n) for nu in range(n - 1))))
         A = self.exponentiated(monkeypatch, lambda: weight_numbers(
-            locate_eigenvalues(problem, l_max=4)))
+            locate_eigenvalues(problem, l_max=4)), n)
         self.assert_exact(A, solutions._expm(A))
 
 

@@ -856,19 +856,36 @@ class TestBatches:
         b = prob.boundary
         return prob, asymptotic_model(3, b.r, b.p_list)
 
+    @staticmethod
+    def evaluator(prob, model, pieces):
+        """F's own evaluator, or with `pieces` the counting surrogate on
+        that many midpoint steps a non-constant piece."""
+        from quasispec.spectrum import _Surrogate
+        return (DeterminantEvaluator(prob, model) if pieces is None
+                else _Surrogate(prob, model, pieces))
+
+    # F's evaluator, its plain rows (id False) or its bullet rows (True),
+    # and the counting surrogates g_8 and g_4, which have plain rows only
+    EVALUATORS = [pytest.param(None, False, id="False"),
+                  pytest.param(None, True, id="True"),
+                  pytest.param(8, False, id="g_8"),
+                  pytest.param(4, False, id="g_4")]
+
     @pytest.mark.parametrize("coeff, exact", [
         (P.constant(1.1), True), (P([0.0, 1.0], [[1.1, 0.6]]), False)])
-    @pytest.mark.parametrize("bullet", [False, True])
-    def test_d_norm_batch_equals_its_points(self, coeff, exact, bullet):
+    @pytest.mark.parametrize("pieces, bullet", EVALUATORS)
+    def test_d_norm_batch_equals_its_points(self, coeff, exact, pieces,
+                                            bullet):
         prob, model = self.weighted(coeff)
         # a repeated point, as a closed contour has
         rcs = np.array([[8.0 + 0.1j, 11.0 - 0.3j, 15.0 + 0.2j],
                         [26.0 + 0.5j, 9.5, 8.0 + 0.1j]])
-        ev = DeterminantEvaluator(prob, model)
+        rows = {"bullet": True} if bullet else {}
+        ev = self.evaluator(prob, model, pieces)
         assert ev.system.table.constant.all() == exact
-        batch = ev.d_norm(rcs, bullet=bullet)
-        single = DeterminantEvaluator(prob, model)
-        points = [single.d_norm(rc, bullet=bullet) for rc in rcs.ravel()]
+        batch = ev.d_norm(rcs, **rows)
+        single = self.evaluator(prob, model, pieces)
+        points = [single.d_norm(rc, **rows) for rc in rcs.ravel()]
         # with bullet, the plain and the bullet value side by side
         assert all(isinstance(v, np.ndarray) and v.shape == (2,) * bullet
                    for v in points)
@@ -887,66 +904,67 @@ class TestBatches:
 
     def test_factored_d_norm_solves_a_call_at_once(self, monkeypatch):
         # one carry takes a call's points, the plain and the bullet rows
-        # of a bullet call sharing it; its segments group them by step
-        # count (64, 128 and 256 Magnus steps on this |rho| range), read
-        # the piece table once per group and cut each group into batches
-        # of at most CARRY_COMPOUNDS compounds, each point once
-        from quasispec import spectrum
+        # of a bullet call sharing it; on each piece it groups them by step
+        # count (64, 128 and 256 Magnus steps on this |rho| range), one
+        # stepping kernel call a group, which reads the piece table once
+        # and cuts the group into batches of at most CHUNK_STEPS entries
+        # (point x step), each point once
+        from quasispec import solutions, spectrum
         from quasispec.regularization import ConjugatedSystem
         prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
         ev = DeterminantEvaluator(prob, model)
         rcs = np.linspace(8.0, 100.0, 120) + 0.1j
-        S = len(ev._laplace[0])
-        carried, batches, reads = [], [], []
-        carry, segments = DeterminantEvaluator._carry, DeterminantEvaluator._segments
+        carried, groups, reads, sizes = [], [], [], []
+        carry, transfer, expm = (DeterminantEvaluator._carry,
+                                 spectrum._transfer, solutions._expm)
         evaluate_Ak = ConjugatedSystem.evaluate_Ak
 
         def carry_recorded(self, rho, right):
             carried.append(len(rho))
             return carry(self, rho, right)
 
-        def segments_recorded(self, rho):
-            for b, E in segments(self, rho):
-                batches.append(rho[b])
-                yield b, E
+        def transfer_recorded(read, lift, points, a, width, steps, *rule):
+            groups.append((len(points), steps))
+            return transfer(read, lift, points, a, width, steps, *rule)
 
         def read(self, x, at=None):
             reads.append(np.shape(x))
             return evaluate_Ak(self, x, at)
 
+        def expm_recorded(A):
+            sizes.append(len(A))
+            return expm(A)
+
         monkeypatch.setattr(DeterminantEvaluator, "_carry", carry_recorded)
-        monkeypatch.setattr(DeterminantEvaluator, "_segments", segments_recorded)
+        monkeypatch.setattr(spectrum, "_transfer", transfer_recorded)
         monkeypatch.setattr(ConjugatedSystem, "evaluate_Ak", read)
-        monkeypatch.setattr(spectrum, "CARRY_COMPOUNDS", 200)
+        monkeypatch.setattr(solutions, "_expm", expm_recorded)
+        monkeypatch.setattr(solutions, "CHUNK_STEPS", 1000)
         ev.d_norm(rcs, bullet=True)
         assert carried == [len(rcs)]
-        rho = np.concatenate(batches)
-        assert sorted(rho.tolist(), key=abs) == list(rcs * model.e_dir)
-        # a batch shares one step count
-        batch_steps = [np.unique(self.steps(ev, r)) for r in batches]
-        assert all(len(K) == 1 for K in batch_steps)
         steps = self.steps(ev, rcs)[:, 0]
-        assert list(np.unique(steps)) == [64, 128, 256]
-        size = 200 // S ** 2
-        for K in np.unique(steps):
-            count = np.sum(steps == K)
-            assert [len(r) for r, k in zip(batches, batch_steps) if k == K] == (
-                [size] * (count // size) + [count % size] * bool(count % size))
-        assert len(batches) > 3
-        # the midpoints of the (no) constant pieces, then each group's nodes
-        assert reads == [(0,)] + [(int(K), 3) for K in np.unique(steps)]
+        Ks = np.unique(steps).astype(int)
+        assert list(Ks) == [64, 128, 256]
+        assert groups == [(np.sum(steps == K), K) for K in Ks]
+        assert reads == [(K, 3) for K in Ks]
+        expected = []
+        for count, K in groups:
+            size = 1000 // K
+            expected += ([size * K] * (count // size)
+                         + [count % size * K] * bool(count % size))
+        assert sizes == expected and len(sizes) > 3
 
     def test_magnus_steps_in_chunks(self, monkeypatch):
-        # a piece's steps past CHUNK_STEPS run in chunks, each its own
-        # product tree: the values move by rounding only, and a batch
-        # still equals its points bit for bit
-        from quasispec import spectrum
+        # a piece's steps past the kernel's CHUNK_STEPS run in chunks,
+        # each its own product tree: the values move by rounding only, and
+        # a batch still equals its points bit for bit
+        from quasispec import solutions
         prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
         rcs = np.array([30.0 + 0.2j, 45.0 - 0.4j, 41.0 + 0.1j])
         ev = DeterminantEvaluator(prob, model)
         whole = ev.d_norm(rcs)
         assert np.all(self.steps(ev, rcs) == 128)
-        monkeypatch.setattr(spectrum, "CHUNK_STEPS", 50)
+        monkeypatch.setattr(solutions, "CHUNK_STEPS", 50)
         ev = DeterminantEvaluator(prob, model)
         chunked = ev.d_norm(rcs)
         assert np.max(np.abs(chunked - whole) / np.abs(whole)) < 1e-13
@@ -977,14 +995,15 @@ class TestBatches:
         assert taken == [2]
         assert vals[0] == single and vals[1] == single
 
-    @pytest.mark.parametrize("bullet", [False, True])
-    def test_delta_batch_equals_its_points(self, bullet):
+    @pytest.mark.parametrize("pieces, bullet", EVALUATORS)
+    def test_delta_batch_equals_its_points(self, pieces, bullet):
         prob, model = self.weighted(P([0.0, 1.0], [[1.1, 0.6]]))
         lams = model.sign * np.array([3.0 + 0.2j, 5.0 - 0.1j, 3.0 + 0.2j,
                                       7.5]) ** 3
-        batch = DeterminantEvaluator(prob, model).delta(lams, bullet=bullet)
-        single = DeterminantEvaluator(prob, model)
-        points = [single.delta(lam, bullet=bullet) for lam in lams]
+        rows = {"bullet": True} if bullet else {}
+        batch = self.evaluator(prob, model, pieces).delta(lams, **rows)
+        single = self.evaluator(prob, model, pieces)
+        points = [single.delta(lam, **rows) for lam in lams]
         assert all(isinstance(v, np.ndarray) and v.shape == (2,) * bullet
                    for v in points)
         assert batch.shape == lams.shape + (2,) * bullet
@@ -996,8 +1015,8 @@ class TestBatches:
         P([0.0, 0.5, 1.0], [[1.1], [0.7, 0.6]])])
     def test_delta_integrates_a_call_at_once(self, monkeypatch, coeff):
         # one to three constant pieces (one stacked expm over every
-        # lambda), and a constant plus a linear one (Magnus chunks per
-        # lambda after it): one integration takes a call's distinct
+        # lambda), and a constant plus a linear one (Magnus steps per group
+        # of equal step counts): one integration takes a call's distinct
         # lambdas, and the values are those of the lambdas taken one at a
         # time; the evaluator keeps none, so a second call integrates again
         from quasispec import spectrum
@@ -1132,11 +1151,15 @@ class TestBatches:
                 calls.append((self, name, set(np.ravel(z).tolist())))
                 return method(self, z, bullet=bullet)
             monkeypatch.setattr(DeterminantEvaluator, name, recorded)
-        integrate, carry = (spectrum.integrate_fundamental,
-                            DeterminantEvaluator._carry)
-        monkeypatch.setattr(spectrum, "integrate_fundamental",
-                            lambda F, lam: solved.append(lam.tolist())
-                            or integrate(F, lam))
+        # F's lambdas go to integrate_fundamental, a surrogate's to its
+        # midpoint steps
+        for name in ("integrate_fundamental", "_fundamental"):
+            monkeypatch.setattr(spectrum, name,
+                                lambda F, lam, *rule, solve=getattr(
+                                    spectrum, name):
+                                solved.append(lam.tolist())
+                                or solve(F, lam, *rule))
+        carry = DeterminantEvaluator._carry
         monkeypatch.setattr(DeterminantEvaluator, "_carry",
                             lambda ev, rho, r: solved.append(rho.tolist())
                             or carry(ev, rho, r))
@@ -1224,8 +1247,8 @@ class TestClusterHandling:
         integrate, count = spectrum.integrate_fundamental, spectrum._counted
 
         def counted_integrate(F, lam, *args, **kwargs):
-            if F is prob.F:
-                calls.extend(np.ravel(lam))
+            # the surrogates step F on their own rule, not through here
+            calls.extend(np.ravel(lam))
             return integrate(F, lam, *args, **kwargs)
 
         def counted_count(f, pts, *check):
@@ -1237,7 +1260,7 @@ class TestClusterHandling:
         res = locate_eigenvalues(prob, l_max=1)
         assert res.n_low >= 1 and len(circle) == 1
         assert isinstance(circle[0], spectrum._Surrogate)
-        assert circle[0].F is not prob.F
+        assert circle[0].pieces == spectrum.SURROGATE_PIECES
         assert 0 < len(calls) <= 4 * res.n_low
 
     @staticmethod
@@ -1356,25 +1379,74 @@ class TestSurrogate:
         # an IntegrationError of the surrogate, on either route, gives NaN
         # at every point of its call; the run goes on, on F alone
         from quasispec import spectrum
-        integrate, raised = spectrum.integrate_fundamental, []
+        raised = []
 
-        def refused(*args):
-            raised.append(args[0])
-            raise IntegrationError("refused")
-
-        def integrate_F(F, lam):
-            return (integrate(F, lam) if F is prob.F else refused(F))
+        def refused(route):
+            def call(*args):
+                raised.append(route)
+                raise IntegrationError("refused")
+            return call
 
         prob = self.problem()
-        monkeypatch.setattr(spectrum, "integrate_fundamental", integrate_F)
-        monkeypatch.setattr(spectrum._Surrogate, "_carry", refused)
+        # in spectrum only a surrogate's plain route takes C(1) from
+        # _fundamental, F's takes it from integrate_fundamental
+        monkeypatch.setattr(spectrum, "_fundamental", refused("plain"))
+        monkeypatch.setattr(spectrum._Surrogate, "_carry", refused("carry"))
         got = self.located(prob)
-        assert any(isinstance(a, spectrum._Surrogate) for a in raised)
-        assert any(a is not prob.F and not isinstance(a, spectrum._Surrogate)
-                   for a in raised)
+        assert set(raised) == {"plain", "carry"}
         monkeypatch.undo()
         monkeypatch.setattr(spectrum, "_surrogates", lambda prob, model: ())
         assert got == self.located(prob)
+
+    @staticmethod
+    def midpoint_problem(prob, pieces):
+        """prob with each non-constant piece of its F cut into `pieces`
+        equal constant pieces, each holding the coefficients' values at
+        its midpoint."""
+        table = prob.F.table
+        bp, cuts, mids = table.breakpoints, [], []
+        for a, b, const in zip(bp[:-1], bp[1:], table.constant):
+            k = 1 if const else pieces
+            cuts += [a + q * (b - a) / k for q in range(k)]
+            mids += [a + (q + 0.5) * (b - a) / k for q in range(k)]
+        e = prob.expression
+        coeffs = tuple(P(cuts + [1.0], [[complex(c(x))] for x in mids])
+                       for c in e.coefficients)
+        return ProblemSpec(boundary=prob.boundary, expression=ExpressionSpec(
+            e.n, e.indices, coeffs))
+
+    @pytest.mark.parametrize("problem", [
+        TestDirectRouteOracle.problem, TestMagnusCarryOracle.jump_linear],
+        ids=["quadratic", "jump-linear"])
+    def test_surrogate_is_the_midpoint_problem(self, problem):
+        # g_8 and g_4 on both routes are the determinants of the problem
+        # whose non-constant pieces hold their midpoint values, 8 or 4
+        # constant pieces each. The surrogate joins its steps by a product
+        # tree, the midpoint problem in grid order: C(1) agrees to rounding
+        # across the low circle's range, but the plain determinant's
+        # cancellation lifts that to 2.5e-13 of Delta at |rho| = 5, so
+        # Delta is compared where it is well conditioned
+        from quasispec.solutions import _fundamental, integrate_fundamental
+        from quasispec.spectrum import SURROGATE_PIECES, _Surrogate
+        prob = problem()
+        b = prob.boundary
+        model = asymptotic_model(prob.n, b.r, b.p_list)
+        rcs = np.array([3 + 0.5j, 9 + 0.4j, 20 + 0.7j, 80 + 0.3j, 150 + 0.5j])
+        lams = model.sign * np.array([1.5 + 0.2j, 3 - 0.4j, 5 + 0.1j,
+                                      8 + 0.3j]) ** prob.n
+        for pieces in (SURROGATE_PIECES, SURROGATE_PIECES // 2):
+            g = _Surrogate(prob, model, pieces)
+            ref = DeterminantEvaluator(self.midpoint_problem(prob, pieces),
+                                       model)
+            assert ref.F.table.constant.all()
+            for got, want in ((g.d_norm(rcs), ref.d_norm(rcs)),
+                              (g.delta(lams[:2]), ref.delta(lams[:2]))):
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+            table = prob.F.table
+            got = _fundamental(table, lams, table.breakpoints, pieces)[:, -1]
+            want = integrate_fundamental(ref.F, lams).at_one
+            assert np.all(np.abs(got - want).max(axis=(1, 2))
+                          <= 1e-13 * np.abs(want).max(axis=(1, 2)))
 
     def test_factored_solves_per_strip_index(self, monkeypatch):
         # the boxes' counts, refinements and seeds carry nothing on F:
