@@ -30,6 +30,12 @@ per piece. A solve costs:
   exp(mu h_p) is an in-sector non-positive exponent, and the recurrence
   is evaluated as a log-depth scan over the panels.
 
+A stalled fixed-point iteration falls back to a restarted GMRES on the
+discretized system. The oscillatory integrals of `upsilon` and
+`upsilon_d` take each grid interval's integral of a polynomial against
+an exponential from one stacked matrix exponential (`solutions._expm`)
+of augmented matrices. The module needs numpy only.
+
 The solve serves the `birkhoff` command; the determinants of `spectrum`
 do not call it.
 """
@@ -39,11 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import IntegrationError, NonContractionError, ValidationError
 from .piecewise import _shift_coeffs, merge_breakpoints
 from .regularization import ConjugatedSystem
+from .solutions import _expm
 
 __all__ = [
     "BirkhoffSolution",
@@ -228,23 +234,48 @@ class _KernelBank:
 
 
 def _gmres(bank, V, rho):
-    """z = I + V z at one point (V of shape (1, n, n, P, q+1)) by GMRES;
-    NonContractionError when it fails."""
-    ident = np.broadcast_to(np.eye(V.shape[1], dtype=complex)[:, :, None, None],
-                            V.shape).ravel()
+    """z = I + V z at one point (V of shape (1, n, n, P, q+1)) by GMRES
+    from z = 0, restarted every 60 steps, for at most 40 cycles (Saad &
+    Schultz 1986); NonContractionError unless the residual falls to
+    TOL times that of z = 0."""
+    b = np.broadcast_to(np.eye(V.shape[1], dtype=complex)[:, :, None, None],
+                        V.shape).ravel()
 
-    def matvec(v):
+    def op(v):
         z = v.reshape(V.shape)
         return (z - bank.apply(V, z)).ravel()
 
-    op = LinearOperator((ident.size, ident.size), matvec=matvec, dtype=complex)
-    sol, info = gmres(op, ident, rtol=TOL, atol=0.0, restart=60,
-                      maxiter=40)
-    if info != 0:
-        raise NonContractionError(
-            f"GMRES fallback failed (info={info}) at |rho|={abs(rho):.3g}; "
-            "increase |rho|")
-    return sol.reshape(V.shape[1:])
+    x = np.zeros_like(b)
+    tol = TOL * np.linalg.norm(b)
+    for cycle in range(41):
+        r = b - op(x)
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x.reshape(V.shape[1:])
+        if cycle == 40 or not np.isfinite(beta):
+            break
+        Q = np.zeros((61, b.size), dtype=complex)
+        H = np.zeros((61, 60), dtype=complex)
+        # u H = 0 for the Hessenberg H so far: the least-squares residual
+        # of its step is beta / ||u||
+        u = np.zeros(61, dtype=complex)
+        Q[0], u[0] = r / beta, 1.0
+        for j in range(60):
+            w = op(Q[j])
+            # classical Gram-Schmidt twice: orthogonal to rounding, in matmuls
+            for _ in range(2):
+                c = Q[:j + 1].conj() @ w
+                w -= c @ Q[:j + 1]
+                H[:j + 1, j] += c
+            H[j + 1, j] = np.linalg.norm(w)
+            u[j + 1] = -(u[:j + 1] @ H[:j + 1, j]) / H[j + 1, j]
+            if beta <= tol * np.linalg.norm(u[:j + 2]):
+                break
+            Q[j + 1] = w / H[j + 1, j]
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], beta * np.eye(j + 2)[0], rcond=None)[0]
+        x += y @ Q[:j + 1]
+    raise NonContractionError(
+        f"GMRES fallback did not converge at |rho|={abs(rho):.3g}; increase |rho|")
 
 
 def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
@@ -295,37 +326,6 @@ def birkhoff_fss(system: ConjugatedSystem, rho) -> BirkhoffSolution:
 # oscillatory-integral functionals
 # ---------------------------------------------------------------------------
 
-def _poly_exp_integral(coeffs, delta, mu):
-    """integral_0^delta p(t) exp(mu (t - delta)) dt, right-anchored.
-
-    Stable for Re mu >= 0 (the kernel is then <= 1 on [0, delta]).
-    """
-    deg = len(coeffs) - 1
-    nu = mu * delta
-    if abs(nu) > max(4.0, 2.0 * deg):
-        # by parts, dividing by mu
-        I = np.empty(deg + 1, dtype=complex)
-        I[0] = (1.0 - np.exp(-nu)) / mu
-        for k in range(1, deg + 1):
-            I[k] = (delta ** k) / mu - (k / mu) * I[k - 1]
-        return complex(np.dot(coeffs, I[: deg + 1]))
-    # series in mu: e^{mu(t-delta)} = e^{-nu} e^{mu t}
-    total = 0.0 + 0.0j
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = 0.0 + 0.0j
-        fac = 1.0
-        for jj in range(0, 40):
-            add = fac * delta ** (k + jj + 1) / (k + jj + 1)
-            term += add
-            if abs(add) < 1e-20 * (1 + abs(term)):
-                break
-            fac = fac * mu / (jj + 1)
-        total += c * term
-    return total * np.exp(-nu)
-
-
 class _AnchoredCumulative:
     """H(t) = integral_0^t a(tau) exp(mu tau) d tau represented stably.
 
@@ -337,42 +337,41 @@ class _AnchoredCumulative:
     """
 
     def __init__(self, a_pw, mu, tgrid):
-        self.mu = mu
-        self.t = tgrid
         self.decaying_right = np.real(mu) >= 0
+        h = np.diff(tgrid)
+        polys = [self._shifted(a_pw, c, d) for c, d in zip(tgrid[:-1], tgrid[1:])]
+        nu = mu
+        if not self.decaying_right:
+            # the mirror t -> c + d - t makes the left-anchored integral
+            # integral_c^d a e^{mu (t - c)} dt right-anchored with -mu
+            polys = [_shift_coeffs(p, w) * (-1.0) ** np.arange(len(p))
+                     for p, w in zip(polys, h)]
+            nu = -mu
+        # integral_0^h p(s) e^{nu (s - h)} ds of each interval is entry
+        # (0, 1) of exp(h [[-nu, p], [0, N]]) (Van Loan 1978), where
+        # N (s^k) = k s^(k-1) on the powers 1, s, ..., s^deg
+        m = max(len(p) for p in polys)
+        M = np.zeros((len(h), m + 1, m + 1), dtype=complex)
+        M[:, 0, 0] = -nu
+        for i, p in enumerate(polys):
+            M[i, 0, 1:len(p) + 1] = p
+        M[:, 2:, 1:-1] = np.diag(np.arange(1.0, m))
+        local = _expm(M * h[:, None, None])[:, 0, 1]
+        # right: W(t_i+1) = e^{-mu dt} W(t_i) + local; left: Wt(t_i) =
+        # e^{mu dt} Wt(t_i+1) + local, the same recurrence run backwards
+        step = np.exp(-nu * h)
+        if not self.decaying_right:
+            step, local = step[::-1], local[::-1]
         vals = np.zeros(len(tgrid), dtype=complex)
-        if self.decaying_right:
-            # W(t_i+1) = e^{-mu dt} W(t_i) + local right-anchored integral
-            for i in range(1, len(tgrid)):
-                dt = tgrid[i] - tgrid[i - 1]
-                loc = self._local(a_pw, tgrid[i - 1], tgrid[i], mu)
-                vals[i] = vals[i - 1] * np.exp(-mu * dt) + loc
-        else:
-            # Wt(t_i) = e^{mu dt} Wt(t_i+1) + local left-anchored integral
-            for i in range(len(tgrid) - 2, -1, -1):
-                dt = tgrid[i + 1] - tgrid[i]
-                loc = self._local_left(a_pw, tgrid[i], tgrid[i + 1], mu)
-                vals[i] = vals[i + 1] * np.exp(mu * dt) + loc
-        self.vals = vals
+        for i in range(len(h)):
+            vals[i + 1] = vals[i] * step[i] + local[i]
+        self.vals = vals if self.decaying_right else vals[::-1]
 
     @staticmethod
     def _shifted(a_pw, c, d):
         """Local polynomial of a_pw on [c, d], re-expanded around t = c."""
         i = int(a_pw.piece_index(0.5 * (c + d)))
         return _shift_coeffs(a_pw.coeffs[i], c - a_pw.breakpoints[i])
-
-    @classmethod
-    def _local(cls, a_pw, c, d, mu):
-        """integral_c^d a e^{mu (t - d)} dt, right-anchored (Re mu >= 0)."""
-        return _poly_exp_integral(cls._shifted(a_pw, c, d), d - c, mu)
-
-    @classmethod
-    def _local_left(cls, a_pw, c, d, mu):
-        """integral_c^d a e^{mu (t - c)} dt, left-anchored (Re mu <= 0)."""
-        # mirror t -> c + d - t reduces to the right-anchored form with -mu
-        loc = cls._shifted(a_pw, c, d)
-        q = _shift_coeffs(loc, d - c) * (-1.0) ** np.arange(len(loc))
-        return _poly_exp_integral(q, d - c, -mu)
 
     def segment(self, c_idx, d_idx, exp_at_c, exp_at_d):
         """integral of a e^{g(t)} over [t[c_idx], t[d_idx]] given the true

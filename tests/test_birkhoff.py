@@ -168,13 +168,44 @@ class TestWorkCounts:
 class TestStacks:
     """The GMRES fallback of the factored solve fails typed."""
 
-    def test_failed_fallback_names_its_rho(self, monkeypatch):
+    def test_failed_fallback_names_its_rho(self):
+        # constants 400 and 600 at |rho| = 10: 40 restarted cycles of 60
+        # steps do not reach the tolerance
+        F = build_associated_matrix(ExpressionSpec(
+            3, (1, 0), (P.constant(400.0), P.constant(600.0))))
+        sys = conjugate_system(F, sector_frame(3, 1))
+        with pytest.raises(NonContractionError, match=r"\|rho\|=10\b"):
+            birkhoff_fss(sys, 10.0 * np.exp(1j * np.pi / 6))
+
+    @pytest.mark.parametrize("rabs", [1.0, 1.5])
+    def test_fallback_matches_scipy_gmres(self, monkeypatch, rabs):
+        # test_gmres_fallback's problem: the numpy fallback's z against
+        # scipy's GMRES on the same operator, start and settings
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        def scipy_gmres(bank, V, rho):
+            b = np.broadcast_to(np.eye(V.shape[1], dtype=complex)[:, :, None, None],
+                                V.shape).ravel()
+
+            def matvec(v):
+                z = v.reshape(V.shape)
+                return (z - bank.apply(V, z)).ravel()
+
+            op = LinearOperator((b.size, b.size), matvec=matvec, dtype=complex)
+            sol, info = gmres(op, b, rtol=birkhoff.TOL, atol=0.0, restart=60,
+                              maxiter=40)
+            assert info == 0
+            return sol.reshape(V.shape[1:])
+
         F = build_associated_matrix(ExpressionSpec(
             3, (1, 0), (P.constant(4.0), P.constant(6.0))))
         sys = conjugate_system(F, sector_frame(3, 1))
-        monkeypatch.setattr(birkhoff, "gmres", lambda op, b, **kw: (b, 7))
-        with pytest.raises(NonContractionError, match=r"\|rho\|=1.5\b"):
-            birkhoff_fss(sys, 1.5 * np.exp(1j * np.pi / 6))
+        rho = rabs * np.exp(1j * np.pi / 6)
+        ours = birkhoff_fss(sys, rho)
+        monkeypatch.setattr(birkhoff, "_gmres", scipy_gmres)
+        ref = birkhoff_fss(sys, rho)
+        assert ours.used_gmres and ref.used_gmres
+        assert np.max(np.abs(ours.z - ref.z)) < 1e-10 * np.max(np.abs(ref.z))
 
 
 class TestThirdOrderExpansion:
@@ -248,6 +279,77 @@ class TestAgainstDirectIntegration:
             birk = scal * (frame.Omega @ sol.w_at(p, qn))[:, k]
             denom = np.max(np.abs(birk))
             assert np.max(np.abs(direct - birk)) / denom < 1e-6
+
+
+def exact_cumulative(a_pw, mu, tg):
+    """_AnchoredCumulative's values in 80-digit mpmath: W(t_i) =
+    integral_0^t_i a e^{mu (t - t_i)} dt for Re mu >= 0, else
+    integral_t_i^t_end a e^{mu (t - t_i)} dt; each interval's
+    right-anchored integral of s^k by the by-parts recurrence."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workprec(270):
+        mu = mp.mpc(mu)
+        tg = [mp.mpf(float(t)) for t in tg]
+        local = []
+        for c, d in zip(tg[:-1], tg[1:]):
+            i = int(a_pw.piece_index(float((c + d) / 2)))
+            u, h = c - mp.mpf(float(a_pw.breakpoints[i])), d - c
+            p = [mp.mpc(complex(x)) for x in a_pw.coeffs[i]]
+            # p(u + s) in powers of s
+            q = [sum(p[k] * mp.binomial(k, j) * u ** (k - j)
+                     for k in range(j, len(p))) for j in range(len(p))]
+            I = []
+            for k in range(len(q)):
+                if mu == 0:
+                    I.append(h ** (k + 1) / (k + 1))
+                elif k == 0:
+                    I.append((1 - mp.exp(-mu * h)) / mu)
+                else:
+                    I.append((h ** k - k * I[-1]) / mu)
+            local.append((d, sum(qk * Ik for qk, Ik in zip(q, I))))
+        vals = []
+        for i, t in enumerate(tg):
+            span = local[:i] if mp.re(mu) >= 0 else local[i:]
+            vals.append(complex(sum(mp.exp(mu * (d - t)) * v for d, v in span)))
+        return np.array(vals)
+
+
+class TestAnchoredIntegrals:
+    """The local integrals of _AnchoredCumulative, from one stacked
+    exponential, against the exact recurrence."""
+
+    # |mu h| on both sides of max(4, 2 deg), where the scalar forms used
+    # to switch between a series and integration by parts
+    NU = [1e-3, 0.5, 3.5, 4.5, 6.5, 40.0, 3e3]
+
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["general", "oscillatory", "zero"])
+    def test_one_interval(self, deg, kind):
+        rng = np.random.default_rng(10 * deg + len(kind))
+        for nu in self.NU if kind != "zero" else [0.0]:
+            for _ in range(6):
+                h = rng.uniform(0.05, 1.0)
+                mu = nu / h * np.exp(1j * np.pi * rng.uniform(-1.0, 1.0))
+                if kind == "oscillatory":               # Re mu = 0 exactly
+                    mu = 1j * rng.choice([-1.0, 1.0]) * abs(mu)
+                c = rng.uniform(0.0, 1.0 - h)
+                coeffs = rng.normal(size=(deg + 1, 2)) @ [1.0, 1j]
+                a = P([0.0, 1.0], [coeffs])
+                tg = np.array([c, c + h])
+                got = birkhoff._AnchoredCumulative(a, mu, tg).vals
+                np.testing.assert_allclose(got, exact_cumulative(a, mu, tg),
+                                           rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 7.0 - 2.0j, -30.0 + 5.0j, 45.0j])
+    def test_grid_across_pieces(self, mu):
+        # pieces of degree 3, 0 and 2 on one grid: the stack pads the
+        # shorter polynomials, left-anchored values run the mirror
+        a = P([0.0, 0.3, 0.55, 1.0],
+              [[0.4, -1.0, 2.0, 0.5j], [1.5 - 0.5j], [0.2, 0.0, -3.0]])
+        tg = np.union1d(np.linspace(0.0, 1.0, 9), a.breakpoints)
+        got = birkhoff._AnchoredCumulative(a, mu, tg).vals
+        np.testing.assert_allclose(got, exact_cumulative(a, mu, tg),
+                                   rtol=1e-11, atol=0.0)
 
 
 class TestUpsilon:

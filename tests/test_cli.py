@@ -384,6 +384,19 @@ class TestBirkhoffCommand:
         assert proc.stderr.count("\n") == 1
 
 
+class TestDependencies:
+    def test_cli_imports_no_scipy(self):
+        # numpy is the only runtime dependency: a fresh process that
+        # imports the CLI loads no scipy module
+        env = dict(os.environ, PYTHONPATH=str(Path(quasispec.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, quasispec.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestReadme:
     """The README's CLI section and library example describe the package
     as it is."""
